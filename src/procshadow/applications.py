@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import PauliFrame
 from .process_shadows import (ProcessShadow, estimate_channel_functional,
-                              materialize_choi_shadow,
                               single_shot_functional_values)
 from .qcore import PauliString, basis_projector, n_qubits_of
 from .shadow_algebra import _register_trace_table
@@ -71,38 +69,17 @@ class CorrelatorSpec:
         return self.op_early.n_qubits
 
 
-def _single_site(op: PauliString):
-    """(site, letter) when exactly one site is non-identity, else None."""
-    sites = [(q, c) for q, c in enumerate(op.letters) if c != "I"]
-    return sites[0] if len(sites) == 1 else None
-
-
 def multitime_correlator_exact_input(ps: ProcessShadow, spec: CorrelatorSpec,
                                      n_groups: int = 1) -> float:
     """Correlator estimate when the input matrix is known exactly.
 
-    Generic path: per-record functional values with the (generally
-    non-Hermitian) early matrix rho_in . op_early inserted on the input
-    register.  When every output frame is a Pauli product and the late
-    operator touches a single site, the output factor reduces to
-    +-3 (frame axis matches the letter) or 0 (it does not), so only the
-    matching records contribute.
+    Per-record functional values with the (generally non-Hermitian)
+    early matrix rho_in . op_early inserted on the input register and
+    the late operator measured on the output register.
     """
     if spec.n_qubits != ps.n_qubits:
         raise ValueError("correlator register does not match the records")
     early = spec.input_state @ spec.op_early.matrix
-    site = _single_site(spec.op_late)
-    n = ps.n_qubits
-    if site is not None and ps.all_pauli and n <= _MAX_TABLE_QUBITS:
-        q, letter = site
-        snaps = snapshot_matrices(n)
-        vin = np.real(np.einsum("kij,ji->k", snaps, early.astype(complex)))
-        kin, kout = ps.keys
-        digit = (kout // 6 ** (n - 1 - q)) % 6
-        axis, bit = digit // 2, digit % 2
-        vout = np.where(axis == "XYZ".index(letter), 3.0 * (1 - 2 * bit), 0.0)
-        values = 2**n * vin[kin] * vout
-        return median_of_means(values, n_groups)
     values = single_shot_functional_values(ps, early, spec.op_late.matrix)
     return median_of_means(values, n_groups)
 
@@ -124,13 +101,13 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
         raise ValueError("operand register sizes disagree")
     if not ps.all_pauli:
         raise ValueError("shadow-input correlator requires Pauli records")
-    if not all(isinstance(s.frame, PauliFrame) for s in ss.snapshots):
+    if ss.side.frames is not None:
         raise ValueError("shadow-input correlator requires Pauli snapshots")
     snaps = snapshot_matrices(n)
     a = op_early.matrix.astype(complex)
     cross = np.real(np.einsum("rij,sjk,ki->rs", snaps, snaps, a))
     vout = np.real(np.einsum("kij,ji->k", snaps, op_late.matrix.astype(complex)))
-    m, k = len(ps), len(ss.snapshots)
+    m, k = len(ps), len(ss)
     if n_groups < 1 or m // n_groups < 1 or k // n_groups < 1:
         raise ValueError("group count does not fit the sample sizes")
     gm, gk = m // n_groups, k // n_groups
@@ -165,17 +142,21 @@ def _pair_product_sum(hist_a: np.ndarray, hist_b: np.ndarray,
     return float(np.sum((hist_a.T @ w @ hist_b) * w))
 
 
-def _purity_from_records(kin, kout, n: int) -> float:
-    """Distinct-pair U-statistic for Tr[eta_norm^2] from raw key arrays."""
-    m = kin.size
-    if m < 2:
-        raise ValueError("purity needs at least two records")
-    hist = np.bincount(kin * 6**n + kout,
-                       minlength=36**n).reshape(6**n, 6**n).astype(float)
+def _purity_from_counts(kin, kout, counts, n: int) -> float:
+    """U-statistic for Tr[eta_norm^2] over pairs of distinct source records.
+
+    ``counts`` holds each record's multiplicity: ones for the sample
+    itself, resample counts for a bootstrap replicate.  Copies of one
+    record are not a distinct pair, so sum_i c_i^2 of the m^2 ordered
+    pairs are left out.  Returns NaN when no distinct pair is left.
+    """
+    hist = np.bincount(kin * 6**n + kout, weights=counts,
+                       minlength=36**n).reshape(6**n, 6**n)
     w = _register_trace_table(n)
     full = _pair_product_sum(hist, hist, n)
-    diag = float(np.sum(w[kin, kin] * w[kout, kout]))
-    return (full - diag) / (m * (m - 1))
+    same = float(np.sum(counts**2 * w[kin, kin] * w[kout, kout]))
+    pairs = float(counts.sum()**2 - np.sum(counts**2))
+    return (full - same) / pairs if pairs else float("nan")
 
 
 def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
@@ -203,24 +184,19 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
         kin, kout = ps.keys
         for g in range(n_groups):
             sl = slice(g * size, (g + 1) * size)
-            means.append(_purity_from_records(kin[sl], kout[sl], n))
+            means.append(_purity_from_counts(kin[sl], kout[sl], np.ones(size), n))
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
+        ia, a = ps.side_in.matrices()
+        ib, b = ps.side_out.matrices()
         for g in range(n_groups):
-            recs = ps.records[g * size:(g + 1) * size]
             js = rng.integers(0, size, pair_subsample)
             ks = (js + rng.integers(1, size, pair_subsample)) % size
-            vals = np.empty(pair_subsample)
-            zetas = {}
-
-            def zeta(i):
-                if i not in zetas:
-                    zetas[i] = materialize_choi_shadow(recs[i])
-                return zetas[i]
-
-            for t, (j, k) in enumerate(zip(js, ks)):
-                vals[t] = np.real(np.trace(zeta(j) @ zeta(k)))
-            means.append(float(vals.mean()))
+            j, k = g * size + js, g * size + ks
+            # Tr[zeta_j zeta_k] = Tr[a_j a_k] Tr[b_j b_k] for zeta = a^T (x) b
+            vals = (np.einsum("pij,pji->p", a[ia[j]], a[ia[k]])
+                    * np.einsum("pij,pji->p", b[ib[j]], b[ib[k]]))
+            means.append(float(np.real(vals).mean()))
     return 4**n * float(np.median(means))
 
 
@@ -243,7 +219,9 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
 
     The verdict is "unitary" when the whole interval sits above
     d^2 * threshold_fraction, "nonunitary" when it sits below, and
-    "inconclusive" when the interval straddles the threshold.
+    "inconclusive" when the interval straddles the threshold.  Each
+    bootstrap replicate resamples the records with replacement and
+    leaves out the pairs formed by two copies of one record.
     """
     n = ps.n_qubits
     if not (ps.all_pauli and n <= _MAX_TABLE_QUBITS):
@@ -256,11 +234,11 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     if m < 2:
         raise ValueError("need at least two records")
     kin, kout = ps.keys
-    point = 4**n * _purity_from_records(kin, kout, n)
+    point = 4**n * _purity_from_counts(kin, kout, np.ones(m), n)
     boots = np.empty(n_bootstrap)
     for b in range(n_bootstrap):
-        idx = rng.integers(0, m, m)
-        boots[b] = 4**n * _purity_from_records(kin[idx], kout[idx], n)
+        counts = np.bincount(rng.integers(0, m, m), minlength=m).astype(float)
+        boots[b] = 4**n * _purity_from_counts(kin, kout, counts, n)
     alpha = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(boots, [alpha, 100.0 - alpha])
     threshold = threshold_fraction * 4**n

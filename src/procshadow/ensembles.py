@@ -86,32 +86,7 @@ class CliffordFrame:
         return hash(self.key())
 
 
-@dataclass(frozen=True, eq=False)
-class ExplicitFrame:
-    """Frame given directly as a dense unitary matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
-        d = m.shape[0]
-        if m.ndim != 2 or m.shape != (d, d) or d & (d - 1) or d < 2:
-            raise ValueError(f"bad unitary shape {m.shape}")
-        if not np.allclose(m.conj().T @ m, np.eye(d), atol=1e-9, rtol=0):
-            raise ValueError("explicit frame matrix is not unitary")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
-
-    def __eq__(self, other):
-        return (isinstance(other, ExplicitFrame)
-                and np.array_equal(self.matrix, other.matrix))
-
-
-Frame = PauliFrame | CliffordFrame | ExplicitFrame
+Frame = PauliFrame | CliffordFrame
 
 
 def frame_kind(frame: Frame) -> str:
@@ -119,8 +94,6 @@ def frame_kind(frame: Frame) -> str:
         return "pauli-product"
     if isinstance(frame, CliffordFrame):
         return "clifford"
-    if isinstance(frame, ExplicitFrame):
-        return "explicit"
     raise TypeError(f"not a frame: {frame!r}")
 
 
@@ -360,8 +333,6 @@ def to_matrix(frame: Frame) -> np.ndarray:
         return _pauli_frame_matrix(frame.axes)
     if isinstance(frame, CliffordFrame):
         return _clifford_matrix(frame)
-    if isinstance(frame, ExplicitFrame):
-        return frame.matrix
     raise TypeError(f"not a frame: {frame!r}")
 
 

@@ -10,9 +10,14 @@ a Choi-state snapshot
 
 whose expectation is the *normalized* (trace-1) Choi state of the
 channel; functionals of the unnormalized Choi matrix carry an explicit
-2^n factor, applied inside the estimators.  The transpose acts per
-tensor factor; on a Pauli tau matrix it just flips the outcome bit of a
-Y axis, which is how the vectorized paths implement it.
+2^n factor, applied inside the estimators.
+
+A ``ProcessShadow`` stores one label array per side (see
+``state_shadows.SnapshotLabels``); ``records`` are views built on
+demand.  Each estimator has one code path for every frame ensemble, and
+the Choi-type sums share one kernel, ``_kron_sum``.  Acquisition still
+selects: Pauli/Pauli rounds come from the exact label table up to
+``_MAX_TABLE_QUBITS`` qubits, all others are simulated one by one.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ensembles, state_shadows
-from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame, Frame,
-                        PauliFrame, measure_computational, prepared_state_vector,
-                        to_matrix)
-from .qcore import Channel, ChoiMatrix, PauliString, apply_channel, n_qubits_of, tensor
-from .state_shadows import (StateSnapshot, _MAX_TABLE_QUBITS, flip_y_key,
-                            key_axes_bits, materialize_snapshot, median_of_means,
-                            projector_matrices, register_key, snapshot_matrices)
+from . import ensembles
+from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
+                        measure_computational, prepared_state_vector, to_matrix)
+from .qcore import Channel, ChoiMatrix, PauliString, apply_channel
+from .state_shadows import (SnapshotLabels, StateSnapshot, _MAX_TABLE_QUBITS,
+                            key_matrices, materialize_snapshot, median_of_means,
+                            projector_matrices)
 
 
 def _ensemble_of(frame: Frame) -> str:
@@ -77,41 +81,48 @@ class ProcessShadow:
     """A collection of i.i.d. acquisition records for one channel."""
 
     def __init__(self, records, n_qubits: int | None = None):
-        self.records = tuple(records)
-        if not self.records and n_qubits is None:
+        records = tuple(records)
+        if not records and n_qubits is None:
             raise ValueError("empty shadow needs an explicit qubit count")
-        self.n_qubits = n_qubits if n_qubits is not None else self.records[0].n_qubits
-        for r in self.records:
-            if r.n_qubits != self.n_qubits:
+        n = n_qubits if n_qubits is not None else records[0].n_qubits
+        for r in records:
+            if r.n_qubits != n:
                 raise ValueError("records have mismatched qubit counts")
-        self._keys = None
+        self.n_qubits = n
+        self.side_in = SnapshotLabels.encode([r.u_in for r in records],
+                                             [r.b_in for r in records], n)
+        self.side_out = SnapshotLabels.encode([r.u_out for r in records],
+                                              [r.b_out for r in records], n)
+
+    @classmethod
+    def _of(cls, side_in: SnapshotLabels, side_out: SnapshotLabels) -> "ProcessShadow":
+        ps = cls.__new__(cls)
+        ps.n_qubits, ps.side_in, ps.side_out = side_in.n_qubits, side_in, side_out
+        return ps
 
     def __len__(self):
-        return len(self.records)
+        return len(self.side_in)
 
     def take(self, m: int) -> "ProcessShadow":
         """Prefix of the first m records (records are i.i.d.)."""
-        return ProcessShadow(self.records[:m], self.n_qubits)
+        return ProcessShadow._of(self.side_in.prefix(m), self.side_out.prefix(m))
+
+    @property
+    def records(self) -> tuple:
+        return tuple(ShadowRecord(b_in, u_in, u_out, b_out)
+                     for (u_in, b_in), (u_out, b_out)
+                     in zip(self.side_in.views(), self.side_out.views()))
 
     @property
     def all_pauli(self) -> bool:
-        return all(isinstance(r.u_in, PauliFrame) and isinstance(r.u_out, PauliFrame)
-                   for r in self.records)
+        return self.side_in.frames is None and self.side_out.frames is None
 
     @property
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Raw-label (input, output) key arrays; Pauli/Pauli records only."""
-        if self._keys is None:
-            kin = np.empty(len(self.records), dtype=np.int64)
-            kout = np.empty(len(self.records), dtype=np.int64)
-            for i, r in enumerate(self.records):
-                if not (isinstance(r.u_in, PauliFrame)
-                        and isinstance(r.u_out, PauliFrame)):
-                    raise ValueError("record keys exist only for Pauli frames")
-                kin[i] = register_key(r.u_in.axes, r.b_in)
-                kout[i] = register_key(r.u_out.axes, r.b_out)
-            self._keys = (kin, kout)
-        return self._keys
+        if not self.all_pauli:
+            raise ValueError("record keys exist only for Pauli frames")
+        return self.side_in.labels, self.side_out.labels
 
     def key_histogram(self) -> np.ndarray:
         """(6^n, 6^n) array of raw (input, output) key counts."""
@@ -151,15 +162,6 @@ def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
     return born / (18.0**n)
 
 
-def _records_from_keys(kin: np.ndarray, kout: np.ndarray, n: int):
-    out = []
-    for a, b in zip(kin, kout):
-        axes_in, b_in = key_axes_bits(int(a), n)
-        axes_out, b_out = key_axes_bits(int(b), n)
-        out.append(ShadowRecord(b_in, PauliFrame(axes_in), PauliFrame(axes_out), b_out))
-    return out
-
-
 def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: str,
                            rng: np.random.Generator) -> ProcessShadow:
     """Acquire m i.i.d. records.
@@ -174,9 +176,8 @@ def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: 
             and n <= _MAX_TABLE_QUBITS):
         p = exact_pauli_record_distribution(ch).reshape(-1)
         p = p / p.sum()
-        flat = rng.choice(p.size, size=m, p=p)
-        kin, kout = np.divmod(flat, 6**n)
-        return ProcessShadow(_records_from_keys(kin, kout, n), n)
+        kin, kout = np.divmod(rng.choice(p.size, size=m, p=p), 6**n)
+        return ProcessShadow._of(SnapshotLabels(kin, n), SnapshotLabels(kout, n))
     return ProcessShadow([acquire_record(ch, ensemble_in, ensemble_out, rng)
                           for _ in range(m)], n)
 
@@ -188,40 +189,56 @@ def materialize_choi_shadow(r: ShadowRecord) -> np.ndarray:
     return np.kron(a_side, b_side)
 
 
-def choi_mean_from_histogram(hist: np.ndarray, n: int) -> np.ndarray:
-    """Weighted mean of Choi snapshots from a raw (kin, kout) histogram.
+def _kron_sum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k a[k] (x) c[k] over two stacks of square matrices, as one
+    matrix product of the flattened stacks."""
+    k, da, _ = a.shape
+    dc = c.shape[-1]
+    out = a.reshape(k, da * da).T @ c.reshape(k, dc * dc)
+    return out.reshape(da, da, dc, dc).transpose(0, 2, 1, 3).reshape(da * dc, da * dc)
 
-    The A side of each snapshot is the transpose of the input tau
-    product, i.e. the tau product of the Y-flipped input key.
+
+def _pair_sum(w: np.ndarray, n: int) -> np.ndarray:
+    """sum_ab w[a, b] transpose(tau_a) (x) tau_b over raw (input, output) keys.
+
+    Only the keys that carry weight are materialized.
     """
-    total = hist.sum()
-    snaps = snapshot_matrices(n)
-    flip = flip_y_key(np.arange(6**n), n)
-    d = 2**n
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for kin in range(6**n):
-        row = hist[kin]
-        if not row.any():
-            continue
-        b_mean = np.einsum("k,kij->ij", row, snaps)
-        out += np.kron(snaps[flip[kin]], b_mean)
-    return out / total
+    rows = np.flatnonzero(w.any(axis=1))
+    cols = np.flatnonzero(w.any(axis=0))
+    b = key_matrices(cols, n)
+    c = (w[np.ix_(rows, cols)] @ b.reshape(len(cols), -1)).reshape(-1, *b.shape[1:])
+    return _kron_sum(key_matrices(rows, n).transpose(0, 2, 1), c)
+
+
+def choi_mean_from_histogram(hist: np.ndarray, n: int) -> np.ndarray:
+    """Weighted mean of Choi snapshots from a raw (kin, kout) histogram."""
+    return _pair_sum(hist, n) / hist.sum()
 
 
 def reconstruct_choi(ps: ProcessShadow) -> ChoiMatrix:
-    """Sample mean of the Choi snapshots, as a normalized Choi matrix."""
-    if not ps.records:
+    """Sample mean of the Choi snapshots, as a normalized Choi matrix.
+
+    Row a of ``c`` sums the output snapshots of the records with input label a.
+    """
+    if not len(ps):
         raise ValueError("cannot reconstruct from an empty shadow")
-    n = ps.n_qubits
-    if ps.all_pauli and n <= _MAX_TABLE_QUBITS:
-        mean = choi_mean_from_histogram(ps.key_histogram(), n)
-    else:
-        d = 2**n
-        mean = np.zeros((d * d, d * d), dtype=complex)
-        for r in ps.records:
-            mean += materialize_choi_shadow(r)
-        mean = mean / len(ps)
-    return ChoiMatrix(mean, n, normalized=True)
+    ia, a = ps.side_in.matrices()
+    ib, b = ps.side_out.matrices()
+    pairs, counts = np.unique(ia * len(b) + ib, return_counts=True)
+    pa, pb = np.divmod(pairs, len(b))
+    c = np.zeros((len(a),) + b.shape[1:], dtype=complex)
+    step = 1 + 2**20 // b[0].size  # bounds the gathered chunk to 2^20 entries
+    for s in range(0, pairs.size, step):
+        sl = slice(s, s + step)
+        np.add.at(c, pa[sl], counts[sl, None, None] * b[pb[sl]])
+    mean = _kron_sum(a.transpose(0, 2, 1), c) / len(ps)
+    return ChoiMatrix(mean, ps.n_qubits, normalized=True)
+
+
+def _side_values(side: SnapshotLabels, op: np.ndarray) -> np.ndarray:
+    """Tr[snapshot op] for every label of one side."""
+    index, mats = side.matrices()
+    return np.einsum("kij,ji->k", mats, op)[index]
 
 
 def estimate_output_state(ps: ProcessShadow, rho: np.ndarray) -> np.ndarray:
@@ -236,25 +253,19 @@ def estimate_output_state(ps: ProcessShadow, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise ValueError("input state does not match the record size")
-    if not ps.records:
+    if not len(ps):
         raise ValueError("cannot estimate from an empty shadow")
-    if ps.all_pauli and n <= _MAX_TABLE_QUBITS:
-        snaps = snapshot_matrices(n)
-        vin = np.real(np.einsum("kij,ji->k", snaps, rho))
-        coeffs = ps.key_histogram().T @ vin
-        return d * np.einsum("k,kij->ij", coeffs, snaps) / len(ps)
-    out = np.zeros((d, d), dtype=complex)
-    for r in ps.records:
-        w = np.trace(materialize_snapshot(r.in_snapshot) @ rho)
-        out += np.real(w) * materialize_snapshot(r.out_snapshot)
-    return d * out / len(ps)
+    weights = np.real(_side_values(ps.side_in, rho))
+    ib, b = ps.side_out.matrices()
+    coeffs = np.bincount(ib, weights=weights, minlength=len(b))
+    return d * np.einsum("k,kij->ij", coeffs, b) / len(ps)
 
 
 def single_shot_functional_values(ps: ProcessShadow, rho: np.ndarray,
                                   obs: np.ndarray) -> np.ndarray:
     """Per-record estimates of Tr[E(rho) obs].
 
-    Each record contributes 2^n Tr[snapshot_in rho] Tr[snapshot_out obs],
+    Each record contributes 2^n Re(Tr[snapshot_in rho] Tr[snapshot_out obs]),
     the contraction of its Choi snapshot with 2^n (rho^T (x) obs).
     """
     n = ps.n_qubits
@@ -263,18 +274,7 @@ def single_shot_functional_values(ps: ProcessShadow, rho: np.ndarray,
     d = 2**n
     if rho.shape != (d, d) or obs.shape != (d, d):
         raise ValueError("functional arguments do not match the record size")
-    if ps.all_pauli and n <= _MAX_TABLE_QUBITS:
-        snaps = snapshot_matrices(n)
-        vin = np.real(np.einsum("kij,ji->k", snaps, rho))
-        vout = np.real(np.einsum("kij,ji->k", snaps, obs))
-        kin, kout = ps.keys
-        return d * vin[kin] * vout[kout]
-    vals = np.empty(len(ps))
-    for i, r in enumerate(ps.records):
-        vin = np.trace(materialize_snapshot(r.in_snapshot) @ rho)
-        vout = np.trace(materialize_snapshot(r.out_snapshot) @ obs)
-        vals[i] = d * np.real(vin * vout)
-    return vals
+    return d * np.real(_side_values(ps.side_in, rho) * _side_values(ps.side_out, obs))
 
 
 def estimate_channel_functional(ps: ProcessShadow, rho: np.ndarray,

@@ -4,7 +4,9 @@ Layout: one header object on the first line (format tag, version,
 register size, ensemble tags, record count, plus optional provenance
 fields), then one object per record.  Serialization is canonical
 (sorted keys, no whitespace) so identical shadows produce byte-identical
-files.
+files.  Each side of a file holds one frame ensemble: the header's
+``ensemble_in`` and ``ensemble_out`` tags name it, and loading rejects
+any record whose frame kind differs from its tag.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensembles import CliffordFrame, ExplicitFrame, PauliFrame
+from .ensembles import CliffordFrame, PauliFrame
 from .process_shadows import ProcessShadow, ShadowRecord
 
 FORMAT_TAG = "process-shadow-records"
@@ -34,11 +36,6 @@ def _frame_to_json(frame):
         return {"kind": "clifford",
                 "s": rows,
                 "p": [int(b) for b in frame.signs]}
-    if isinstance(frame, ExplicitFrame):
-        flat = []
-        for z in frame.matrix.reshape(-1):
-            flat.append([float(z.real), float(z.imag)])
-        return {"kind": "explicit", "m": flat}
     raise ValueError(f"cannot serialize frame type {type(frame).__name__}")
 
 
@@ -53,10 +50,6 @@ def _frame_from_json(obj, n: int):
         sym = np.array([[(r >> i) & 1 for i in range(2 * n)] for r in rows],
                        dtype=np.uint8)
         return CliffordFrame(sym, np.array(obj["p"], dtype=np.uint8))
-    if kind == "explicit":
-        d = 2**n
-        flat = np.array([complex(re, im) for re, im in obj["m"]])
-        return ExplicitFrame(flat.reshape(d, d))
     raise ValueError(f"unknown frame kind {kind!r}")
 
 
@@ -73,9 +66,12 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
         header["seed"] = seed
     if channel is not None:
         header["channel"] = channel
-    if ps.records:
-        header["ensemble_in"] = ps.records[0].ensemble_in
-        header["ensemble_out"] = ps.records[0].ensemble_out
+    if len(ps):
+        for tag, side in (("ensemble_in", ps.side_in), ("ensemble_out", ps.side_out)):
+            if side.ensemble is None:
+                raise ValueError(f"{tag}: a record file cannot mix Pauli and "
+                                 "Clifford frames on one side")
+            header[tag] = side.ensemble
     lines = [_dump(header)]
     for r in ps.records:
         lines.append(_dump({
@@ -116,12 +112,18 @@ def load_records(path) -> ProcessShadow:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(ShadowRecord(
+                record = ShadowRecord(
                     b_in=obj["b_in"],
                     u_in=_frame_from_json(obj["u_in"], n),
                     u_out=_frame_from_json(obj["u_out"], n),
                     b_out=obj["b_out"],
-                ))
+                )
+                for tag, kind in (("ensemble_in", record.ensemble_in),
+                                  ("ensemble_out", record.ensemble_out)):
+                    if kind != header.get(tag):
+                        raise ValueError(f"{kind} frame does not match the header's "
+                                         f"{tag} {header.get(tag)!r}")
+                records.append(record)
             except (json.JSONDecodeError, KeyError, TypeError,
                     ValueError) as exc:
                 raise ValueError(f"line {lineno}: bad record ({exc})") from exc

@@ -30,10 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import PauliFrame
-from .process_shadows import ProcessShadow
-from .state_shadows import (ShadowEstimate, StateSnapshot, TAU1, flip_y_key,
-                            qubit_key, snapshot_matrices)
+from .process_shadows import ProcessShadow, _pair_sum
+from .state_shadows import ShadowEstimate, TAU1, key_matrices, snapshot_matrices
 
 #: the five weight values, with multiplicity, seen by a uniformly random
 #: pair of single-qubit snapshot labels
@@ -54,15 +52,6 @@ def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
     if mu == "Y":
         return -2.0 if same_bit else 2.5
     return 2.5 if same_bit else -2.0
-
-
-@lru_cache(maxsize=4)
-def _pair_weight_table() -> np.ndarray:
-    t = np.empty((6, 6))
-    for a in range(6):
-        for b in range(6):
-            t[a, b] = pair_weight("XYZ"[a // 2], a % 2, "XYZ"[b // 2], b % 2)
-    return t
 
 
 @lru_cache(maxsize=4)
@@ -101,11 +90,6 @@ class WeightedSnapshotSum:
         self._sources = sources
 
     @property
-    def factor_qubits(self) -> int:
-        """Qubit count of each term's operator factor."""
-        return self.n_qubits if self.mode == "apply" else 2 * self.n_qubits
-
-    @property
     def n_terms(self) -> float:
         return float(self._left.sum() * self._right.sum())
 
@@ -116,7 +100,6 @@ class WeightedSnapshotSum:
         d = 2**self.n_qubits
         w = _register_trace_table(self.n_qubits)
         snaps = snapshot_matrices(self.n_qubits)
-        flip = flip_y_key(np.arange(6**self.n_qubits), self.n_qubits)
         if self.mode == "apply":
             ps, ss = self._sources
             kin, kout = ps.keys
@@ -130,29 +113,21 @@ class WeightedSnapshotSum:
             yin, yout = psy.keys
             for a, b in zip(xin, xout):
                 for c, e in zip(yin, yout):
-                    yield d * w[b, c], np.kron(snaps[flip[a]], snaps[e])
+                    yield d * w[b, c], np.kron(snaps[a].T, snaps[e])
 
     def materialize(self) -> np.ndarray:
         """Weighted mean of all terms, as a dense matrix."""
         n = self.n_qubits
         d = 2**n
         w = _register_trace_table(n)
-        snaps = snapshot_matrices(n)
         if self.mode == "apply":
             hist_r, hist_s = self._left, self._right
             coeffs = hist_r.T @ (w @ hist_s)
             scale = d / (hist_r.sum() * hist_s.sum())
-            return scale * np.einsum("k,kij->ij", coeffs, snaps)
+            keys = np.flatnonzero(coeffs)
+            return scale * np.einsum("k,kij->ij", coeffs[keys], key_matrices(keys, n))
         hx, hy = self._left, self._right
-        s = hx @ w @ hy
-        flip = flip_y_key(np.arange(6**n), n)
-        out = np.zeros((d * d, d * d), dtype=complex)
-        for ka in range(6**n):
-            row = s[ka]
-            if not row.any():
-                continue
-            out += np.kron(snaps[flip[ka]], np.einsum("k,kij->ij", row, snaps))
-        return out * d / (hx.sum() * hy.sum())
+        return _pair_sum(hx @ w @ hy, n) * d / (hx.sum() * hy.sum())
 
 
 def _require_pauli_process(ps: ProcessShadow):
@@ -169,7 +144,7 @@ def apply_process_to_state_shadow(ps: ProcessShadow,
     tau product with a signed weight.
     """
     _require_pauli_process(ps)
-    if not all(isinstance(s.frame, PauliFrame) for s in ss.snapshots):
+    if ss.side.frames is not None:
         raise ValueError("shadow algebra requires Pauli-ensemble snapshots")
     if ps.n_qubits != ss.n_qubits:
         raise ValueError("qubit counts differ")

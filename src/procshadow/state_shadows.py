@@ -2,11 +2,17 @@
 
 A snapshot is one (frame, outcome) pair; its materialized form is the
 inverse-map image of the measured projector and averages to the state.
-For random-Pauli frames the materialization factorizes into one 2x2
-``tau`` matrix per qubit, so snapshots are indexed by a compact integer
-key: per qubit ``2*axis + bit`` in {0..5} with axis order X, Y, Z, and
-per register the base-6 digits with qubit 0 most significant.  The key
-tables drive all the vectorized estimation paths.
+A shadow stores one int64 label per snapshot (``SnapshotLabels``).  A
+random-Pauli snapshot factorizes into one 2x2 ``tau`` matrix per qubit
+and is labelled by a compact key: per qubit ``2*axis + bit`` in {0..5}
+with axis order X, Y, Z, and per register the base-6 digits with qubit
+0 most significant.  Any other frame is labelled
+``frame_index * 2^n + outcome``, indexing the shadow's distinct frames.
+Estimators materialize the distinct labels present and weight them by
+their counts, one code path each; ``StateSnapshot`` objects are views
+built on demand.  Acquisition still selects: Pauli snapshots come from
+the exact label table up to ``_MAX_TABLE_QUBITS`` qubits, all others
+are simulated one by one.
 """
 
 from __future__ import annotations
@@ -80,11 +86,19 @@ def flip_y_key(key: int | np.ndarray, n: int):
     return _flip_y_table(n)[key]
 
 
-def _key_matrix_table(base: np.ndarray, n: int) -> np.ndarray:
-    out = base
-    for _ in range(n - 1):
-        out = np.einsum("aij,bkl->abikjl", out, base).reshape(
-            out.shape[0] * 6, out.shape[1] * 2, out.shape[1] * 2)
+def key_matrices(keys, n: int, base: np.ndarray = TAU1) -> np.ndarray:
+    """Tensor products of single-qubit ``base`` entries, one per base-6 key.
+
+    Built digit by digit (qubit 0 first), so only the requested keys are
+    materialized.  With the default ``TAU1`` these are the Pauli
+    snapshots of the keys.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.ones((keys.size, 1, 1), dtype=complex)
+    for q in range(n):
+        digit = (keys // 6 ** (n - 1 - q)) % 6
+        d = 2 * out.shape[1]
+        out = np.einsum("kij,kab->kiajb", out, base[digit]).reshape(keys.size, d, d)
     return out
 
 
@@ -93,7 +107,7 @@ def snapshot_matrices(n: int) -> np.ndarray:
     """All 6^n materialized Pauli snapshots (tau tensor products), by key."""
     if n > _MAX_TABLE_QUBITS:
         raise ValueError(f"snapshot table too large for n={n}")
-    return _key_matrix_table(TAU1, n)
+    return key_matrices(np.arange(6**n), n)
 
 
 @lru_cache(maxsize=8)
@@ -101,7 +115,7 @@ def projector_matrices(n: int) -> np.ndarray:
     """All 6^n measured projectors (eigenprojector tensor products), by key."""
     if n > _MAX_TABLE_QUBITS:
         raise ValueError(f"projector table too large for n={n}")
-    return _key_matrix_table(PROJ1, n)
+    return key_matrices(np.arange(6**n), n, PROJ1)
 
 
 @dataclass(frozen=True)
@@ -120,45 +134,115 @@ class StateSnapshot:
     def n_qubits(self) -> int:
         return self.frame.n_qubits
 
-    @property
-    def ensemble(self) -> str:
-        if isinstance(self.frame, PauliFrame):
-            return PAULI_ENSEMBLE
-        return CLIFFORD_ENSEMBLE
+
+class SnapshotLabels:
+    """One int64 label per snapshot, for one side of a shadow.
+
+    ``frames`` is None for base-6 Pauli keys, else the tuple of distinct
+    frames that ``label >> n`` indexes.
+    """
+
+    def __init__(self, labels, n_qubits: int, frames: tuple | None = None):
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels.setflags(write=False)
+        self.n_qubits = n_qubits
+        self.frames = frames
+
+    @classmethod
+    def encode(cls, frames, outcomes, n: int) -> "SnapshotLabels":
+        """Labels of (frame, outcome bits) pairs, each encoded once."""
+        frames = list(frames)
+        if all(isinstance(f, PauliFrame) for f in frames):
+            return cls([register_key(f.axes, b) for f, b in zip(frames, outcomes)], n)
+        index: dict = {}
+        labels = [(index.setdefault(f, len(index)) << n) | int(b, 2)
+                  for f, b in zip(frames, outcomes)]
+        return cls(labels, n, tuple(index))
+
+    def __len__(self):
+        return self.labels.size
+
+    def prefix(self, m: int) -> "SnapshotLabels":
+        """The first m labels; m must lie in [0, len]."""
+        if not 0 <= m <= len(self):
+            raise ValueError(f"cannot take {m} of {len(self)} snapshots")
+        return SnapshotLabels(self.labels[:m], self.n_qubits, self.frames)
 
     @property
-    def key(self) -> int:
-        """Compact key (Pauli frames only)."""
-        if not isinstance(self.frame, PauliFrame):
-            raise ValueError("snapshot keys exist only for Pauli frames")
-        return register_key(self.frame.axes, self.outcome)
+    def ensemble(self) -> str | None:
+        """The side's ensemble tag, or None when it mixes Pauli and Clifford frames."""
+        if self.frames is None:
+            return PAULI_ENSEMBLE
+        if all(isinstance(f, CliffordFrame) for f in self.frames):
+            return CLIFFORD_ENSEMBLE
+        return None
+
+    def _decode(self, labels) -> list:
+        n = self.n_qubits
+        if self.frames is None:
+            return [(PauliFrame(axes), bits)
+                    for axes, bits in (key_axes_bits(int(k), n) for k in labels)]
+        return [(self.frames[int(k) >> n], format(int(k) & (2**n - 1), f"0{n}b"))
+                for k in labels]
+
+    def views(self) -> list:
+        """(frame, outcome bits) of every snapshot, in order."""
+        uniq, inv = np.unique(self.labels, return_inverse=True)
+        decoded = self._decode(uniq)
+        return [decoded[i] for i in inv]
+
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Materialized snapshots of the distinct labels present.
+
+        Returns ``(index, stack)``: ``stack[index[i]]`` is the snapshot of
+        label i.
+        """
+        uniq, inv = np.unique(self.labels, return_inverse=True)
+        if self.frames is None:
+            return inv, key_matrices(uniq, self.n_qubits)
+        d = 2**self.n_qubits
+        stack = np.array([materialize_snapshot(StateSnapshot(f, b))
+                          for f, b in self._decode(uniq)]).reshape(-1, d, d)
+        return inv, stack
 
 
 class ShadowEstimate:
     """A collection of state snapshots acquired from one state."""
 
     def __init__(self, snapshots, n_qubits: int | None = None):
-        self.snapshots = tuple(snapshots)
-        if not self.snapshots and n_qubits is None:
+        snapshots = tuple(snapshots)
+        if not snapshots and n_qubits is None:
             raise ValueError("empty shadow needs an explicit qubit count")
-        self.n_qubits = n_qubits if n_qubits is not None else self.snapshots[0].n_qubits
-        for s in self.snapshots:
-            if s.n_qubits != self.n_qubits:
+        n = n_qubits if n_qubits is not None else snapshots[0].n_qubits
+        for s in snapshots:
+            if s.n_qubits != n:
                 raise ValueError("snapshots have mismatched qubit counts")
-        self._keys = None
+        self.n_qubits = n
+        self.side = SnapshotLabels.encode([s.frame for s in snapshots],
+                                          [s.outcome for s in snapshots], n)
+
+    @classmethod
+    def _of(cls, side: SnapshotLabels) -> "ShadowEstimate":
+        est = cls.__new__(cls)
+        est.n_qubits, est.side = side.n_qubits, side
+        return est
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self.side)
 
     def take(self, m: int) -> "ShadowEstimate":
         """Prefix of the first m snapshots (snapshots are i.i.d.)."""
-        return ShadowEstimate(self.snapshots[:m], self.n_qubits)
+        return ShadowEstimate._of(self.side.prefix(m))
+
+    @property
+    def snapshots(self) -> tuple:
+        return tuple(StateSnapshot(f, b) for f, b in self.side.views())
 
     @property
     def keys(self) -> np.ndarray:
-        if self._keys is None:
-            self._keys = np.array([s.key for s in self.snapshots], dtype=np.int64)
-        return self._keys
+        if self.side.frames is not None:
+            raise ValueError("snapshot keys exist only for Pauli frames")
+        return self.side.labels
 
     def key_histogram(self) -> np.ndarray:
         return np.bincount(self.keys, minlength=6**self.n_qubits).astype(float)
@@ -240,14 +324,6 @@ def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:
     return np.clip(probs, 0.0, None) / 3**n
 
 
-def _snapshots_from_keys(keys: np.ndarray, n: int):
-    out = []
-    for k in keys:
-        axes, bits = key_axes_bits(int(k), n)
-        out.append(StateSnapshot(PauliFrame(axes), bits))
-    return out
-
-
 def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
                    rng: np.random.Generator) -> ShadowEstimate:
     """Acquire m i.i.d. snapshots of a state.
@@ -261,8 +337,7 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     if ensemble == PAULI_ENSEMBLE and n <= _MAX_TABLE_QUBITS:
         p = exact_pauli_snapshot_distribution(rho)
         p = p / p.sum()
-        keys = rng.choice(p.size, size=m, p=p)
-        return ShadowEstimate(_snapshots_from_keys(keys, n), n)
+        return ShadowEstimate._of(SnapshotLabels(rng.choice(p.size, size=m, p=p), n))
     snaps = [acquire_state_snapshot(rho, ensemble, rng, _validate=False)
              for _ in range(m)]
     return ShadowEstimate(snaps, n)
@@ -270,17 +345,11 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
 
 def reconstruct(est: ShadowEstimate) -> np.ndarray:
     """Mean of the materialized snapshots (Hermitian, unit trace)."""
-    if not est.snapshots:
+    if not len(est):
         raise ValueError("cannot reconstruct from an empty shadow")
-    n = est.n_qubits
-    if all(isinstance(s.frame, PauliFrame) for s in est.snapshots) \
-            and n <= _MAX_TABLE_QUBITS:
-        hist = est.key_histogram()
-        return np.einsum("k,kij->ij", hist, snapshot_matrices(n)) / len(est)
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    for s in est.snapshots:
-        acc += materialize_snapshot(s)
-    return acc / len(est)
+    index, mats = est.side.matrices()
+    counts = np.bincount(index, minlength=len(mats)).astype(float)
+    return np.einsum("k,kij->ij", counts, mats) / len(est)
 
 
 def median_of_means(values: np.ndarray, n_groups: int) -> float:
@@ -302,13 +371,8 @@ def median_of_means(values: np.ndarray, n_groups: int) -> float:
 def single_shot_expectations(est: ShadowEstimate, obs: np.ndarray) -> np.ndarray:
     """Tr(snapshot * obs) per snapshot."""
     obs = np.asarray(obs, dtype=complex)
-    n = est.n_qubits
-    if all(isinstance(s.frame, PauliFrame) for s in est.snapshots) \
-            and n <= _MAX_TABLE_QUBITS:
-        per_key = np.real(np.einsum("kij,ji->k", snapshot_matrices(n), obs))
-        return per_key[est.keys]
-    return np.array([np.real(np.trace(materialize_snapshot(s) @ obs))
-                     for s in est.snapshots])
+    index, mats = est.side.matrices()
+    return np.real(np.einsum("kij,ji->k", mats, obs))[index]
 
 
 def estimate_observable(est: ShadowEstimate, obs: np.ndarray,

@@ -1,0 +1,141 @@
+"""Differential tests: every estimator against the dense per-record reference.
+
+The reference materializes each record's snapshots one at a time with
+``materialize_snapshot`` / ``materialize_choi_shadow`` and contracts the
+dense matrices directly, so it shares no aggregation code with the
+estimators it checks.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from procshadow.applications import CorrelatorSpec, multitime_correlator_exact_input
+from procshadow.channels import named_channel, random_full_rank_channel, random_unitary_channel
+from procshadow.process_shadows import (
+    acquire_process_shadow,
+    estimate_output_state,
+    materialize_choi_shadow,
+    reconstruct_choi,
+    single_shot_functional_values,
+)
+from procshadow.qcore import PauliString, random_density_matrix, random_hermitian
+from procshadow.shadow_algebra import apply_process_to_state_shadow, compose_process_shadows
+from procshadow.state_shadows import (
+    acquire_shadow,
+    materialize_snapshot,
+    median_of_means,
+    reconstruct,
+    single_shot_expectations,
+)
+
+TOL = 1e-10
+ENSEMBLES = ("pauli", "clifford")
+
+
+def _dense_sides(ps):
+    a = [materialize_snapshot(r.in_snapshot) for r in ps.records]
+    b = [materialize_snapshot(r.out_snapshot) for r in ps.records]
+    return a, b
+
+
+def _ref_functional_values(ps, rho, obs):
+    d = 2**ps.n_qubits
+    a, b = _dense_sides(ps)
+    return np.array([d * np.real(np.trace(x @ rho) * np.trace(y @ obs))
+                     for x, y in zip(a, b)])
+
+
+def _ref_output_state(ps, rho):
+    d = 2**ps.n_qubits
+    a, b = _dense_sides(ps)
+    return d * sum(np.real(np.trace(x @ rho)) * y for x, y in zip(a, b)) / len(ps)
+
+
+def _ref_choi(ps):
+    return sum(materialize_choi_shadow(r) for r in ps.records) / len(ps)
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < TOL
+
+
+def _channel(n, rng, full_rank):
+    # the full-rank construction stops at two qubits
+    if full_rank and n <= 2:
+        return random_full_rank_channel(n, rng)
+    return random_unitary_channel(n, rng)
+
+
+@given(n=st.integers(1, 3), ens_in=st.sampled_from(ENSEMBLES),
+       ens_out=st.sampled_from(ENSEMBLES), m=st.integers(1, 60),
+       full_rank=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_process_estimators_match_dense_reference(n, ens_in, ens_out, m,
+                                                  full_rank, seed):
+    rng = np.random.default_rng(seed)
+    ch = _channel(n, rng, full_rank)
+    ps = acquire_process_shadow(ch, m, ens_in, ens_out, rng)
+    rho = random_density_matrix(n, rng)
+    obs = random_hermitian(n, rng)
+
+    _assert_close(reconstruct_choi(ps).matrix, _ref_choi(ps))
+    _assert_close(estimate_output_state(ps, rho), _ref_output_state(ps, rho))
+    _assert_close(single_shot_functional_values(ps, rho, obs),
+                  _ref_functional_values(ps, rho, obs))
+
+    letters = "IXYZ"
+    early = PauliString("".join(letters[i] for i in rng.integers(0, 4, n)))
+    late = PauliString("".join(letters[i] for i in rng.integers(0, 4, n)))
+    spec = CorrelatorSpec(rho, early, late)
+    groups = int(rng.integers(1, min(3, m) + 1))
+    want = median_of_means(
+        _ref_functional_values(ps, rho @ early.matrix, late.matrix), groups)
+    assert abs(multitime_correlator_exact_input(ps, spec, groups) - want) < TOL
+
+
+@given(n=st.integers(1, 3), ensemble=st.sampled_from(ENSEMBLES),
+       m=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_state_estimators_match_dense_reference(n, ensemble, m, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(n, rng)
+    obs = random_hermitian(n, rng)
+    est = acquire_shadow(rho, m, ensemble, rng)
+    snaps = [materialize_snapshot(s) for s in est.snapshots]
+    _assert_close(reconstruct(est), sum(snaps) / m)
+    _assert_close(single_shot_expectations(est, obs),
+                  [np.real(np.trace(s @ obs)) for s in snaps])
+
+
+@given(n=st.integers(1, 3), m=st.integers(1, 30), k=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_shadow_algebra_matches_dense_reference(n, m, k, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    ps_x = acquire_process_shadow(random_unitary_channel(n, rng), m,
+                                  "pauli", "pauli", rng)
+    ps_y = acquire_process_shadow(_channel(n, rng, True), k,
+                                  "pauli", "pauli", rng)
+    ss = acquire_shadow(random_density_matrix(n, rng), k, "pauli", rng)
+    ax, bx = _dense_sides(ps_x)
+    ay, by = _dense_sides(ps_y)
+    sig = [materialize_snapshot(s) for s in ss.snapshots]
+
+    applied = sum(d * np.real(np.trace(a @ s)) * b
+                  for a, b in zip(ax, bx) for s in sig) / (m * k)
+    _assert_close(apply_process_to_state_shadow(ps_x, ss).materialize(), applied)
+
+    composed = sum(d * np.real(np.trace(b1 @ a2)) * np.kron(a1.T, b2)
+                   for a1, b1 in zip(ax, bx) for a2, b2 in zip(ay, by)) / (m * k)
+    _assert_close(compose_process_shadows(ps_x, ps_y).materialize(), composed)
+
+
+@pytest.mark.parametrize("name,value", [("amplitude-damping", 0.3), ("hadamard", None)])
+def test_five_qubit_pauli_estimators_match_dense_reference(name, value):
+    """n=5 is above the exact-table size, so records are simulated one by one."""
+    rng = np.random.default_rng(5)
+    ch = named_channel(name, 5, value)
+    ps = acquire_process_shadow(ch, 12, "pauli", "pauli", rng)
+    rho = random_density_matrix(5, rng)
+    _assert_close(reconstruct_choi(ps).matrix, _ref_choi(ps))
+    _assert_close(estimate_output_state(ps, rho), _ref_output_state(ps, rho))

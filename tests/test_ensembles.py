@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from procshadow.ensembles import (
     CliffordFrame,
-    ExplicitFrame,
     PauliFrame,
     clifford_group_order,
     enumerate_clifford_group,
@@ -70,8 +69,7 @@ def test_measurement_probabilities_plus_state():
 def test_measurement_probabilities_normalized(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(2, rng)
-    for fr in (sample_pauli_frame(2, rng), sample_clifford(2, rng),
-               ExplicitFrame(sample_haar_unitary(2, rng))):
+    for fr in (sample_pauli_frame(2, rng), sample_clifford(2, rng)):
         p = measurement_probabilities(rho, fr)
         assert p.shape == (4,)
         assert np.all(p >= -1e-12)
@@ -96,8 +94,7 @@ def test_measure_computational_deterministic():
 def test_prepared_state_vector_convention():
     """prepared vector w satisfies |w><w| = U^dag |b><b| U."""
     rng = np.random.default_rng(3)
-    for fr in (PauliFrame("Y"), sample_clifford(1, rng),
-               ExplicitFrame(sample_haar_unitary(1, rng))):
+    for fr in (PauliFrame("Y"), sample_clifford(1, rng)):
         u = to_matrix(fr)
         for b in ("0", "1"):
             w = prepared_state_vector(fr, b)
@@ -177,10 +174,3 @@ def test_sample_frame_dispatch(rng):
     assert frame_kind(sample_frame(1, "clifford", rng)) == "clifford"
     with pytest.raises(ValueError):
         sample_frame(1, "haar", rng)
-
-
-def test_explicit_frame_round_trip(rng):
-    u = sample_haar_unitary(1, rng)
-    fr = ExplicitFrame(u)
-    assert frame_kind(fr) == "explicit"
-    assert np.array_equal(to_matrix(fr), u)

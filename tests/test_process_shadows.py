@@ -106,7 +106,15 @@ def test_acquire_process_shadow_basics(rng):
     assert not ps.all_pauli
     head = ps.take(10)
     assert len(head) == 10
-    assert head.records[0] is ps.records[0]
+    assert head.records[0] == ps.records[0]
+
+
+@pytest.mark.parametrize("m", [-1, 26])
+def test_take_rejects_out_of_range_prefix(rng, m):
+    ps = acquire_process_shadow(named_channel("identity", 1), 25, "pauli", "pauli", rng)
+    with pytest.raises(ValueError, match="cannot take"):
+        ps.take(m)
+    assert len(ps.take(0)) == 0 and len(ps.take(25)) == 25
 
 
 def test_acquire_deterministic():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from procshadow.channels import named_channel
-from procshadow.ensembles import ExplicitFrame, sample_haar_unitary, to_matrix
+from procshadow.ensembles import PauliFrame, sample_clifford, to_matrix
 from procshadow.process_shadows import ProcessShadow, ShadowRecord, acquire_process_shadow, reconstruct_choi
 from procshadow.records_io import load_header, load_records, save_records
 
@@ -43,20 +43,45 @@ def test_round_trip_reconstruction_identical(tmp_path):
     assert np.array_equal(a, b)
 
 
-def test_explicit_frames_round_trip(tmp_path):
+def test_load_rejects_explicit_frames(tmp_path):
+    ps, path = _sample(tmp_path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["u_in"] = {"kind": "explicit", "m": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+    lines[3] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4: .*unknown frame kind 'explicit'"):
+        load_records(path)
+
+
+def test_load_rejects_frame_kind_differing_from_header(tmp_path):
+    ps, path = _sample(tmp_path, ens_out="clifford")
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head["ensemble_out"] = "pauli"
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 2: .*ensemble_out 'pauli'"):
+        load_records(path)
+
+
+def test_load_rejects_a_side_that_mixes_ensembles(tmp_path):
+    ps, path = _sample(tmp_path, ens_in="clifford", ens_out="clifford")
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[5])
+    rec["u_in"] = {"kind": "pauli", "axes": "X"}
+    lines[5] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 6: .*ensemble_in 'clifford'"):
+        load_records(path)
+
+
+def test_save_refuses_a_side_that_mixes_ensembles(tmp_path):
     rng = np.random.default_rng(1)
-    recs = [
-        ShadowRecord("0", ExplicitFrame(sample_haar_unitary(1, rng)),
-                     ExplicitFrame(sample_haar_unitary(1, rng)), "1")
-        for _ in range(3)
-    ]
-    ps = ProcessShadow(recs)
-    path = tmp_path / "explicit.jsonl"
-    save_records(path, ps)
-    loaded = load_records(path)
-    for a, b in zip(ps.records, loaded.records):
-        # floats survive the JSON round trip bit for bit
-        assert np.array_equal(to_matrix(a.u_in), to_matrix(b.u_in))
+    recs = [ShadowRecord("0", PauliFrame("X"), PauliFrame("Z"), "1"),
+            ShadowRecord("1", sample_clifford(1, rng), PauliFrame("Y"), "0")]
+    with pytest.raises(ValueError, match="ensemble_in: .*mix"):
+        save_records(tmp_path / "mixed.jsonl", ProcessShadow(recs))
 
 
 def test_save_is_byte_deterministic(tmp_path):

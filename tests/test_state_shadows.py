@@ -187,6 +187,14 @@ def test_take_prefix(rng):
     assert np.array_equal(head.keys, est.keys[:5])
 
 
+@pytest.mark.parametrize("m", [-1, 21])
+def test_take_rejects_out_of_range_prefix(rng, m):
+    est = acquire_shadow(np.diag([1.0, 0.0]), 20, "clifford", rng)
+    with pytest.raises(ValueError, match="cannot take"):
+        est.take(m)
+    assert len(est.take(0)) == 0 and len(est.take(20)) == 20
+
+
 def test_reconstruct_converges():
     rho = basis_projector("0")
     rng = np.random.default_rng(10)
