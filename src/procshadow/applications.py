@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_shadows import (ProcessShadow, estimate_channel_functional,
+from .process_shadows import (ProcessShadow, _gram, _side_values,
+                              estimate_channel_functional,
                               single_shot_functional_values)
 from .qcore import PauliString, basis_projector, n_qubits_of
-from .shadow_algebra import _register_trace_table
-from .state_shadows import (ShadowEstimate, _MAX_TABLE_QUBITS, median_of_means,
-                            snapshot_matrices)
+from .state_shadows import ShadowEstimate, _MAX_TABLE_QUBITS, median_of_means
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +91,10 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
 
     Each (record, snapshot) pair contributes
     2^n Tr[snap_in . snap_state . op_early] Tr[snap_out . op_late]; the
-    double sum is contracted through key histograms.  Median-of-means
-    pairs the j-th chunk of records with the j-th chunk of snapshots so
-    the group means stay independent.
+    double sum is contracted through the Gram matrix of the distinct
+    input and state snapshots present.  Median-of-means pairs the j-th
+    chunk of records with the j-th chunk of snapshots so the group means
+    stay independent.
     """
     n = ps.n_qubits
     if ss.n_qubits != n or op_early.n_qubits != n or op_late.n_qubits != n:
@@ -103,22 +103,19 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
         raise ValueError("shadow-input correlator requires Pauli records")
     if ss.side.frames is not None:
         raise ValueError("shadow-input correlator requires Pauli snapshots")
-    snaps = snapshot_matrices(n)
-    a = op_early.matrix.astype(complex)
-    cross = np.real(np.einsum("rij,sjk,ki->rs", snaps, snaps, a))
-    vout = np.real(np.einsum("kij,ji->k", snaps, op_late.matrix.astype(complex)))
     m, k = len(ps), len(ss)
     if n_groups < 1 or m // n_groups < 1 or k // n_groups < 1:
         raise ValueError("group count does not fit the sample sizes")
+    ia, a = ps.side_in.matrices()
+    i_s, s = ss.side.matrices()
+    cross = _gram(a, s @ op_early.matrix)
+    vout = np.real(_side_values(ps.side_out, op_late.matrix))
     gm, gk = m // n_groups, k // n_groups
-    kin, kout = ps.keys
-    skeys = ss.keys
     means = []
     for g in range(n_groups):
-        ri, ro = kin[g * gm:(g + 1) * gm], kout[g * gm:(g + 1) * gm]
-        sk = skeys[g * gk:(g + 1) * gk]
-        hs = np.bincount(sk, minlength=6**n).astype(float)
-        per_record = cross[ri] @ hs * vout[ro]
+        rows = slice(g * gm, (g + 1) * gm)
+        hs = np.bincount(i_s[g * gk:(g + 1) * gk], minlength=len(s)).astype(float)
+        per_record = cross[ia[rows]] @ hs * vout[rows]
         means.append(2**n * per_record.sum() / (gm * gk))
     return float(np.median(means))
 
@@ -130,33 +127,29 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
 MAX_PURITY_QUBITS = 3
 
 
-def _pair_product_sum(hist_a: np.ndarray, hist_b: np.ndarray,
-                      n: int) -> float:
-    """Sum over record pairs (one from each histogram) of Tr[zeta zeta'].
+def _purity_kernel(ps: ProcessShadow):
+    """U-statistic for Tr[eta_norm^2] over pairs of distinct source records,
+    as a function of each record's multiplicity ``counts``.
 
-    The Choi-snapshot overlap factorizes into input-trace times
-    output-trace, so the double sum collapses to a sandwich of the
-    per-register trace table.
+    Labels are decoded and both sides' Gram matrices built once, because
+    Tr[zeta_j zeta_k] is the input-side times the output-side trace.  Two
+    copies of one record are not a distinct pair, so sum_j c_j^2 of the
+    (sum_j c_j)^2 ordered pairs are left out; NaN when none is left.
     """
-    w = _register_trace_table(n)
-    return float(np.sum((hist_a.T @ w @ hist_b) * w))
+    ia, a = ps.side_in.matrices()
+    ib, b = ps.side_out.matrices()
+    g_in, g_out = _gram(a, a), _gram(b, b)
+    pair = ia * len(b) + ib
+    self_overlap = g_in[ia, ia] * g_out[ib, ib]
 
+    def u_statistic(counts: np.ndarray) -> float:
+        h = np.bincount(pair, counts, len(a) * len(b)).reshape(len(a), len(b))
+        full = float(np.sum((h.T @ g_in @ h) * g_out))
+        same = float(np.sum(counts**2 * self_overlap))
+        pairs = float(counts.sum()**2 - np.sum(counts**2))
+        return (full - same) / pairs if pairs else float("nan")
 
-def _purity_from_counts(kin, kout, counts, n: int) -> float:
-    """U-statistic for Tr[eta_norm^2] over pairs of distinct source records.
-
-    ``counts`` holds each record's multiplicity: ones for the sample
-    itself, resample counts for a bootstrap replicate.  Copies of one
-    record are not a distinct pair, so sum_i c_i^2 of the m^2 ordered
-    pairs are left out.  Returns NaN when no distinct pair is left.
-    """
-    hist = np.bincount(kin * 6**n + kout, weights=counts,
-                       minlength=36**n).reshape(6**n, 6**n)
-    w = _register_trace_table(n)
-    full = _pair_product_sum(hist, hist, n)
-    same = float(np.sum(counts**2 * w[kin, kin] * w[kout, kout]))
-    pairs = float(counts.sum()**2 - np.sum(counts**2))
-    return (full - same) / pairs if pairs else float("nan")
+    return u_statistic
 
 
 def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
@@ -168,8 +161,9 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
     Uses the U-statistic over distinct record pairs, which is unbiased
     for Tr[eta_norm^2], then rescales by 4^n.  Sample demands grow like
     4^n, so registers above MAX_PURITY_QUBITS are refused unless
-    ``allow_large`` is set.  Non-Pauli record sets fall back to a
-    random pair subsample of size ``pair_subsample`` per group.
+    ``allow_large`` is set.  Non-Pauli record sets, and Pauli sets above
+    _MAX_TABLE_QUBITS qubits, fall back to a random pair subsample of
+    size ``pair_subsample`` per group.
     """
     n = ps.n_qubits
     if n > MAX_PURITY_QUBITS and not allow_large:
@@ -181,10 +175,11 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
     size = m // n_groups
     means = []
     if ps.all_pauli and n <= _MAX_TABLE_QUBITS:
-        kin, kout = ps.keys
+        u_statistic = _purity_kernel(ps)
         for g in range(n_groups):
-            sl = slice(g * size, (g + 1) * size)
-            means.append(_purity_from_counts(kin[sl], kout[sl], np.ones(size), n))
+            counts = np.zeros(m)
+            counts[g * size:(g + 1) * size] = 1.0
+            means.append(u_statistic(counts))
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
         ia, a = ps.side_in.matrices()
@@ -224,8 +219,11 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     leaves out the pairs formed by two copies of one record.
     """
     n = ps.n_qubits
-    if not (ps.all_pauli and n <= _MAX_TABLE_QUBITS):
+    if not ps.all_pauli:
         raise ValueError("unitarity verdict requires Pauli records")
+    if n > _MAX_TABLE_QUBITS:
+        raise ValueError(f"unitarity verdict supports at most {_MAX_TABLE_QUBITS} "
+                         f"qubits, got {n}")
     if n > MAX_PURITY_QUBITS and not allow_large:
         raise ValueError(
             f"unitarity on {n} qubits needs allow_large=True (cost grows as 4^n)")
@@ -233,12 +231,12 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     m = len(ps)
     if m < 2:
         raise ValueError("need at least two records")
-    kin, kout = ps.keys
-    point = 4**n * _purity_from_counts(kin, kout, np.ones(m), n)
+    u_statistic = _purity_kernel(ps)
+    point = 4**n * u_statistic(np.ones(m))
     boots = np.empty(n_bootstrap)
     for b in range(n_bootstrap):
         counts = np.bincount(rng.integers(0, m, m), minlength=m).astype(float)
-        boots[b] = 4**n * _purity_from_counts(kin, kout, counts, n)
+        boots[b] = 4**n * u_statistic(counts)
     alpha = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(boots, [alpha, 100.0 - alpha])
     threshold = threshold_fraction * 4**n

@@ -15,9 +15,13 @@ channel; functionals of the unnormalized Choi matrix carry an explicit
 A ``ProcessShadow`` stores one label array per side (see
 ``state_shadows.SnapshotLabels``); ``records`` are views built on
 demand.  Each estimator has one code path for every frame ensemble, and
-the Choi-type sums share one kernel, ``_kron_sum``.  Acquisition still
-selects: Pauli/Pauli rounds come from the exact label table up to
-``_MAX_TABLE_QUBITS`` qubits, all others are simulated one by one.
+the Choi-type sums share one kernel, ``_kron_sum``.  A contraction of
+two shadows (shadow algebra, purity, the shadow-input correlator)
+weighs its label pairs by the Gram matrix ``_gram`` of the distinct
+labels present on the two contracted sides, so no table grows with 6^n.
+Acquisition still selects: Pauli/Pauli rounds come from the exact label
+table up to ``_MAX_TABLE_QUBITS`` qubits, all others are simulated one
+by one.
 """
 
 from __future__ import annotations
@@ -124,13 +128,6 @@ class ProcessShadow:
             raise ValueError("record keys exist only for Pauli frames")
         return self.side_in.labels, self.side_out.labels
 
-    def key_histogram(self) -> np.ndarray:
-        """(6^n, 6^n) array of raw (input, output) key counts."""
-        kin, kout = self.keys
-        size = 6**self.n_qubits
-        flat = np.bincount(kin * size + kout, minlength=size * size)
-        return flat.reshape(size, size).astype(float)
-
 
 def acquire_record(ch: Channel, ensemble_in: str, ensemble_out: str,
                    rng: np.random.Generator) -> ShadowRecord:
@@ -198,21 +195,30 @@ def _kron_sum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out.reshape(da, da, dc, dc).transpose(0, 2, 1, 3).reshape(da * dc, da * dc)
 
 
-def _pair_sum(w: np.ndarray, n: int) -> np.ndarray:
-    """sum_ab w[a, b] transpose(tau_a) (x) tau_b over raw (input, output) keys.
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G[u, v] = Re Tr[x_u y_v] over two stacks of square matrices."""
+    return np.real(x.reshape(len(x), -1) @ y.transpose(0, 2, 1).reshape(len(y), -1).T)
 
-    Only the keys that carry weight are materialized.
-    """
-    rows = np.flatnonzero(w.any(axis=1))
-    cols = np.flatnonzero(w.any(axis=0))
-    b = key_matrices(cols, n)
-    c = (w[np.ix_(rows, cols)] @ b.reshape(len(cols), -1)).reshape(-1, *b.shape[1:])
-    return _kron_sum(key_matrices(rows, n).transpose(0, 2, 1), c)
+
+def _pair_counts(ps: ProcessShadow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(h, a, b)``: the distinct input and output snapshot stacks, and
+    h[u, v], the number of records whose snapshots are a[u] and b[v]."""
+    ia, a = ps.side_in.matrices()
+    ib, b = ps.side_out.matrices()
+    h = np.bincount(ia * len(b) + ib, minlength=len(a) * len(b))
+    return h.reshape(len(a), len(b)).astype(float), a, b
+
+
+def _pair_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_uv w[u, v] transpose(a[u]) (x) b[v] over two snapshot stacks."""
+    c = (w @ b.reshape(len(b), -1)).reshape(-1, *b.shape[1:])
+    return _kron_sum(a.transpose(0, 2, 1), c)
 
 
 def choi_mean_from_histogram(hist: np.ndarray, n: int) -> np.ndarray:
     """Weighted mean of Choi snapshots from a raw (kin, kout) histogram."""
-    return _pair_sum(hist, n) / hist.sum()
+    snaps = key_matrices(np.arange(6**n), n)
+    return _pair_sum(hist, snaps, snaps) / hist.sum()
 
 
 def reconstruct_choi(ps: ProcessShadow) -> ChoiMatrix:

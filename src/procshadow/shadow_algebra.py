@@ -15,23 +15,25 @@ the first factor transposed, giving the five-case table
 
 Because the input register of a Choi snapshot is stored transposed, the
 transpose built into the pair-weight table and the stored one cancel:
-the contraction weight for raw record labels is the plain (untransposed)
-trace of tau products.  The overall scale is fixed by requiring that the
-exact expectation of each weighted sum reproduces its target (the
-channel output state, or the composed Choi state); it works out to 2^n
-per contracted register on top of the per-qubit traces.
+the contraction weight of two snapshots is the plain (untransposed)
+trace of their product.  A sum takes these traces as the Gram matrix
+G[u, v] = Re Tr[x_u y_v] between the distinct snapshots present on the
+two contracted sides, so its size follows the samples, not 6^n.  The
+overall scale is fixed by requiring that the exact expectation of each
+weighted sum reproduces its target (the channel output state, or the
+composed Choi state); it works out to 2^n per contracted register on
+top of the per-qubit traces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .process_shadows import ProcessShadow, _pair_sum
-from .state_shadows import ShadowEstimate, TAU1, key_matrices, snapshot_matrices
+from .process_shadows import ProcessShadow, _gram, _pair_counts, _pair_sum
+from .state_shadows import ShadowEstimate, key_matrices
 
 #: the five weight values, with multiplicity, seen by a uniformly random
 #: pair of single-qubit snapshot labels
@@ -54,80 +56,65 @@ def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
     return 2.5 if same_bit else -2.0
 
 
-@lru_cache(maxsize=4)
-def _trace_table() -> np.ndarray:
-    """Tr[tau_a tau_b] for all single-qubit key pairs (no transpose)."""
-    return np.real(np.einsum("aij,bji->ab", TAU1, TAU1))
-
-
-@lru_cache(maxsize=8)
-def _register_trace_table(n: int) -> np.ndarray:
-    t = _trace_table()
-    out = t
-    for _ in range(n - 1):
-        out = np.kron(out, t)
-    return out
-
-
 class WeightedSnapshotSum:
     """Lazy signed-weighted collection of snapshot products.
 
-    Terms are never stored; ``materialize`` reduces them through compact
-    key histograms, and ``iter_terms`` streams (weight, factor) pairs
-    for small inputs.  The weighted *mean* of the terms estimates the
-    target operator: the channel output state for ``apply`` mode, the
-    normalized Choi matrix of the composition for ``compose`` mode.
+    Terms are never stored.  Each operand holds weights over distinct
+    snapshots together with their stacks: ``(h, a, b)`` for a process
+    side, h[u, v] weighing input a[u] with output b[v], and ``(h, s)``
+    for a state side.  ``materialize`` contracts the operands through
+    the Gram matrix of the two contracted stacks, and ``iter_terms``
+    streams (weight, factor) pairs for small inputs.  The weighted
+    *mean* of the terms estimates the target operator: the channel
+    output state for ``apply`` mode, the normalized Choi matrix of the
+    composition for ``compose`` mode.
     """
 
-    def __init__(self, mode: str, n_qubits: int, hist_left: np.ndarray,
-                 hist_right: np.ndarray, sources=None):
+    def __init__(self, mode: str, n_qubits: int, left: tuple, right: tuple,
+                 sources=None):
         if mode not in ("apply", "compose"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.n_qubits = n_qubits  # register size of the contracted objects
-        self._left = np.asarray(hist_left, dtype=float)
-        self._right = np.asarray(hist_right, dtype=float)
+        self._left = left
+        self._right = right
         self._sources = sources
 
     @property
     def n_terms(self) -> float:
-        return float(self._left.sum() * self._right.sum())
+        return float(self._left[0].sum() * self._right[0].sum())
 
     def iter_terms(self):
         """Stream (weight, factor matrix) pairs; needs the source objects."""
         if self._sources is None:
             raise ValueError("term iteration needs the sampled source objects")
         d = 2**self.n_qubits
-        w = _register_trace_table(self.n_qubits)
-        snaps = snapshot_matrices(self.n_qubits)
         if self.mode == "apply":
             ps, ss = self._sources
-            kin, kout = ps.keys
-            skeys = ss.keys
-            for a, b in zip(kin, kout):
-                for s in skeys:
-                    yield d * w[a, s], snaps[b]
+            (ia, a), (ib, b) = ps.side_in.matrices(), ps.side_out.matrices()
+            i_s, s = ss.side.matrices()
+            g = _gram(a, s)
+            for u, v in zip(ia, ib):
+                for t in i_s:
+                    yield d * g[u, t], b[v]
         else:
             psx, psy = self._sources
-            xin, xout = psx.keys
-            yin, yout = psy.keys
-            for a, b in zip(xin, xout):
-                for c, e in zip(yin, yout):
-                    yield d * w[b, c], np.kron(snaps[a].T, snaps[e])
+            (ixa, ax), (ixb, bx) = psx.side_in.matrices(), psx.side_out.matrices()
+            (iya, ay), (iyb, by) = psy.side_in.matrices(), psy.side_out.matrices()
+            g = _gram(bx, ay)
+            for u, v in zip(ixa, ixb):
+                for p, q in zip(iya, iyb):
+                    yield d * g[v, p], np.kron(ax[u].T, by[q])
 
     def materialize(self) -> np.ndarray:
         """Weighted mean of all terms, as a dense matrix."""
-        n = self.n_qubits
-        d = 2**n
-        w = _register_trace_table(n)
+        d = 2**self.n_qubits
         if self.mode == "apply":
-            hist_r, hist_s = self._left, self._right
-            coeffs = hist_r.T @ (w @ hist_s)
-            scale = d / (hist_r.sum() * hist_s.sum())
-            keys = np.flatnonzero(coeffs)
-            return scale * np.einsum("k,kij->ij", coeffs[keys], key_matrices(keys, n))
-        hx, hy = self._left, self._right
-        return _pair_sum(hx @ w @ hy, n) * d / (hx.sum() * hy.sum())
+            (h, a, b), (hs, s) = self._left, self._right
+            coeffs = h.T @ (_gram(a, s) @ hs)
+            return d / (h.sum() * hs.sum()) * np.einsum("k,kij->ij", coeffs, b)
+        (hx, ax, bx), (hy, ay, by) = self._left, self._right
+        return _pair_sum(hx @ _gram(bx, ay) @ hy, ax, by) * d / (hx.sum() * hy.sum())
 
 
 def _require_pauli_process(ps: ProcessShadow):
@@ -148,8 +135,10 @@ def apply_process_to_state_shadow(ps: ProcessShadow,
         raise ValueError("shadow algebra requires Pauli-ensemble snapshots")
     if ps.n_qubits != ss.n_qubits:
         raise ValueError("qubit counts differ")
-    return WeightedSnapshotSum("apply", ps.n_qubits, ps.key_histogram(),
-                               ss.key_histogram(), sources=(ps, ss))
+    index, s = ss.side.matrices()
+    hs = np.bincount(index, minlength=len(s)).astype(float)
+    return WeightedSnapshotSum("apply", ps.n_qubits, _pair_counts(ps), (hs, s),
+                               sources=(ps, ss))
 
 
 def compose_process_shadows(ps_x: ProcessShadow,
@@ -165,20 +154,27 @@ def compose_process_shadows(ps_x: ProcessShadow,
     _require_pauli_process(ps_y)
     if ps_x.n_qubits != ps_y.n_qubits:
         raise ValueError("qubit counts differ")
-    return WeightedSnapshotSum("compose", ps_x.n_qubits, ps_x.key_histogram(),
-                               ps_y.key_histogram(), sources=(ps_x, ps_y))
+    return WeightedSnapshotSum("compose", ps_x.n_qubits, _pair_counts(ps_x),
+                               _pair_counts(ps_y), sources=(ps_x, ps_y))
 
 
 def exact_apply_sum(record_dist: np.ndarray, snapshot_dist: np.ndarray,
                     n: int) -> WeightedSnapshotSum:
-    """Apply-mode sum over exact label distributions instead of samples."""
-    return WeightedSnapshotSum("apply", n, record_dist, snapshot_dist)
+    """Apply-mode sum over exact label distributions instead of samples.
+
+    Every one of the 6^n keys enters with its probability.
+    """
+    snaps = key_matrices(np.arange(6**n), n)
+    return WeightedSnapshotSum("apply", n, (record_dist, snaps, snaps),
+                               (snapshot_dist, snaps))
 
 
 def exact_compose_sum(dist_x: np.ndarray, dist_y: np.ndarray,
                       n: int) -> WeightedSnapshotSum:
     """Compose-mode sum over exact label distributions instead of samples."""
-    return WeightedSnapshotSum("compose", n, dist_x, dist_y)
+    snaps = key_matrices(np.arange(6**n), n)
+    return WeightedSnapshotSum("compose", n, (dist_x, snaps, snaps),
+                               (dist_y, snaps, snaps))
 
 
 # ---------------------------------------------------------------------------

@@ -244,9 +244,6 @@ class ShadowEstimate:
             raise ValueError("snapshot keys exist only for Pauli frames")
         return self.side.labels
 
-    def key_histogram(self) -> np.ndarray:
-        return np.bincount(self.keys, minlength=6**self.n_qubits).astype(float)
-
 
 def inverse_map_pauli(a: np.ndarray) -> np.ndarray:
     """Single-qubit inverse measurement map 3 A - Tr(A) I."""

@@ -202,6 +202,18 @@ def test_unitarity_verdict_inconclusive_when_starved():
     assert v.verdict == "inconclusive"
 
 
+def test_unitarity_verdict_rejects_clifford_records():
+    ps = _shadow("identity", 20, 22, ens="clifford")
+    with pytest.raises(ValueError, match="requires Pauli records"):
+        unitarity_verdict(ps)
+
+
+def test_unitarity_verdict_size_cap_has_its_own_message():
+    ps = _shadow("identity", 4, 23, n=5)
+    with pytest.raises(ValueError, match="at most 4 qubits, got 5"):
+        unitarity_verdict(ps, allow_large=True)
+
+
 def test_unitarity_confidence_recorded():
     ps = _shadow("identity", 500, 21)
     v = unitarity_verdict(ps, confidence=0.9, rng=np.random.default_rng(0))

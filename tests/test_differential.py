@@ -8,10 +8,16 @@ estimators it checks.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from procshadow.applications import CorrelatorSpec, multitime_correlator_exact_input
+from procshadow.applications import (
+    CorrelatorSpec,
+    _purity_kernel,
+    multitime_correlator_exact_input,
+    multitime_correlator_shadow_input,
+    purity_estimate,
+)
 from procshadow.channels import named_channel, random_full_rank_channel, random_unitary_channel
 from procshadow.process_shadows import (
     acquire_process_shadow,
@@ -61,6 +67,10 @@ def _assert_close(got, want):
     assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < TOL
 
 
+def _random_pauli(n, rng):
+    return PauliString("".join("IXYZ"[i] for i in rng.integers(0, 4, n)))
+
+
 def _channel(n, rng, full_rank):
     # the full-rank construction stops at two qubits
     if full_rank and n <= 2:
@@ -84,9 +94,7 @@ def test_process_estimators_match_dense_reference(n, ens_in, ens_out, m,
     _assert_close(single_shot_functional_values(ps, rho, obs),
                   _ref_functional_values(ps, rho, obs))
 
-    letters = "IXYZ"
-    early = PauliString("".join(letters[i] for i in rng.integers(0, 4, n)))
-    late = PauliString("".join(letters[i] for i in rng.integers(0, 4, n)))
+    early, late = _random_pauli(n, rng), _random_pauli(n, rng)
     spec = CorrelatorSpec(rho, early, late)
     groups = int(rng.integers(1, min(3, m) + 1))
     want = median_of_means(
@@ -109,6 +117,7 @@ def test_state_estimators_match_dense_reference(n, ensemble, m, seed):
 
 @given(n=st.integers(1, 3), m=st.integers(1, 30), k=st.integers(1, 30),
        seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=8, k=8, seed=4)
 def test_shadow_algebra_matches_dense_reference(n, m, k, seed):
     rng = np.random.default_rng(seed)
     d = 2**n
@@ -128,6 +137,52 @@ def test_shadow_algebra_matches_dense_reference(n, m, k, seed):
     composed = sum(d * np.real(np.trace(b1 @ a2)) * np.kron(a1.T, b2)
                    for a1, b1 in zip(ax, bx) for a2, b2 in zip(ay, by)) / (m * k)
     _assert_close(compose_process_shadows(ps_x, ps_y).materialize(), composed)
+
+
+@given(n=st.integers(1, 3), m=st.integers(1, 30), k=st.integers(1, 30),
+       groups=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_shadow_input_correlator_matches_dense_reference(n, m, k, groups, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    groups = min(groups, m, k)
+    ps = acquire_process_shadow(_channel(n, rng, True), m, "pauli", "pauli", rng)
+    ss = acquire_shadow(random_density_matrix(n, rng), k, "pauli", rng)
+    early, late = _random_pauli(n, rng), _random_pauli(n, rng)
+    a, b = _dense_sides(ps)
+    sig = [materialize_snapshot(s) for s in ss.snapshots]
+    gm, gk = m // groups, k // groups
+    means = [sum(d * np.real(np.trace(a[j] @ sig[t] @ early.matrix))
+                 * np.real(np.trace(b[j] @ late.matrix))
+                 for j in range(g * gm, (g + 1) * gm)
+                 for t in range(g * gk, (g + 1) * gk)) / (gm * gk)
+             for g in range(groups)]
+    got = multitime_correlator_shadow_input(ps, ss, early, late, groups)
+    assert abs(got - np.median(means)) < TOL
+
+
+def _ref_u_statistic(t, c):
+    """(sum_jk c_j c_k T_jk - sum_j c_j^2 T_jj) / (C^2 - sum_j c_j^2)."""
+    pairs = c.sum()**2 - np.sum(c**2)
+    return (c @ t @ c - np.sum(c**2 * np.diag(t))) / pairs if pairs else np.nan
+
+
+@given(n=st.integers(1, 3), m=st.integers(2, 30), groups=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_purity_u_statistic_matches_dense_reference(n, m, groups, seed):
+    rng = np.random.default_rng(seed)
+    groups = min(groups, m // 2)
+    ps = acquire_process_shadow(_channel(n, rng, True), m, "pauli", "pauli", rng)
+    z = np.array([materialize_choi_shadow(r) for r in ps.records])
+    t = np.real(np.einsum("jab,kba->jk", z, z))  # Tr[zeta_j zeta_k]
+    size = m // groups
+    blocks = [t[g * size:(g + 1) * size, g * size:(g + 1) * size] for g in range(groups)]
+    want = np.median([(x.sum() - np.trace(x)) / (size * (size - 1)) for x in blocks])
+    assert abs(purity_estimate(ps, groups) / 4**n - want) < TOL
+
+    u_statistic = _purity_kernel(ps)
+    for c in (np.ones(m), np.bincount(rng.integers(0, m, m), minlength=m).astype(float)):
+        got, want = u_statistic(c), _ref_u_statistic(t, c)
+        assert (np.isnan(got) and np.isnan(want)) or abs(got - want) < TOL
 
 
 @pytest.mark.parametrize("name,value", [("amplitude-damping", 0.3), ("hadamard", None)])

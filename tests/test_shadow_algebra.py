@@ -17,7 +17,6 @@ from procshadow.process_shadows import (
 from procshadow.qcore import Channel, apply_channel, basis_projector, choi_of_channel, partial_trace, random_density_matrix
 from procshadow.shadow_algebra import (
     WEIGHT_SUPPORT,
-    WeightedSnapshotSum,
     apply_process_to_state_shadow,
     big_weight_pmf,
     compose_process_shadows,
@@ -207,7 +206,7 @@ def test_iter_terms_sum_equals_materialize(rng):
 
 def test_histogram_only_sum_has_no_terms():
     hist = np.full((6, 6), 1 / 36)
-    wss = WeightedSnapshotSum("apply", 1, hist, np.full(6, 1 / 6))
+    wss = exact_apply_sum(hist, np.full(6, 1 / 6), 1)
     with pytest.raises(ValueError):
         next(wss.iter_terms())
     assert wss.materialize().shape == (2, 2)
