@@ -19,9 +19,9 @@ the Choi-type sums share one kernel, ``_kron_sum``.  A contraction of
 two shadows (shadow algebra, purity, the shadow-input correlator)
 weighs its label pairs by the Gram matrix ``_gram`` of the distinct
 labels present on the two contracted sides, so no table grows with 6^n.
-Acquisition still selects: Pauli/Pauli rounds come from the exact label
-table up to ``_MAX_TABLE_QUBITS`` qubits, all others are simulated one
-by one.
+Acquisition still selects: Pauli/Pauli rounds come from the exact 36^n
+label table (the Pauli state table of the Choi state) up to
+``_MAX_TABLE_QUBITS`` qubits, all others are simulated one by one.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ import numpy as np
 from . import ensembles
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
                         measure_computational, prepared_state_vector, to_matrix)
-from .qcore import Channel, ChoiMatrix, PauliString, apply_channel
+from .qcore import (Channel, ChoiMatrix, PauliString, _trace_register, apply_channel,
+                    choi_of_channel)
 from .state_shadows import (SnapshotLabels, StateSnapshot, _MAX_TABLE_QUBITS,
-                            key_matrices, materialize_snapshot, median_of_means,
-                            projector_matrices)
+                            exact_pauli_snapshot_distribution, key_matrices,
+                            materialize_snapshot, median_of_means)
 
 
 def _ensemble_of(frame: Frame) -> str:
@@ -146,17 +147,15 @@ def acquire_record(ch: Channel, ensemble_in: str, ensemble_out: str,
 def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
     """Joint probability of raw (input, output) keys for Pauli/Pauli rounds.
 
-    Entry [kin, kout] multiplies the uniform preparation weight 1/6^n,
-    the uniform output-frame weight 1/3^n and the Born probability of
-    the output bits, so the table sums to one.
+    Entry [kin, kout] is Tr[P_kout E(P_kin)] / 18^n: preparation weight
+    1/6^n, output-frame weight 1/3^n, Born probability.  As Tr[Q E(P)] =
+    Tr[(P^T (x) Q) J] for the Choi matrix J, this is the Pauli snapshot
+    table of the state J / 2^n with its input register transposed.
     """
-    n = ch.n_qubits
-    proj = projector_matrices(n)
-    born = np.empty((6**n, 6**n))
-    for kin in range(6**n):
-        rho_out = apply_channel(ch, proj[kin])
-        born[kin] = np.clip(np.real(np.einsum("kij,ji->k", proj, rho_out)), 0, None)
-    return born / (18.0**n)
+    n, d = ch.n_qubits, ch.dim
+    j = choi_of_channel(ch).matrix.reshape(d, d, d, d).transpose(2, 1, 0, 3)
+    table = exact_pauli_snapshot_distribution(j.reshape(d * d, d * d) / d)
+    return table.reshape(6**n, 6**n)
 
 
 def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: str,
@@ -168,11 +167,13 @@ def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: 
     vectorized draw; any other ensemble combination simulates the
     protocol record by record.
     """
+    if m < 0:
+        raise ValueError(f"record count must be non-negative, got {m}")
     n = ch.n_qubits
     if (ensemble_in == PAULI_ENSEMBLE and ensemble_out == PAULI_ENSEMBLE
             and n <= _MAX_TABLE_QUBITS):
         p = exact_pauli_record_distribution(ch).reshape(-1)
-        p = p / p.sum()
+        p /= p.sum()
         kin, kout = np.divmod(rng.choice(p.size, size=m, p=p), 6**n)
         return ProcessShadow._of(SnapshotLabels(kin, n), SnapshotLabels(kout, n))
     return ProcessShadow([acquire_record(ch, ensemble_in, ensemble_out, rng)
@@ -317,7 +318,6 @@ def verify_bin_independence(ch: Channel, samples: int, rng: np.random.Generator,
     that are not trace preserving.
     """
     n = ch.n_qubits
-    from .qcore import choi_of_channel, _trace_register
     eta = choi_of_channel(ch).matrix
     d = ch.dim
     max_norm = 0.0

@@ -10,9 +10,9 @@ with axis order X, Y, Z, and per register the base-6 digits with qubit
 ``frame_index * 2^n + outcome``, indexing the shadow's distinct frames.
 Estimators materialize the distinct labels present and weight them by
 their counts, one code path each; ``StateSnapshot`` objects are views
-built on demand.  Acquisition still selects: Pauli snapshots come from
-the exact label table up to ``_MAX_TABLE_QUBITS`` qubits, all others
-are simulated one by one.
+built on demand.  Pauli snapshots are sampled from the exact 6^n label
+table at every register size, computed one qubit at a time from
+``PROJ1``; Clifford snapshots are simulated one by one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import ensembles
-from .qcore import check_density_matrix, n_qubits_of, tensor
+from .qcore import PAULI, check_density_matrix, n_qubits_of, tensor
 from .ensembles import (AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame,
                         Frame, PauliFrame, measure_computational, to_matrix)
 
@@ -45,6 +45,11 @@ PROJ1 = 0.5 * np.array([
     [[0, 0], [0, 2]],
 ], dtype=complex)
 TAU1 = 3.0 * PROJ1 - np.eye(2)
+
+# Tr[sigma_s A] = _SIGMA_VEC[s] @ A.reshape(-1) for sigma = I, X, Y, Z, and
+# Tr[PROJ1[k] A] = sum_s _PROJ1_PAULI[k, s] Tr[sigma_s A] for Hermitian A.
+_SIGMA_VEC = np.array([PAULI[c].T.reshape(-1) for c in "IXYZ"])
+_PROJ1_PAULI = np.real(PROJ1.reshape(6, 4) @ _SIGMA_VEC.T) / 2
 
 _MAX_TABLE_QUBITS = 4
 
@@ -72,33 +77,15 @@ def key_axes_bits(key: int, n: int) -> tuple[str, str]:
     return axes, bits
 
 
-@lru_cache(maxsize=8)
-def _flip_y_table(n: int) -> np.ndarray:
-    """Key permutation implementing the per-qubit transpose (Y flips its bit)."""
-    flip1 = np.array([0, 1, 3, 2, 4, 5])
-    table = np.arange(1)
-    for _ in range(n):
-        table = (6 * table[:, None] + flip1[None, :]).reshape(-1)
-    return table
-
-
-def flip_y_key(key: int | np.ndarray, n: int):
-    return _flip_y_table(n)[key]
-
-
-def key_matrices(keys, n: int, base: np.ndarray = TAU1) -> np.ndarray:
-    """Tensor products of single-qubit ``base`` entries, one per base-6 key.
-
-    Built digit by digit (qubit 0 first), so only the requested keys are
-    materialized.  With the default ``TAU1`` these are the Pauli
-    snapshots of the keys.
-    """
+def key_matrices(keys, n: int) -> np.ndarray:
+    """Pauli snapshots (``TAU1`` tensor products) of the given base-6 keys,
+    built digit by digit (qubit 0 first) so only those keys are materialized."""
     keys = np.asarray(keys, dtype=np.int64)
     out = np.ones((keys.size, 1, 1), dtype=complex)
     for q in range(n):
         digit = (keys // 6 ** (n - 1 - q)) % 6
         d = 2 * out.shape[1]
-        out = np.einsum("kij,kab->kiajb", out, base[digit]).reshape(keys.size, d, d)
+        out = np.einsum("kij,kab->kiajb", out, TAU1[digit]).reshape(keys.size, d, d)
     return out
 
 
@@ -108,14 +95,6 @@ def snapshot_matrices(n: int) -> np.ndarray:
     if n > _MAX_TABLE_QUBITS:
         raise ValueError(f"snapshot table too large for n={n}")
     return key_matrices(np.arange(6**n), n)
-
-
-@lru_cache(maxsize=8)
-def projector_matrices(n: int) -> np.ndarray:
-    """All 6^n measured projectors (eigenprojector tensor products), by key."""
-    if n > _MAX_TABLE_QUBITS:
-        raise ValueError(f"projector table too large for n={n}")
-    return key_matrices(np.arange(6**n), n, PROJ1)
 
 
 @dataclass(frozen=True)
@@ -315,25 +294,43 @@ def acquire_state_snapshot(rho: np.ndarray, ensemble: str,
 
 
 def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:
-    """Exact probability of each snapshot key under random-Pauli acquisition."""
+    """Exact probability of each snapshot key under random-Pauli acquisition.
+
+    Contracts one qubit at a time: to the 4^n real Pauli coefficients
+    Tr[sigma_s rho], then through ``_PROJ1_PAULI``, one slice per key of
+    the last qubit so that no temporary comes near the table's size.
+    """
     n = n_qubits_of(rho)
-    probs = np.real(np.einsum("kij,ji->k", projector_matrices(n), rho))
-    return np.clip(probs, 0.0, None) / 3**n
+    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
+    t = t.transpose([a for q in range(n) for a in (q, n + q)])  # (row, col) per qubit
+    for _ in range(n):  # contracts the leading qubit, appends its new axis last
+        t = t.reshape(4, -1).T @ _SIGMA_VEC.T
+    coeffs = np.real(t).reshape(-1, 4)
+    probs = np.empty((6 ** (n - 1), 6))
+    for k in range(6):
+        t = coeffs @ _PROJ1_PAULI[k]
+        for _ in range(n - 1):
+            t = t.reshape(4, -1).T @ _PROJ1_PAULI.T
+        probs[:, k] = t.reshape(-1)
+    np.clip(probs, 0.0, None, out=probs)
+    return np.divide(probs, 3**n, out=probs).reshape(-1)
 
 
 def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
                    rng: np.random.Generator) -> ShadowEstimate:
     """Acquire m i.i.d. snapshots of a state.
 
-    The Pauli ensemble is sampled from the exact joint distribution of
-    (frame, outcome), which is finite; the Clifford ensemble simulates
+    The Pauli ensemble is sampled from the exact 6^n-entry distribution
+    of (frame, outcome) at every size; the Clifford ensemble simulates
     the rotate-and-measure protocol per snapshot.
     """
     check_density_matrix(rho)
+    if m < 0:
+        raise ValueError(f"record count must be non-negative, got {m}")
     n = n_qubits_of(rho)
-    if ensemble == PAULI_ENSEMBLE and n <= _MAX_TABLE_QUBITS:
+    if ensemble == PAULI_ENSEMBLE:
         p = exact_pauli_snapshot_distribution(rho)
-        p = p / p.sum()
+        p /= p.sum()
         return ShadowEstimate._of(SnapshotLabels(rng.choice(p.size, size=m, p=p), n))
     snaps = [acquire_state_snapshot(rho, ensemble, rng, _validate=False)
              for _ in range(m)]

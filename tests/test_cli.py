@@ -144,6 +144,16 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_acquire_rejects_negative_count(tmp_path, capsys):
+    path = tmp_path / "x.jsonl"
+    code = main(["acquire", "--channel", "identity", "--qubits", "1", "--m", "-3",
+                 "--ensemble-in", "clifford", "--ensemble-out", "clifford",
+                 "--records", str(path)])
+    assert code == 2
+    assert "record count must be non-negative, got -3" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_exit_code_missing_records(capsys):
     assert main(["reconstruct", "--records", "/nonexistent/r.jsonl"]) == 2
 

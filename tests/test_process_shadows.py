@@ -4,7 +4,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
-from procshadow.channels import named_channel, random_unitary_channel
+from procshadow.channels import channel_from_spec, named_channel, random_unitary_channel
 from procshadow.process_shadows import (
     ProcessShadow,
     ShadowRecord,
@@ -19,7 +19,7 @@ from procshadow.process_shadows import (
     single_shot_functional_values,
     verify_bin_independence,
 )
-from procshadow.ensembles import PauliFrame
+from procshadow.ensembles import PauliFrame, measurement_probabilities, prepared_state_vector
 from procshadow.qcore import (
     PauliString,
     apply_channel,
@@ -27,7 +27,7 @@ from procshadow.qcore import (
     choi_of_channel,
     random_density_matrix,
 )
-from procshadow.state_shadows import register_key
+from procshadow.state_shadows import key_axes_bits, register_key
 
 
 def test_record_validation():
@@ -76,12 +76,35 @@ def test_exact_record_distribution_hadamard_frozen():
     assert dist[z0, x1] == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("n", [1, 2])
-def test_exhaustive_average_is_normalized_choi(seed, n):
-    """The exact-distribution average of snapshots equals the Choi matrix / 2^n."""
-    rng = np.random.default_rng(seed)
-    ch = random_unitary_channel(n, rng)
+# the full-rank family stops at 2 qubits
+@pytest.mark.parametrize("spec, n", [
+    ("amplitude-damping:0.3", 1), ("amplitude-damping:0.3", 2), ("amplitude-damping:0.3", 3),
+    ("random-full-rank:3", 1), ("random-full-rank:3", 2), ("depolarizing:0.2", 3)])
+def test_exact_record_distribution_matches_protocol(spec, n):
+    """Entries against the protocol: prepare, apply the channel, measure."""
+    ch = channel_from_spec(spec, n)
+    dist = exact_pauli_record_distribution(ch)
+    rng = np.random.default_rng(n)
+    pairs = (np.ndindex(6**n, 6**n) if n <= 2
+             else rng.integers(0, 6**n, size=(40, 2)))
+    for kin, kout in pairs:
+        axes_in, bits_in = key_axes_bits(int(kin), n)
+        axes_out, bits_out = key_axes_bits(int(kout), n)
+        psi = prepared_state_vector(PauliFrame(axes_in), bits_in)
+        rho_out = apply_channel(ch, np.outer(psi, psi.conj()))
+        born = measurement_probabilities(rho_out, PauliFrame(axes_out))[int(bits_out, 2)]
+        assert dist[kin, kout] == pytest.approx(born / 18**n, abs=1e-12)
+
+
+@pytest.mark.parametrize("channel", [0, 1, 2, 3, 4, "amplitude-damping:0.3", "depolarizing:0.2"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_average_is_normalized_choi(channel, n):
+    """The exact-distribution average of snapshots equals the Choi matrix / 2^n,
+    for random unitaries (integer seeds) and multi-Kraus named channels."""
+    if isinstance(channel, int):
+        ch = random_unitary_channel(n, np.random.default_rng(channel))
+    else:
+        ch = channel_from_spec(channel, n)
     dist = exact_pauli_record_distribution(ch)
     avg = choi_mean_from_histogram(dist, n)
     target = choi_of_channel(ch).matrix / 2**n
@@ -107,6 +130,13 @@ def test_acquire_process_shadow_basics(rng):
     head = ps.take(10)
     assert len(head) == 10
     assert head.records[0] == ps.records[0]
+
+
+@pytest.mark.parametrize("ensembles", [("pauli", "pauli"), ("pauli", "clifford"),
+                                       ("clifford", "clifford")])
+def test_acquire_process_shadow_rejects_negative_count(rng, ensembles):
+    with pytest.raises(ValueError, match="record count must be non-negative, got -5"):
+        acquire_process_shadow(named_channel("identity", 1), -5, *ensembles, rng)
 
 
 @pytest.mark.parametrize("m", [-1, 26])

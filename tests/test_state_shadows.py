@@ -16,20 +16,20 @@ from procshadow.ensembles import (
 )
 from procshadow.qcore import PauliString, basis_projector, random_density_matrix
 from procshadow.state_shadows import (
+    PROJ1,
+    TAU1,
     ShadowEstimate,
     StateSnapshot,
     acquire_shadow,
     acquire_state_snapshot,
     estimate_observable,
     exact_pauli_snapshot_distribution,
-    flip_y_key,
     inverse_map_clifford,
     inverse_map_pauli,
     inverse_map_pauli_factorwise,
     key_axes_bits,
     materialize_snapshot,
     median_of_means,
-    projector_matrices,
     qubit_key,
     reconstruct,
     register_key,
@@ -78,12 +78,14 @@ def test_snapshot_matrices_frozen():
 
 
 def test_projector_matrices_are_prepared_states():
-    projs = projector_matrices(1)
-    snaps = snapshot_matrices(1)
-    for k in range(6):
-        assert np.trace(projs[k]) == pytest.approx(1.0)
-        expected = 3 * projs[k] - np.eye(2)
-        assert la.norm(snaps[k] - expected) < 1e-12
+    # PROJ1[k] is the projector onto the state prepared for qubit key k,
+    # and TAU1[k] is its single-qubit inverse-map image 3 PROJ1[k] - I
+    for axis in "XYZ":
+        for bit in (0, 1):
+            v = prepared_state_vector(PauliFrame(axis), str(bit))
+            k = qubit_key(axis, bit)
+            assert la.norm(PROJ1[k] - np.outer(v, v.conj())) < 1e-15
+            assert la.norm(TAU1[k] - (3 * np.outer(v, v.conj()) - np.eye(2))) < 1e-15
 
 
 def test_key_encoding():
@@ -97,25 +99,6 @@ def test_key_encoding():
     for key in range(36):
         axes, bits = key_axes_bits(key, 2)
         assert register_key(axes, bits) == key
-
-
-def test_flip_y_key():
-    # flipping swaps the outcome bit on Y factors only
-    assert flip_y_key(register_key("Y", "0"), 1) == register_key("Y", "1")
-    assert flip_y_key(register_key("X", "0"), 1) == register_key("X", "0")
-    assert flip_y_key(register_key("ZY", "01"), 2) == register_key("ZY", "00")
-
-
-@given(st.integers(min_value=0, max_value=6**3 - 1))
-def test_flip_y_key_is_an_involution(key):
-    assert flip_y_key(flip_y_key(key, 3), 3) == key
-
-
-def test_flip_y_key_transposes_snapshots():
-    snaps = snapshot_matrices(2)
-    for key in range(36):
-        flipped = int(flip_y_key(key, 2))
-        assert la.norm(snaps[key].T - snaps[flipped]) < 1e-12
 
 
 def test_materialize_snapshot_matches_inverse_map(rng):
@@ -132,13 +115,26 @@ def test_exact_pauli_snapshot_distribution_frozen():
     assert dist == pytest.approx([1 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 3, 0.0], abs=1e-12)
 
 
-@given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=2))
+@given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=6))
 def test_exact_pauli_snapshot_distribution_normalized(seed, n):
     rho = random_density_matrix(n, np.random.default_rng(seed))
     dist = exact_pauli_snapshot_distribution(rho)
     assert dist.shape == (6**n,)
     assert np.sum(dist) == pytest.approx(1.0, abs=1e-10)
     assert np.all(dist >= -1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_exact_pauli_snapshot_distribution_matches_protocol(n):
+    """Entries against the protocol: uniform frame, then Born probability."""
+    rng = np.random.default_rng(n)
+    rho = random_density_matrix(n, rng)
+    dist = exact_pauli_snapshot_distribution(rho)
+    keys = range(6**n) if n <= 2 else rng.integers(0, 6**n, size=40)
+    for key in keys:
+        axes, bits = key_axes_bits(int(key), n)
+        born = measurement_probabilities(rho, PauliFrame(axes))[int(bits, 2)]
+        assert dist[key] == pytest.approx(born / 3**n, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -170,6 +166,12 @@ def test_acquire_shadow_basics(rng):
     assert len(est) == 50
     assert est.n_qubits == 2
     assert est.keys.shape == (50,)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_acquire_shadow_rejects_negative_count(rng, ensemble):
+    with pytest.raises(ValueError, match="record count must be non-negative, got -5"):
+        acquire_shadow(np.diag([1.0, 0.0]), -5, ensemble, rng)
 
 
 def test_acquire_shadow_deterministic():
