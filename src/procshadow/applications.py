@@ -4,7 +4,8 @@ multitime correlation functions, purity, and a unitarity verdict.
 All of these are linear or quadratic functionals of the Choi state and
 inherit the shadow guarantees; the quadratic ones (purity, unitarity)
 use distinct-pair U-statistics so the single-copy variance does not
-bias the estimate.
+bias the estimate.  Every estimator takes any frame ensemble; the
+U-statistic is evaluated from the weighted Choi sum ``_choi_sum``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_shadows import (ProcessShadow, _gram, _side_values,
-                              estimate_channel_functional,
+from .process_shadows import (ProcessShadow, _choi_sum, estimate_channel_functional,
                               single_shot_functional_values)
 from .qcore import PauliString, basis_projector, n_qubits_of
-from .state_shadows import ShadowEstimate, _MAX_TABLE_QUBITS, median_of_means
+from .state_shadows import ShadowEstimate, median_of_means
 
 
 # ---------------------------------------------------------------------------
@@ -91,32 +91,26 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
 
     Each (record, snapshot) pair contributes
     2^n Tr[snap_in . snap_state . op_early] Tr[snap_out . op_late]; the
-    double sum is contracted through the Gram matrix of the distinct
-    input and state snapshots present.  Median-of-means pairs the j-th
-    chunk of records with the j-th chunk of snapshots so the group means
-    stay independent.
+    mean over a group's pairs is the mean over its records of the
+    functional values with the group's state estimate (the mean of its
+    snapshots) in place of the input state.  Median-of-means pairs the
+    j-th chunk of records with the j-th chunk of snapshots so the group
+    means stay independent.
     """
     n = ps.n_qubits
     if ss.n_qubits != n or op_early.n_qubits != n or op_late.n_qubits != n:
         raise ValueError("operand register sizes disagree")
-    if not ps.all_pauli:
-        raise ValueError("shadow-input correlator requires Pauli records")
-    if ss.side.frames is not None:
-        raise ValueError("shadow-input correlator requires Pauli snapshots")
     m, k = len(ps), len(ss)
     if n_groups < 1 or m // n_groups < 1 or k // n_groups < 1:
         raise ValueError("group count does not fit the sample sizes")
-    ia, a = ps.side_in.matrices()
     i_s, s = ss.side.matrices()
-    cross = _gram(a, s @ op_early.matrix)
-    vout = np.real(_side_values(ps.side_out, op_late.matrix))
     gm, gk = m // n_groups, k // n_groups
     means = []
     for g in range(n_groups):
-        rows = slice(g * gm, (g + 1) * gm)
-        hs = np.bincount(i_s[g * gk:(g + 1) * gk], minlength=len(s)).astype(float)
-        per_record = cross[ia[rows]] @ hs * vout[rows]
-        means.append(2**n * per_record.sum() / (gm * gk))
+        hs = np.bincount(i_s[g * gk:(g + 1) * gk], minlength=len(s))
+        early = np.tensordot(hs / gk, s, 1) @ op_early.matrix  # group mean . op_early
+        values = single_shot_functional_values(ps, early, op_late.matrix)
+        means.append(values[g * gm:(g + 1) * gm].mean())
     return float(np.median(means))
 
 
@@ -131,20 +125,19 @@ def _purity_kernel(ps: ProcessShadow):
     """U-statistic for Tr[eta_norm^2] over pairs of distinct source records,
     as a function of each record's multiplicity ``counts``.
 
-    Labels are decoded and both sides' Gram matrices built once, because
-    Tr[zeta_j zeta_k] is the input-side times the output-side trace.  Two
-    copies of one record are not a distinct pair, so sum_j c_j^2 of the
-    (sum_j c_j)^2 ordered pairs are left out; NaN when none is left.
+    With S = sum_j c_j zeta_j, the ordered pairs sum to Tr[S^2] = ||S||_F^2.
+    Two copies of one record are not a distinct pair, so the terms
+    c_j^2 Tr[zeta_j^2] = c_j^2 Tr[a_j^2] Tr[b_j^2] of the (sum_j c_j)^2
+    ordered pairs are left out; NaN when none is left.
     """
-    ia, a = ps.side_in.matrices()
-    ib, b = ps.side_out.matrices()
-    g_in, g_out = _gram(a, a), _gram(b, b)
-    pair = ia * len(b) + ib
-    self_overlap = g_in[ia, ia] * g_out[ib, ib]
+    choi_sum = _choi_sum(ps)
+    tr_sq = [np.real(np.einsum("kij,kji->k", mats, mats))[index]  # Tr[x^2] per record
+             for index, mats in (ps.side_in.matrices(), ps.side_out.matrices())]
+    self_overlap = tr_sq[0] * tr_sq[1]
 
     def u_statistic(counts: np.ndarray) -> float:
-        h = np.bincount(pair, counts, len(a) * len(b)).reshape(len(a), len(b))
-        full = float(np.sum((h.T @ g_in @ h) * g_out))
+        s = choi_sum(counts)
+        full = float(np.vdot(s, s).real)
         same = float(np.sum(counts**2 * self_overlap))
         pairs = float(counts.sum()**2 - np.sum(counts**2))
         return (full - same) / pairs if pairs else float("nan")
@@ -159,11 +152,11 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
     """Estimate the unnormalized Choi purity Tr[eta^2].
 
     Uses the U-statistic over distinct record pairs, which is unbiased
-    for Tr[eta_norm^2], then rescales by 4^n.  Sample demands grow like
-    4^n, so registers above MAX_PURITY_QUBITS are refused unless
-    ``allow_large`` is set.  Non-Pauli record sets, and Pauli sets above
-    _MAX_TABLE_QUBITS qubits, fall back to a random pair subsample of
-    size ``pair_subsample`` per group.
+    for Tr[eta_norm^2], then rescales by 4^n; every frame ensemble and
+    register size takes the same exact evaluation.  Sample demands grow
+    like 4^n, so registers above MAX_PURITY_QUBITS are refused unless
+    ``allow_large`` is set.  ``pair_subsample`` and ``rng`` are unused
+    and kept for callers that still pass them.
     """
     n = ps.n_qubits
     if n > MAX_PURITY_QUBITS and not allow_large:
@@ -172,26 +165,9 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
     m = len(ps)
     if n_groups < 1 or m // n_groups < 2:
         raise ValueError("each group needs at least two records")
-    size = m // n_groups
-    means = []
-    if ps.all_pauli and n <= _MAX_TABLE_QUBITS:
-        u_statistic = _purity_kernel(ps)
-        for g in range(n_groups):
-            counts = np.zeros(m)
-            counts[g * size:(g + 1) * size] = 1.0
-            means.append(u_statistic(counts))
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        ia, a = ps.side_in.matrices()
-        ib, b = ps.side_out.matrices()
-        for g in range(n_groups):
-            js = rng.integers(0, size, pair_subsample)
-            ks = (js + rng.integers(1, size, pair_subsample)) % size
-            j, k = g * size + js, g * size + ks
-            # Tr[zeta_j zeta_k] = Tr[a_j a_k] Tr[b_j b_k] for zeta = a^T (x) b
-            vals = (np.einsum("pij,pji->p", a[ia[j]], a[ia[k]])
-                    * np.einsum("pij,pji->p", b[ib[j]], b[ib[k]]))
-            means.append(float(np.real(vals).mean()))
+    u_statistic = _purity_kernel(ps)
+    group = np.arange(m) // (m // n_groups)  # records past the last group are dropped
+    means = [u_statistic((group == g).astype(float)) for g in range(n_groups)]
     return 4**n * float(np.median(means))
 
 
@@ -219,11 +195,6 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     leaves out the pairs formed by two copies of one record.
     """
     n = ps.n_qubits
-    if not ps.all_pauli:
-        raise ValueError("unitarity verdict requires Pauli records")
-    if n > _MAX_TABLE_QUBITS:
-        raise ValueError(f"unitarity verdict supports at most {_MAX_TABLE_QUBITS} "
-                         f"qubits, got {n}")
     if n > MAX_PURITY_QUBITS and not allow_large:
         raise ValueError(
             f"unitarity on {n} qubits needs allow_large=True (cost grows as 4^n)")

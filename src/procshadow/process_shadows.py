@@ -15,13 +15,13 @@ channel; functionals of the unnormalized Choi matrix carry an explicit
 A ``ProcessShadow`` stores one label array per side (see
 ``state_shadows.SnapshotLabels``); ``records`` are views built on
 demand.  Each estimator has one code path for every frame ensemble, and
-the Choi-type sums share one kernel, ``_kron_sum``.  A contraction of
-two shadows (shadow algebra, purity, the shadow-input correlator)
-weighs its label pairs by the Gram matrix ``_gram`` of the distinct
-labels present on the two contracted sides, so no table grows with 6^n.
-Acquisition still selects: Pauli/Pauli rounds come from the exact 36^n
-label table (the Pauli state table of the Choi state) up to
-``_MAX_TABLE_QUBITS`` qubits, all others are simulated one by one.
+the Choi-type sums share one kernel, ``_kron_sum``.  ``_choi_sum`` maps
+per-record weights to the weighted Choi sum behind both the sample mean
+and the purity U-statistic; two-shadow estimators contract sample
+means, not label pairs.  Acquisition is the one remaining selection:
+Pauli/Pauli rounds come from the exact 36^n label table (the Pauli
+state table of the Choi state) up to ``_MAX_TABLE_QUBITS`` qubits, all
+others are simulated one by one.
 """
 
 from __future__ import annotations
@@ -196,49 +196,48 @@ def _kron_sum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out.reshape(da, da, dc, dc).transpose(0, 2, 1, 3).reshape(da * dc, da * dc)
 
 
-def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """G[u, v] = Re Tr[x_u y_v] over two stacks of square matrices."""
-    return np.real(x.reshape(len(x), -1) @ y.transpose(0, 2, 1).reshape(len(y), -1).T)
+def _choi_sum(ps: ProcessShadow):
+    """The map from per-record weights ``counts`` to sum_j c_j zeta_j.
 
-
-def _pair_counts(ps: ProcessShadow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(h, a, b)``: the distinct input and output snapshot stacks, and
-    h[u, v], the number of records whose snapshots are a[u] and b[v]."""
+    Labels are decoded once.  Row u of ``c`` sums the weighted output
+    snapshots of the records with input label u; the distinct (input,
+    output) pairs come sorted by input label and every input label
+    occurs, so each chunk of input labels reduces straight into its rows.
+    """
     ia, a = ps.side_in.matrices()
     ib, b = ps.side_out.matrices()
-    h = np.bincount(ia * len(b) + ib, minlength=len(a) * len(b))
-    return h.reshape(len(a), len(b)).astype(float), a, b
+    pairs, inverse = np.unique(ia * len(b) + ib, return_inverse=True)
+    pb = pairs % len(b)
+    bounds = np.append(np.searchsorted(pairs // len(b), np.arange(len(a))), pairs.size)
+    # input labels per chunk, so that a gathered chunk holds about 2^20 entries
+    rows = max(1, (2**20 // b[0].size) * len(a) // pairs.size)
+    a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
 
+    def choi_sum(counts: np.ndarray) -> np.ndarray:
+        w = np.bincount(inverse, counts, pairs.size)
+        c = np.empty((len(a_t),) + b.shape[1:], dtype=complex)
+        for lo in range(0, len(c), rows):
+            edge = bounds[lo:lo + rows + 1]
+            sl = slice(edge[0], edge[-1])
+            np.add.reduceat(w[sl, None, None] * b[pb[sl]], edge[:-1] - edge[0],
+                            axis=0, out=c[lo:lo + rows])
+        return _kron_sum(a_t, c)
 
-def _pair_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_uv w[u, v] transpose(a[u]) (x) b[v] over two snapshot stacks."""
-    c = (w @ b.reshape(len(b), -1)).reshape(-1, *b.shape[1:])
-    return _kron_sum(a.transpose(0, 2, 1), c)
+    return choi_sum
 
 
 def choi_mean_from_histogram(hist: np.ndarray, n: int) -> np.ndarray:
     """Weighted mean of Choi snapshots from a raw (kin, kout) histogram."""
     snaps = key_matrices(np.arange(6**n), n)
-    return _pair_sum(hist, snaps, snaps) / hist.sum()
+    c = (hist @ snaps.reshape(6**n, -1)).reshape(snaps.shape)
+    return _kron_sum(snaps.transpose(0, 2, 1), c) / hist.sum()
 
 
 def reconstruct_choi(ps: ProcessShadow) -> ChoiMatrix:
-    """Sample mean of the Choi snapshots, as a normalized Choi matrix.
-
-    Row a of ``c`` sums the output snapshots of the records with input label a.
-    """
+    """Sample mean of the Choi snapshots, as a normalized Choi matrix."""
     if not len(ps):
         raise ValueError("cannot reconstruct from an empty shadow")
-    ia, a = ps.side_in.matrices()
-    ib, b = ps.side_out.matrices()
-    pairs, counts = np.unique(ia * len(b) + ib, return_counts=True)
-    pa, pb = np.divmod(pairs, len(b))
-    c = np.zeros((len(a),) + b.shape[1:], dtype=complex)
-    step = 1 + 2**20 // b[0].size  # bounds the gathered chunk to 2^20 entries
-    for s in range(0, pairs.size, step):
-        sl = slice(s, s + step)
-        np.add.at(c, pa[sl], counts[sl, None, None] * b[pb[sl]])
-    mean = _kron_sum(a.transpose(0, 2, 1), c) / len(ps)
+    mean = _choi_sum(ps)(np.ones(len(ps))) / len(ps)
     return ChoiMatrix(mean, ps.n_qubits, normalized=True)
 
 

@@ -44,12 +44,19 @@ def _frame_from_json(obj, n: int):
     if kind == "pauli":
         return PauliFrame(obj["axes"])
     if kind == "clifford":
-        rows = obj["s"]
+        rows, signs = obj["s"], obj["p"]
         if len(rows) != 2 * n:
             raise ValueError("tableau row count does not match header")
+        if any(not isinstance(r, int) or not 0 <= r < 4**n for r in rows):
+            raise ValueError(f"tableau rows must be integers in [0, {4**n})")
+        if any(b not in (0, 1) for b in signs):
+            raise ValueError("sign bits must be 0 or 1")
         sym = np.array([[(r >> i) & 1 for i in range(2 * n)] for r in rows],
                        dtype=np.uint8)
-        return CliffordFrame(sym, np.array(obj["p"], dtype=np.uint8))
+        omega = np.roll(np.eye(2 * n, dtype=int), n, axis=1)  # [[0, I], [I, 0]]
+        if np.any((sym.astype(int) @ omega @ sym.T) % 2 != omega):
+            raise ValueError("tableau is not symplectic")
+        return CliffordFrame(sym, np.array(signs, dtype=np.uint8))
     raise ValueError(f"unknown frame kind {kind!r}")
 
 
@@ -118,6 +125,9 @@ def load_records(path) -> ProcessShadow:
                     u_out=_frame_from_json(obj["u_out"], n),
                     b_out=obj["b_out"],
                 )
+                if record.n_qubits != n:
+                    raise ValueError(f"record acts on {record.n_qubits} qubits, "
+                                     f"header says {n}")
                 for tag, kind in (("ensemble_in", record.ensemble_in),
                                   ("ensemble_out", record.ensemble_out)):
                     if kind != header.get(tag):

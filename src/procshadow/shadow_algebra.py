@@ -16,13 +16,11 @@ the first factor transposed, giving the five-case table
 Because the input register of a Choi snapshot is stored transposed, the
 transpose built into the pair-weight table and the stored one cancel:
 the contraction weight of two snapshots is the plain (untransposed)
-trace of their product.  A sum takes these traces as the Gram matrix
-G[u, v] = Re Tr[x_u y_v] between the distinct snapshots present on the
-two contracted sides, so its size follows the samples, not 6^n.  The
-overall scale is fixed by requiring that the exact expectation of each
-weighted sum reproduces its target (the channel output state, or the
-composed Choi state); it works out to 2^n per contracted register on
-top of the per-qubit traces.
+trace of their product.  The overall scale is 2^n per contracted
+register on top of the per-qubit traces.  The mean over all pairs is
+bilinear, so it is the contraction of the two sample means, for every
+frame ensemble: d Tr_in[(rho^T (x) I) eta] for apply, d times the link
+product of the two Choi means for compose.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_shadows import ProcessShadow, _gram, _pair_counts, _pair_sum
-from .state_shadows import ShadowEstimate, key_matrices
+from .process_shadows import ProcessShadow, choi_mean_from_histogram, reconstruct_choi
+from .state_shadows import ShadowEstimate, key_matrices, reconstruct
 
 #: the five weight values, with multiplicity, seen by a uniformly random
 #: pair of single-qubit snapshot labels
@@ -56,18 +54,21 @@ def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
     return 2.5 if same_bit else -2.0
 
 
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G[u, v] = Re Tr[x_u y_v] over two stacks of square matrices."""
+    return np.real(x.reshape(len(x), -1) @ y.transpose(0, 2, 1).reshape(len(y), -1).T)
+
+
 class WeightedSnapshotSum:
     """Lazy signed-weighted collection of snapshot products.
 
-    Terms are never stored.  Each operand holds weights over distinct
-    snapshots together with their stacks: ``(h, a, b)`` for a process
-    side, h[u, v] weighing input a[u] with output b[v], and ``(h, s)``
-    for a state side.  ``materialize`` contracts the operands through
-    the Gram matrix of the two contracted stacks, and ``iter_terms``
-    streams (weight, factor) pairs for small inputs.  The weighted
-    *mean* of the terms estimates the target operator: the channel
-    output state for ``apply`` mode, the normalized Choi matrix of the
-    composition for ``compose`` mode.
+    Terms are never stored.  Each operand is ``(weight, mean)``: the
+    total weight of its samples and their mean, a normalized Choi matrix
+    or a state.  ``materialize`` contracts the two means, and
+    ``iter_terms`` streams (weight, factor) pairs for small inputs.  The
+    weighted *mean* of the terms estimates the target operator: the
+    channel output state for ``apply`` mode, the normalized Choi matrix
+    of the composition for ``compose`` mode.
     """
 
     def __init__(self, mode: str, n_qubits: int, left: tuple, right: tuple,
@@ -82,7 +83,7 @@ class WeightedSnapshotSum:
 
     @property
     def n_terms(self) -> float:
-        return float(self._left[0].sum() * self._right[0].sum())
+        return float(self._left[0] * self._right[0])
 
     def iter_terms(self):
         """Stream (weight, factor matrix) pairs; needs the source objects."""
@@ -109,17 +110,13 @@ class WeightedSnapshotSum:
     def materialize(self) -> np.ndarray:
         """Weighted mean of all terms, as a dense matrix."""
         d = 2**self.n_qubits
+        x, y = self._left[1], self._right[1]
         if self.mode == "apply":
-            (h, a, b), (hs, s) = self._left, self._right
-            coeffs = h.T @ (_gram(a, s) @ hs)
-            return d / (h.sum() * hs.sum()) * np.einsum("k,kij->ij", coeffs, b)
-        (hx, ax, bx), (hy, ay, by) = self._left, self._right
-        return _pair_sum(hx @ _gram(bx, ay) @ hy, ax, by) * d / (hx.sum() * hy.sum())
-
-
-def _require_pauli_process(ps: ProcessShadow):
-    if not ps.all_pauli:
-        raise ValueError("shadow algebra requires Pauli-ensemble records")
+            return d * np.einsum("ipjq,ij->pq", x.reshape(d, d, d, d), y)
+        # link product sum_pq X[i,p,j,q] Y[p,o,q,r] as one (d^2, d^2) matrix product
+        def realign(z):  # rows (i, p), columns (j, q) -> rows (i, j), columns (p, q)
+            return z.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        return d * realign(realign(x) @ realign(y))
 
 
 def apply_process_to_state_shadow(ps: ProcessShadow,
@@ -128,17 +125,13 @@ def apply_process_to_state_shadow(ps: ProcessShadow,
 
     One term per (record, snapshot) pair: the record's input register is
     contracted against the state snapshot, leaving the output-register
-    tau product with a signed weight.
+    factor with a signed weight.  Any frame ensemble on either shadow.
     """
-    _require_pauli_process(ps)
-    if ss.side.frames is not None:
-        raise ValueError("shadow algebra requires Pauli-ensemble snapshots")
     if ps.n_qubits != ss.n_qubits:
         raise ValueError("qubit counts differ")
-    index, s = ss.side.matrices()
-    hs = np.bincount(index, minlength=len(s)).astype(float)
-    return WeightedSnapshotSum("apply", ps.n_qubits, _pair_counts(ps), (hs, s),
-                               sources=(ps, ss))
+    return WeightedSnapshotSum("apply", ps.n_qubits,
+                               (len(ps), reconstruct_choi(ps).matrix),
+                               (len(ss), reconstruct(ss)), sources=(ps, ss))
 
 
 def compose_process_shadows(ps_x: ProcessShadow,
@@ -148,14 +141,14 @@ def compose_process_shadows(ps_x: ProcessShadow,
     X's output register is contracted against Y's input register; each
     term keeps X's (transposed) input factor tensored with Y's output
     factor, so the weighted mean estimates the normalized Choi matrix
-    of the composition.
+    of the composition.  Any frame ensemble on either shadow.
     """
-    _require_pauli_process(ps_x)
-    _require_pauli_process(ps_y)
     if ps_x.n_qubits != ps_y.n_qubits:
         raise ValueError("qubit counts differ")
-    return WeightedSnapshotSum("compose", ps_x.n_qubits, _pair_counts(ps_x),
-                               _pair_counts(ps_y), sources=(ps_x, ps_y))
+    return WeightedSnapshotSum("compose", ps_x.n_qubits,
+                               (len(ps_x), reconstruct_choi(ps_x).matrix),
+                               (len(ps_y), reconstruct_choi(ps_y).matrix),
+                               sources=(ps_x, ps_y))
 
 
 def exact_apply_sum(record_dist: np.ndarray, snapshot_dist: np.ndarray,
@@ -164,17 +157,18 @@ def exact_apply_sum(record_dist: np.ndarray, snapshot_dist: np.ndarray,
 
     Every one of the 6^n keys enters with its probability.
     """
-    snaps = key_matrices(np.arange(6**n), n)
-    return WeightedSnapshotSum("apply", n, (record_dist, snaps, snaps),
-                               (snapshot_dist, snaps))
+    state = np.tensordot(snapshot_dist, key_matrices(np.arange(6**n), n), 1)
+    process = choi_mean_from_histogram(record_dist, n)
+    return WeightedSnapshotSum("apply", n, (record_dist.sum(), process),
+                               (snapshot_dist.sum(), state / snapshot_dist.sum()))
 
 
 def exact_compose_sum(dist_x: np.ndarray, dist_y: np.ndarray,
                       n: int) -> WeightedSnapshotSum:
     """Compose-mode sum over exact label distributions instead of samples."""
-    snaps = key_matrices(np.arange(6**n), n)
-    return WeightedSnapshotSum("compose", n, (dist_x, snaps, snaps),
-                               (dist_y, snaps, snaps))
+    return WeightedSnapshotSum("compose", n,
+                               (dist_x.sum(), choi_mean_from_histogram(dist_x, n)),
+                               (dist_y.sum(), choi_mean_from_histogram(dist_y, n)))
 
 
 # ---------------------------------------------------------------------------

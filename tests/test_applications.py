@@ -172,15 +172,6 @@ def test_purity_large_register_needs_opt_in():
     assert np.isfinite(est)
 
 
-def test_purity_subsampled_deterministic():
-    ps = _shadow("identity", 40, 17, ens="clifford")
-    a = purity_estimate(ps, allow_large=True, pair_subsample=100,
-                        rng=np.random.default_rng(5))
-    b = purity_estimate(ps, allow_large=True, pair_subsample=100,
-                        rng=np.random.default_rng(5))
-    assert a == b
-
-
 def test_unitarity_verdict_unitary():
     ps = _shadow("identity", 40000, 18)
     v = unitarity_verdict(ps, rng=np.random.default_rng(0))
@@ -194,24 +185,17 @@ def test_unitarity_verdict_nonunitary():
     v = unitarity_verdict(ps, rng=np.random.default_rng(0))
     assert v.verdict == "nonunitary"
     assert v.purity == pytest.approx(1.0, abs=0.3)
+    # Clifford records take the same U-statistic
+    ps = _shadow("depolarizing", 3000, 19, value=1.0, ens="clifford")
+    v = unitarity_verdict(ps, rng=np.random.default_rng(0))
+    assert v.verdict == "nonunitary"
+    assert v.purity == pytest.approx(1.0, abs=0.3)
 
 
 def test_unitarity_verdict_inconclusive_when_starved():
     ps = _shadow("identity", 40, 20)
     v = unitarity_verdict(ps, rng=np.random.default_rng(100))
     assert v.verdict == "inconclusive"
-
-
-def test_unitarity_verdict_rejects_clifford_records():
-    ps = _shadow("identity", 20, 22, ens="clifford")
-    with pytest.raises(ValueError, match="requires Pauli records"):
-        unitarity_verdict(ps)
-
-
-def test_unitarity_verdict_size_cap_has_its_own_message():
-    ps = _shadow("identity", 4, 23, n=5)
-    with pytest.raises(ValueError, match="at most 4 qubits, got 5"):
-        unitarity_verdict(ps, allow_large=True)
 
 
 def test_unitarity_confidence_recorded():

@@ -116,16 +116,15 @@ def test_state_estimators_match_dense_reference(n, ensemble, m, seed):
 
 
 @given(n=st.integers(1, 3), m=st.integers(1, 30), k=st.integers(1, 30),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=4, m=8, k=8, seed=4)
-def test_shadow_algebra_matches_dense_reference(n, m, k, seed):
+       ens=st.tuples(*[st.sampled_from(ENSEMBLES)] * 5), seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=8, k=8, ens=("pauli",) * 5, seed=4)
+def test_shadow_algebra_matches_dense_reference(n, m, k, ens, seed):
     rng = np.random.default_rng(seed)
     d = 2**n
     ps_x = acquire_process_shadow(random_unitary_channel(n, rng), m,
-                                  "pauli", "pauli", rng)
-    ps_y = acquire_process_shadow(_channel(n, rng, True), k,
-                                  "pauli", "pauli", rng)
-    ss = acquire_shadow(random_density_matrix(n, rng), k, "pauli", rng)
+                                  ens[0], ens[1], rng)
+    ps_y = acquire_process_shadow(_channel(n, rng, True), k, ens[2], ens[3], rng)
+    ss = acquire_shadow(random_density_matrix(n, rng), k, ens[4], rng)
     ax, bx = _dense_sides(ps_x)
     ay, by = _dense_sides(ps_y)
     sig = [materialize_snapshot(s) for s in ss.snapshots]
@@ -140,13 +139,14 @@ def test_shadow_algebra_matches_dense_reference(n, m, k, seed):
 
 
 @given(n=st.integers(1, 3), m=st.integers(1, 30), k=st.integers(1, 30),
-       groups=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_shadow_input_correlator_matches_dense_reference(n, m, k, groups, seed):
+       groups=st.integers(1, 3), ens=st.tuples(*[st.sampled_from(ENSEMBLES)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_shadow_input_correlator_matches_dense_reference(n, m, k, groups, ens, seed):
     rng = np.random.default_rng(seed)
     d = 2**n
     groups = min(groups, m, k)
-    ps = acquire_process_shadow(_channel(n, rng, True), m, "pauli", "pauli", rng)
-    ss = acquire_shadow(random_density_matrix(n, rng), k, "pauli", rng)
+    ps = acquire_process_shadow(_channel(n, rng, True), m, ens[0], ens[1], rng)
+    ss = acquire_shadow(random_density_matrix(n, rng), k, ens[2], rng)
     early, late = _random_pauli(n, rng), _random_pauli(n, rng)
     a, b = _dense_sides(ps)
     sig = [materialize_snapshot(s) for s in ss.snapshots]
@@ -167,11 +167,12 @@ def _ref_u_statistic(t, c):
 
 
 @given(n=st.integers(1, 3), m=st.integers(2, 30), groups=st.integers(1, 3),
+       ens_in=st.sampled_from(ENSEMBLES), ens_out=st.sampled_from(ENSEMBLES),
        seed=st.integers(0, 2**32 - 1))
-def test_purity_u_statistic_matches_dense_reference(n, m, groups, seed):
+def test_purity_u_statistic_matches_dense_reference(n, m, groups, ens_in, ens_out, seed):
     rng = np.random.default_rng(seed)
     groups = min(groups, m // 2)
-    ps = acquire_process_shadow(_channel(n, rng, True), m, "pauli", "pauli", rng)
+    ps = acquire_process_shadow(_channel(n, rng, True), m, ens_in, ens_out, rng)
     z = np.array([materialize_choi_shadow(r) for r in ps.records])
     t = np.real(np.einsum("jab,kba->jk", z, z))  # Tr[zeta_j zeta_k]
     size = m // groups

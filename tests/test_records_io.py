@@ -76,6 +76,36 @@ def test_load_rejects_a_side_that_mixes_ensembles(tmp_path):
         load_records(path)
 
 
+def _edit_record(path, lineno, **fields):
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    rec.update(fields)
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("u_in,message", [
+    ({"kind": "clifford", "s": [1, 1], "p": [0, 0]}, "not symplectic"),
+    ({"kind": "clifford", "s": [1, 4], "p": [0, 0]}, r"integers in \[0, 4\)"),
+    ({"kind": "clifford", "s": [1, 2.0], "p": [0, 0]}, r"integers in \[0, 4\)"),
+    ({"kind": "clifford", "s": [1, 2], "p": [0, 2]}, "sign bits"),
+], ids=["non-symplectic", "row-out-of-range", "row-not-integer", "sign-not-a-bit"])
+def test_load_rejects_invalid_clifford_tableaus(tmp_path, u_in, message):
+    """X -> X, Z -> X has no unitary; loading it would give a non-Hermitian Choi mean."""
+    ps, path = _sample(tmp_path, ens_in="clifford", ens_out="clifford")
+    _edit_record(path, 4, u_in=u_in)
+    with pytest.raises(ValueError, match=f"line 4: bad record .*{message}"):
+        load_records(path)
+
+
+def test_load_reports_qubit_count_mismatch_with_line(tmp_path):
+    ps, path = _sample(tmp_path)
+    _edit_record(path, 5, u_in={"kind": "pauli", "axes": "XY"}, b_in="01",
+                 u_out={"kind": "pauli", "axes": "XY"}, b_out="01")
+    with pytest.raises(ValueError, match="line 5: bad record .*acts on 2 qubits, header says 1"):
+        load_records(path)
+
+
 def test_save_refuses_a_side_that_mixes_ensembles(tmp_path):
     rng = np.random.default_rng(1)
     recs = [ShadowRecord("0", PauliFrame("X"), PauliFrame("Z"), "1"),

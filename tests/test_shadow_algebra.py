@@ -212,14 +212,6 @@ def test_histogram_only_sum_has_no_terms():
     assert wss.materialize().shape == (2, 2)
 
 
-def test_apply_rejects_clifford_records(rng):
-    ch = named_channel("identity", 1)
-    ps = acquire_process_shadow(ch, 3, "clifford", "pauli", rng)
-    ss = acquire_shadow(basis_projector("0"), 3, "pauli", rng)
-    with pytest.raises(ValueError):
-        apply_process_to_state_shadow(ps, ss)
-
-
 def test_compose_rejects_mismatched_sizes(rng):
     ps_a = acquire_process_shadow(named_channel("identity", 1), 3, "pauli", "pauli", rng)
     ps_b = acquire_process_shadow(named_channel("identity", 2), 3, "pauli", "pauli", rng)
