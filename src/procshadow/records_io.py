@@ -7,6 +7,17 @@ fields), then one object per record.  Serialization is canonical
 files.  Each side of a file holds one frame ensemble: the header's
 ``ensemble_in`` and ``ensemble_out`` tags name it, and loading rejects
 any record whose frame kind differs from its tag.
+
+Files are read and written by columns, without one record object per
+line.  Loading parses each line once into four columns: input frames,
+input bits, output frames, output bits.  A Pauli side's axes and bit
+strings are joined and mapped byte by byte to base-6 key digits in one
+numpy pass.  A Clifford side's tableaus are deduplicated in
+first-appearance order, so each distinct tableau is validated once and
+the labels and ``frames`` equal those of ``SnapshotLabels.encode``.
+Saving renders each side's distinct labels once and joins the lines
+from the label arrays.  When any check fails, the file is read again
+with the strict per-record check, which names the first offending line.
 """
 
 from __future__ import annotations
@@ -16,11 +27,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensembles import CliffordFrame, PauliFrame
+from .ensembles import (AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame,
+                        PauliFrame)
 from .process_shadows import ProcessShadow, ShadowRecord
+from .state_shadows import SnapshotLabels
 
 FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
+
+# Byte -> digit lookup tables for the joined columns; -1 marks an invalid byte.
+_AXIS_DIGIT = np.full(256, -1, dtype=np.int64)
+_AXIS_DIGIT[[ord(a) for a in AXES]] = range(len(AXES))
+_BIT_DIGIT = np.full(256, -1, dtype=np.int64)
+_BIT_DIGIT[[ord("0"), ord("1")]] = (0, 1)
+
+# No record field holds a float.  Kept as text, a float such as 2.0 can
+# neither pass for the tableau row 2 when tableaus are deduplicated by
+# value nor be accepted as a sign bit.
+_DECODER = json.JSONDecoder(parse_float=str)
+
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
 
 def _dump(obj) -> str:
@@ -39,25 +65,39 @@ def _frame_to_json(frame):
     raise ValueError(f"cannot serialize frame type {type(frame).__name__}")
 
 
+def _tableau_frame(rows, signs, n: int) -> CliffordFrame:
+    if len(rows) != 2 * n:
+        raise ValueError("tableau row count does not match header")
+    if any(not isinstance(r, int) or not 0 <= r < 4**n for r in rows):
+        raise ValueError(f"tableau rows must be integers in [0, {4**n})")
+    if any(not isinstance(b, int) or b not in (0, 1) for b in signs):
+        raise ValueError("sign bits must be 0 or 1")
+    sym = np.array([[(r >> i) & 1 for i in range(2 * n)] for r in rows],
+                   dtype=np.uint8)
+    omega = np.roll(np.eye(2 * n, dtype=int), n, axis=1)  # [[0, I], [I, 0]]
+    if np.any((sym.astype(int) @ omega @ sym.T) % 2 != omega):
+        raise ValueError("tableau is not symplectic")
+    return CliffordFrame(sym, np.array(signs, dtype=np.uint8))
+
+
 def _frame_from_json(obj, n: int):
     kind = obj.get("kind")
     if kind == "pauli":
-        return PauliFrame(obj["axes"])
+        axes = obj["axes"]
+        if not isinstance(axes, str):
+            raise ValueError(f"Pauli axes {axes!r} are not a string")
+        return PauliFrame(axes)
     if kind == "clifford":
-        rows, signs = obj["s"], obj["p"]
-        if len(rows) != 2 * n:
-            raise ValueError("tableau row count does not match header")
-        if any(not isinstance(r, int) or not 0 <= r < 4**n for r in rows):
-            raise ValueError(f"tableau rows must be integers in [0, {4**n})")
-        if any(b not in (0, 1) for b in signs):
-            raise ValueError("sign bits must be 0 or 1")
-        sym = np.array([[(r >> i) & 1 for i in range(2 * n)] for r in rows],
-                       dtype=np.uint8)
-        omega = np.roll(np.eye(2 * n, dtype=int), n, axis=1)  # [[0, I], [I, 0]]
-        if np.any((sym.astype(int) @ omega @ sym.T) % 2 != omega):
-            raise ValueError("tableau is not symplectic")
-        return CliffordFrame(sym, np.array(signs, dtype=np.uint8))
+        return _tableau_frame(obj["s"], obj["p"], n)
     raise ValueError(f"unknown frame kind {kind!r}")
+
+
+def _rendered(side: SnapshotLabels) -> list:
+    """(bits JSON, frame JSON) of every snapshot; each distinct label is
+    rendered once."""
+    index, decoded = side.distinct()
+    table = [(_dump(bits), _dump(_frame_to_json(frame))) for frame, bits in decoded]
+    return [table[i] for i in index.tolist()]
 
 
 def save_records(path, ps: ProcessShadow, *, seed=None,
@@ -79,15 +119,11 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
                 raise ValueError(f"{tag}: a record file cannot mix Pauli and "
                                  "Clifford frames on one side")
             header[tag] = side.ensemble
-    lines = [_dump(header)]
-    for r in ps.records:
-        lines.append(_dump({
-            "b_in": r.b_in,
-            "u_in": _frame_to_json(r.u_in),
-            "b_out": r.b_out,
-            "u_out": _frame_to_json(r.u_out),
-        }))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # each line is _dump of its record: keys in sorted order, no whitespace
+    lines = [f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'
+             for (b_in, u_in), (b_out, u_out)
+             in zip(_rendered(ps.side_in), _rendered(ps.side_out))]
+    Path(path).write_text(_dump(header) + "\n" + "".join(lines))
 
 
 def load_header(path) -> dict:
@@ -98,24 +134,87 @@ def load_header(path) -> dict:
         header = json.loads(first)
     except json.JSONDecodeError as exc:
         raise ValueError(f"line 1: malformed header ({exc.msg})") from exc
+    if not isinstance(header, dict):
+        raise ValueError("line 1: header is not a JSON object")
     if header.get("format") != FORMAT_TAG:
         raise ValueError("line 1: not a record file (format tag mismatch)")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"line 1: unsupported version {header.get('version')!r} "
             f"(expected {FORMAT_VERSION})")
+    for key, least in (("n_qubits", 1), ("count", 0)):
+        value = header.get(key)
+        if type(value) is not int or value < least:
+            raise ValueError(f"line 1: {key} must be an integer >= {least}, "
+                             f"got {value!r}")
     return header
 
 
-def load_records(path) -> ProcessShadow:
-    """Read a shadow back; errors carry the offending line number."""
-    header = load_header(path)
-    n = int(header["n_qubits"])
-    records = []
+def _digits(column: list, table: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) digits of a column of n-character strings, through a byte table."""
+    if not all(type(s) is str and len(s) == n for s in column):
+        raise ValueError("column holds a value that is not an n-character string")
+    raw = "".join(column).encode("ascii", "replace")  # non-ASCII -> '?', invalid
+    digits = table[np.frombuffer(raw, dtype=np.uint8)].reshape(len(column), n)
+    if (digits < 0).any():
+        raise ValueError("column holds an invalid character")
+    return digits
+
+
+def _encode_side(tag, frames: list, bits: list, n: int) -> SnapshotLabels:
+    """Labels of one side's columns, equal to ``SnapshotLabels.encode``."""
+    if not frames:
+        return SnapshotLabels(np.empty(0, dtype=np.int64), n)
+    outcomes = _digits(bits, _BIT_DIGIT, n)
+    if tag == PAULI_ENSEMBLE:
+        # Python-int weights: a register too wide for int64 keys raises
+        weights = np.array([6**k for k in range(n - 1, -1, -1)], dtype=np.int64)
+        return SnapshotLabels((2 * _digits(frames, _AXIS_DIGIT, n) + outcomes) @ weights, n)
+    if tag == CLIFFORD_ENSEMBLE:
+        index: dict = {}
+        idx = np.fromiter((index.setdefault(f, len(index)) for f in frames),
+                          dtype=np.int64, count=len(frames))
+        table = tuple(_tableau_frame(s, p, n) for s, p in index)
+        return SnapshotLabels((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
+                              n, table)
+    raise ValueError(f"unknown ensemble tag {tag!r}")
+
+
+def _frame_value(u: dict, pauli: bool):
+    """A frame's column entry: Pauli axes, or a tableau's (rows, signs)."""
+    return u["axes"] if pauli else (tuple(u["s"]), tuple(u["p"]))
+
+
+def _read_columns(path, header: dict) -> tuple[SnapshotLabels, SnapshotLabels]:
+    """Both sides' labels; raises without a line number on any bad record."""
+    n = header["n_qubits"]
+    tags = header.get("ensemble_in"), header.get("ensemble_out")
+    pauli_in, pauli_out = (tag == PAULI_ENSEMBLE for tag in tags)
+    frames_in, bits_in, frames_out, bits_out = [], [], [], []
+    with open(path) as fh:
+        fh.readline()  # header already validated
+        for line in fh:
+            if line.isspace():
+                continue
+            obj = _DECODER.decode(line)
+            u_in, u_out = obj["u_in"], obj["u_out"]
+            if (u_in["kind"], u_out["kind"]) != tags:
+                raise ValueError("frame kind does not match the header")
+            frames_in.append(_frame_value(u_in, pauli_in))
+            frames_out.append(_frame_value(u_out, pauli_out))
+            bits_in.append(obj["b_in"])
+            bits_out.append(obj["b_out"])
+    return (_encode_side(tags[0], frames_in, bits_in, n),
+            _encode_side(tags[1], frames_out, bits_out, n))
+
+
+def _raise_first_bad_record(path, header: dict) -> None:
+    """Check every record on its own, and raise at the first offending line."""
+    n = header["n_qubits"]
     with open(path) as fh:
         fh.readline()  # header already validated
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)
@@ -125,6 +224,8 @@ def load_records(path) -> ProcessShadow:
                     u_out=_frame_from_json(obj["u_out"], n),
                     b_out=obj["b_out"],
                 )
+                if not isinstance(record.b_in, str) or not isinstance(record.b_out, str):
+                    raise ValueError("bit strings must be JSON strings")
                 if record.n_qubits != n:
                     raise ValueError(f"record acts on {record.n_qubits} qubits, "
                                      f"header says {n}")
@@ -133,12 +234,20 @@ def load_records(path) -> ProcessShadow:
                     if kind != header.get(tag):
                         raise ValueError(f"{kind} frame does not match the header's "
                                          f"{tag} {header.get(tag)!r}")
-                records.append(record)
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError) as exc:
+            except _RECORD_ERRORS as exc:
                 raise ValueError(f"line {lineno}: bad record ({exc})") from exc
-    if len(records) != int(header["count"]):
+
+
+def load_records(path) -> ProcessShadow:
+    """Read a shadow back; errors carry the offending line number."""
+    header = load_header(path)
+    try:
+        side_in, side_out = _read_columns(path, header)
+    except _RECORD_ERRORS:
+        _raise_first_bad_record(path, header)
+        raise
+    if len(side_in) != header["count"]:
         raise ValueError(
-            f"line {len(records) + 1}: expected {header['count']} records, "
-            f"found {len(records)}")
-    return ProcessShadow(records, n)
+            f"line {len(side_in) + 1}: expected {header['count']} records, "
+            f"found {len(side_in)}")
+    return ProcessShadow._of(side_in, side_out)

@@ -164,11 +164,16 @@ class SnapshotLabels:
         return [(self.frames[int(k) >> n], format(int(k) & (2**n - 1), f"0{n}b"))
                 for k in labels]
 
+    def distinct(self) -> tuple[np.ndarray, list]:
+        """``(index, decoded)``: (frame, outcome bits) of each distinct label
+        present; snapshot i is ``decoded[index[i]]``."""
+        uniq, inv = np.unique(self.labels, return_inverse=True)
+        return inv, self._decode(uniq)
+
     def views(self) -> list:
         """(frame, outcome bits) of every snapshot, in order."""
-        uniq, inv = np.unique(self.labels, return_inverse=True)
-        decoded = self._decode(uniq)
-        return [decoded[i] for i in inv]
+        index, decoded = self.distinct()
+        return [decoded[i] for i in index]
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Materialized snapshots of the distinct labels present.

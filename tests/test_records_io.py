@@ -1,12 +1,14 @@
 """Record serialization: JSONL save/load with a self-describing header."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from procshadow.channels import named_channel
-from procshadow.ensembles import PauliFrame, sample_clifford, to_matrix
+from procshadow.cli import main
+from procshadow.ensembles import CliffordFrame, PauliFrame, sample_clifford, to_matrix
 from procshadow.process_shadows import ProcessShadow, ShadowRecord, acquire_process_shadow, reconstruct_choi
 from procshadow.records_io import load_header, load_records, save_records
 
@@ -76,10 +78,14 @@ def test_load_rejects_a_side_that_mixes_ensembles(tmp_path):
         load_records(path)
 
 
+_DROP = object()  # an _edit_record value that deletes the field
+
+
 def _edit_record(path, lineno, **fields):
     lines = path.read_text().splitlines()
     rec = json.loads(lines[lineno - 1])
     rec.update(fields)
+    rec = {k: v for k, v in rec.items() if v is not _DROP}
     lines[lineno - 1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
 
@@ -186,3 +192,155 @@ def test_load_detects_truncation(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_records(tmp_path / "nope.jsonl")
+
+
+@pytest.mark.parametrize("field,value", [
+    (None, [1, 2]),
+    ("n_qubits", _DROP),
+    ("count", _DROP),
+    ("count", "abc"),
+    ("count", 5.7),
+    ("count", True),
+    ("count", -1),
+    ("n_qubits", 0),
+    ("n_qubits", True),
+    ("n_qubits", 1.0),
+], ids=["list", "no-n_qubits", "no-count", "count-text", "count-float", "count-bool",
+        "count-negative", "n_qubits-zero", "n_qubits-bool", "n_qubits-float"])
+def test_malformed_header_is_a_line_1_error(tmp_path, field, value):
+    """Before the header was checked, these raised KeyError or AttributeError,
+    or (count 5.7) loaded as 5 records."""
+    _, path = _sample(tmp_path, m=5)
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    if field is None:
+        head = value
+    elif value is _DROP:
+        del head[field]
+    else:
+        head[field] = value
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line 1: "):
+        load_records(path)
+    assert main(["reconstruct", "--records", str(path)]) == 2
+
+
+@pytest.mark.parametrize("ens,lineno,fields,message", [
+    ("pauli", 6, {"u_in": {"kind": "pauli", "axes": "Q"}}, "invalid Pauli axes 'Q'"),
+    ("pauli", 9, {"u_out": {"kind": "pauli", "axes": "x"}}, "invalid Pauli axes 'x'"),
+    ("pauli", 3, {"b_in": "2"}, "bit string '2'"),
+    ("pauli", 11, {"b_out": 0}, "int"),
+    ("pauli", 5, {"b_in": "01"}, "bit string '01'"),
+    ("clifford", 7, {"b_out": "10"}, "bit string '10'"),
+    ("pauli", 8, {"b_out": _DROP}, "'b_out'"),
+    ("pauli", 4, {"b_in": ["0"]}, "JSON strings"),
+    ("pauli", 10, {"u_in": {"kind": "pauli", "axes": ["X"]}}, "not a string"),
+], ids=["axes-Q", "axes-lowercase", "bit-2", "bit-int", "pauli-bits-length",
+        "clifford-bits-length", "missing-b_out", "bits-list", "axes-list"])
+def test_load_rejects_bad_columns_with_line(tmp_path, ens, lineno, fields, message):
+    _, path = _sample(tmp_path, ens_in=ens, ens_out=ens)
+    _edit_record(path, lineno, **fields)
+    with pytest.raises(ValueError, match=f"^line {lineno}: bad record .*{message}"):
+        load_records(path)
+
+
+def test_repeated_bad_tableau_reports_its_first_line(tmp_path):
+    _, path = _sample(tmp_path, ens_in="clifford", ens_out="clifford")
+    bad = {"kind": "clifford", "s": [1, 1], "p": [0, 0]}
+    _edit_record(path, 7, u_out=bad)
+    _edit_record(path, 4, u_out=bad)
+    with pytest.raises(ValueError, match="^line 4: bad record .*not symplectic"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("s,p", [([1, 2.0], [0, 1]), ([1, 2], [0, 1.0])],
+                         ids=["float-row", "float-sign"])
+def test_float_in_a_repeated_tableau_is_rejected(tmp_path, s, p):
+    """A tableau seen first with integer entries must not let a float copy through."""
+    _, path = _sample(tmp_path, ens_in="clifford", ens_out="clifford")
+    _edit_record(path, 4, u_in={"kind": "clifford", "s": [1, 2], "p": [0, 1]})
+    _edit_record(path, 7, u_in={"kind": "clifford", "s": s, "p": p})
+    with pytest.raises(ValueError, match="^line 7: bad record"):
+        load_records(path)
+
+
+def test_first_offending_line_wins_across_columns(tmp_path):
+    _, path = _sample(tmp_path)
+    _edit_record(path, 9, u_out={"kind": "clifford", "s": [1, 2], "p": [0, 0]})
+    _edit_record(path, 7, b_in="x")
+    _edit_record(path, 5, u_out={"kind": "pauli", "axes": "W"})
+    with pytest.raises(ValueError, match="^line 5: bad record .*'W'"):
+        load_records(path)
+
+
+def test_blank_lines_count_toward_line_numbers(tmp_path):
+    _, path = _sample(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2:2] = ["", "   "]
+    path.write_text("\n".join(lines) + "\n")
+    assert len(load_records(path)) == 12
+    _edit_record(path, 8, b_out="3")
+    with pytest.raises(ValueError, match="^line 8: bad record"):
+        load_records(path)
+
+
+def _random_tableau(n, rng):
+    """A random Clifford frame, built from symplectic transvections."""
+    s = np.eye(2 * n, dtype=int)
+    for h in rng.integers(0, 2, size=(3, 2 * n)):
+        inner = (s[:, :n] @ h[n:] + s[:, n:] @ h[:n]) % 2
+        s = (s + np.outer(inner, h)) % 2
+    return CliffordFrame(s, rng.integers(0, 2, 2 * n))
+
+
+def _fixed_shadow(ens_in, ens_out, n, m, seed):
+    """Records drawn from an RNG without simulating a channel, so the bytes
+    depend on the file format alone."""
+    rng = np.random.default_rng(seed)
+    pool = [_random_tableau(n, rng) for _ in range(5)]
+
+    def frame(ens):
+        if ens == "pauli":
+            return PauliFrame("".join("XYZ"[i] for i in rng.integers(0, 3, n)))
+        return pool[rng.integers(len(pool))]
+
+    def bits():
+        return "".join("01"[i] for i in rng.integers(0, 2, n))
+
+    return ProcessShadow([ShadowRecord(bits(), frame(ens_in), frame(ens_out), bits())
+                          for _ in range(m)], n)
+
+
+# sha256 of the files that save_records wrote for _fixed_shadow before
+# loading and saving went by columns
+GOLDEN = [
+    ("pauli", "pauli", 1,
+     "386385490f5222f9f8b1a6f5eef06c143297d676a7769b1bfd94dac4e40f13f2"),
+    ("pauli", "pauli", 2,
+     "f5d4dc40456a8896af03c2621a6e67ac3f8f40d467bd891f0e3c0ecf6665dea6"),
+    ("pauli", "pauli", 5,
+     "9fb9025d6c2c57a5eacbafddcf913475875b52c8fdc704d7403e75b7ed5167dd"),
+    ("clifford", "clifford", 2,
+     "ef15801202709ab05418d2e1ef0c8546e4bb49a0b5998677d78e720f238a03f7"),
+    ("pauli", "clifford", 2,
+     "edff8d93a794beab535f5126a479e143e7ee01e867cfbdca9b35a5af496aac0f"),
+]
+
+
+@pytest.mark.parametrize("ens_in,ens_out,n,digest", GOLDEN,
+                         ids=[f"{a}-{b}-n{n}" for a, b, n, _ in GOLDEN])
+def test_saved_bytes_match_golden_digest(tmp_path, ens_in, ens_out, n, digest):
+    ps = _fixed_shadow(ens_in, ens_out, n, 60, seed=n)
+    path = tmp_path / "golden.jsonl"
+    save_records(path, ps, seed=n, channel="golden")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    loaded = load_records(path)
+    again = tmp_path / "again.jsonl"
+    save_records(again, loaded, seed=n, channel="golden")
+    assert again.read_bytes() == path.read_bytes()
+    ref = ProcessShadow(ps.records, n)
+    for side, ref_side in ((loaded.side_in, ref.side_in), (loaded.side_out, ref.side_out)):
+        assert np.array_equal(side.labels, ref_side.labels)
+        assert side.labels.dtype == ref_side.labels.dtype
+        assert side.frames == ref_side.frames
