@@ -46,22 +46,20 @@ _BIT_DIGIT[[ord("0"), ord("1")]] = (0, 1)
 # value nor be accepted as a sign bit.
 _DECODER = json.JSONDecoder(parse_float=str)
 
+# canonical JSON: sorted keys, no whitespace
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _frame_to_json(frame):
     if isinstance(frame, PauliFrame):
         return {"kind": "pauli", "axes": frame.axes}
     if isinstance(frame, CliffordFrame):
-        rows = [sum(int(b) << i for i, b in enumerate(row))
-                for row in frame.symplectic]
+        rows = frame.symplectic @ (1 << np.arange(frame.symplectic.shape[1]))
         return {"kind": "clifford",
-                "s": rows,
-                "p": [int(b) for b in frame.signs]}
+                "s": rows.tolist(),
+                "p": frame.signs.tolist()}
     raise ValueError(f"cannot serialize frame type {type(frame).__name__}")
 
 
@@ -72,12 +70,12 @@ def _tableau_frame(rows, signs, n: int) -> CliffordFrame:
         raise ValueError(f"tableau rows must be integers in [0, {4**n})")
     if any(not isinstance(b, int) or b not in (0, 1) for b in signs):
         raise ValueError("sign bits must be 0 or 1")
-    sym = np.array([[(r >> i) & 1 for i in range(2 * n)] for r in rows],
-                   dtype=np.uint8)
-    omega = np.roll(np.eye(2 * n, dtype=int), n, axis=1)  # [[0, I], [I, 0]]
-    if np.any((sym.astype(int) @ omega @ sym.T) % 2 != omega):
+    sym = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(2 * n)) & 1
+    # omega = [[0, I], [I, 0]]
+    omega = np.eye(2 * n, k=n, dtype=int) + np.eye(2 * n, k=-n, dtype=int)
+    if np.any((sym @ omega @ sym.T) % 2 != omega):
         raise ValueError("tableau is not symplectic")
-    return CliffordFrame(sym, np.array(signs, dtype=np.uint8))
+    return CliffordFrame(sym.astype(np.uint8), np.array(signs, dtype=np.uint8))
 
 
 def _frame_from_json(obj, n: int):
@@ -245,7 +243,7 @@ def load_records(path) -> ProcessShadow:
         side_in, side_out = _read_columns(path, header)
     except _RECORD_ERRORS:
         _raise_first_bad_record(path, header)
-        raise
+        raise  # not reached: the per-record check rejects whatever the columns do
     if len(side_in) != header["count"]:
         raise ValueError(
             f"line {len(side_in) + 1}: expected {header['count']} records, "

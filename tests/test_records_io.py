@@ -236,8 +236,10 @@ def test_malformed_header_is_a_line_1_error(tmp_path, field, value):
     ("pauli", 8, {"b_out": _DROP}, "'b_out'"),
     ("pauli", 4, {"b_in": ["0"]}, "JSON strings"),
     ("pauli", 10, {"u_in": {"kind": "pauli", "axes": ["X"]}}, "not a string"),
+    ("clifford", 12, {"u_out": [1, 2]}, "'list' object"),
 ], ids=["axes-Q", "axes-lowercase", "bit-2", "bit-int", "pauli-bits-length",
-        "clifford-bits-length", "missing-b_out", "bits-list", "axes-list"])
+        "clifford-bits-length", "missing-b_out", "bits-list", "axes-list",
+        "frame-not-object"])
 def test_load_rejects_bad_columns_with_line(tmp_path, ens, lineno, fields, message):
     _, path = _sample(tmp_path, ens_in=ens, ens_out=ens)
     _edit_record(path, lineno, **fields)
