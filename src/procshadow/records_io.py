@@ -34,6 +34,8 @@ from .state_shadows import SnapshotLabels
 
 FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
+# the widest register an int64 Pauli key holds: 6**24 <= 2**63 < 6**25
+_MAX_PAULI_KEY_QUBITS = 24
 
 # Byte -> digit lookup tables for the joined columns; -1 marks an invalid byte.
 _AXIS_DIGIT = np.full(256, -1, dtype=np.int64)
@@ -145,6 +147,10 @@ def load_header(path) -> dict:
         if type(value) is not int or value < least:
             raise ValueError(f"line 1: {key} must be an integer >= {least}, "
                              f"got {value!r}")
+    if (PAULI_ENSEMBLE in (header.get("ensemble_in"), header.get("ensemble_out"))
+            and header["n_qubits"] > _MAX_PAULI_KEY_QUBITS):
+        raise ValueError(f"line 1: Pauli records on {header['n_qubits']} qubits exceed "
+                         f"the {_MAX_PAULI_KEY_QUBITS} that int64 keys hold")
     return header
 
 
@@ -165,8 +171,7 @@ def _encode_side(tag, frames: list, bits: list, n: int) -> SnapshotLabels:
         return SnapshotLabels(np.empty(0, dtype=np.int64), n)
     outcomes = _digits(bits, _BIT_DIGIT, n)
     if tag == PAULI_ENSEMBLE:
-        # Python-int weights: a register too wide for int64 keys raises
-        weights = np.array([6**k for k in range(n - 1, -1, -1)], dtype=np.int64)
+        weights = 6 ** np.arange(n - 1, -1, -1)
         return SnapshotLabels((2 * _digits(frames, _AXIS_DIGIT, n) + outcomes) @ weights, n)
     if tag == CLIFFORD_ENSEMBLE:
         index: dict = {}

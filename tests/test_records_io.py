@@ -205,11 +205,13 @@ def test_missing_file_raises_oserror(tmp_path):
     ("n_qubits", 0),
     ("n_qubits", True),
     ("n_qubits", 1.0),
+    ("n_qubits", 25),
 ], ids=["list", "no-n_qubits", "no-count", "count-text", "count-float", "count-bool",
-        "count-negative", "n_qubits-zero", "n_qubits-bool", "n_qubits-float"])
+        "count-negative", "n_qubits-zero", "n_qubits-bool", "n_qubits-float",
+        "n_qubits-beyond-int64-pauli-keys"])
 def test_malformed_header_is_a_line_1_error(tmp_path, field, value):
-    """Before the header was checked, these raised KeyError or AttributeError,
-    or (count 5.7) loaded as 5 records."""
+    """Before the header was checked, these raised KeyError, AttributeError or
+    OverflowError, or (count 5.7) loaded as 5 records."""
     _, path = _sample(tmp_path, m=5)
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
@@ -237,9 +239,10 @@ def test_malformed_header_is_a_line_1_error(tmp_path, field, value):
     ("pauli", 4, {"b_in": ["0"]}, "JSON strings"),
     ("pauli", 10, {"u_in": {"kind": "pauli", "axes": ["X"]}}, "not a string"),
     ("clifford", 12, {"u_out": [1, 2]}, "'list' object"),
+    ("pauli", 7, {"u_in": {"kind": "explicit", "axes": "X"}}, "unknown frame kind"),
 ], ids=["axes-Q", "axes-lowercase", "bit-2", "bit-int", "pauli-bits-length",
         "clifford-bits-length", "missing-b_out", "bits-list", "axes-list",
-        "frame-not-object"])
+        "frame-not-object", "kind-differs-but-axes-present"])
 def test_load_rejects_bad_columns_with_line(tmp_path, ens, lineno, fields, message):
     _, path = _sample(tmp_path, ens_in=ens, ens_out=ens)
     _edit_record(path, lineno, **fields)
