@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (AXIS_FRAME, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE,
-                        enumerate_clifford_group, to_matrix)
+                        enumerate_clifford_group, frame_stack, frame_unitaries)
 from .qcore import PauliString, n_qubits_of, operator_norm
 from .state_shadows import inverse_map_clifford, inverse_map_pauli_factorwise
 
@@ -173,9 +173,8 @@ def _second_moment_pauli(b_op: np.ndarray, n: int) -> np.ndarray:
 def _second_moment_clifford(b_op: np.ndarray) -> np.ndarray:
     """Same outcome-summed second moment over the one-qubit Clifford group."""
     x = np.zeros((2, 2), dtype=complex)
-    group = enumerate_clifford_group(1)
-    for frame in group:
-        u = to_matrix(frame)
+    group = frame_unitaries(*frame_stack(enumerate_clifford_group(1)))
+    for u in group:
         rot = u @ b_op @ u.conj().T
         states = u.conj().T
         for b in range(2):

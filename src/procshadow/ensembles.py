@@ -9,20 +9,29 @@ the +1 eigenstate of the measured axis.
 Clifford frames are stored as binary symplectic tableaus: row j is the
 (x|z) image of X_j under conjugation, row n+j the image of Z_j, and
 ``signs`` holds one sign bit per row.  A tableau determines the unitary
-up to global phase; ``to_matrix`` resolves the phase canonically (first
-nonvanishing amplitude of U|0...0> is real positive).  Uniform sampling
-follows the canonical symplectic-matrix construction of Koenig and
-Smolin, combined with uniform sign bits.
+up to global phase; its matrix has a canonical phase (first nonvanishing
+amplitude of U|0...0> is real positive).  Uniform sampling follows the
+canonical symplectic-matrix construction of Koenig and Smolin, combined
+with uniform sign bits.
+
+Frames are sampled and turned into unitaries as stacks.  A stack of m
+Pauli frames is an (m, n) array of axis indices (X, Y, Z = 0, 1, 2); a
+stack of Clifford frames is an (m, 2n, 2n+1) uint8 array, each tableau
+with its sign bits as a last column (the (x|z|r) layout of Aaronson and
+Gottesman).  ``sample_frames`` draws a stack with one generator call per
+Koenig-Smolin level, and ``frame_unitaries`` builds its unitaries: Pauli
+frames as Kronecker products of the 2x2 axis frames, Clifford frames
+from the Paulis of their tableau, each applied as a signed permutation
+of basis indices.  ``to_matrix`` is the same builder on one frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ID2, PAULI, basis_state, tensor
+from .qcore import ID2
 
 PAULI_ENSEMBLE = "pauli"
 CLIFFORD_ENSEMBLE = "clifford"
@@ -97,6 +106,37 @@ def frame_kind(frame: Frame) -> str:
     raise TypeError(f"not a frame: {frame!r}")
 
 
+def frame_stack(frames) -> tuple[str, np.ndarray]:
+    """``(ensemble, stack)`` of a non-empty sequence of frames of one kind."""
+    if all(isinstance(f, PauliFrame) for f in frames):
+        axes = "".join(f.axes for f in frames).encode("ascii")
+        digits = (np.frombuffer(axes, dtype=np.uint8) - ord("X")).astype(np.int64)
+        return PAULI_ENSEMBLE, digits.reshape(len(frames), -1)
+    if all(isinstance(f, CliffordFrame) for f in frames):
+        return CLIFFORD_ENSEMBLE, np.array([np.column_stack((f.symplectic, f.signs))
+                                            for f in frames])
+    raise TypeError("a frame stack holds frames of one kind")
+
+
+def clifford_frames(tableaus: np.ndarray) -> list:
+    """``CliffordFrame`` of each (2n, 2n+1) tableau of a stack of bits.
+
+    The frames hold rows of two read-only copies of the stack, and skip
+    the per-frame normalization that ``CliffordFrame`` does.
+    """
+    sym = np.array(tableaus[:, :, :-1], dtype=np.uint8)
+    signs = np.array(tableaus[:, :, -1], dtype=np.uint8)
+    sym.setflags(write=False)
+    signs.setflags(write=False)
+    frames = []
+    for s, p in zip(sym, signs):
+        frame = object.__new__(CliffordFrame)
+        object.__setattr__(frame, "symplectic", s)
+        object.__setattr__(frame, "signs", p)
+        frames.append(frame)
+    return frames
+
+
 def sample_pauli_frame(n: int, rng: np.random.Generator) -> PauliFrame:
     """Uniform choice of one of X, Y, Z per qubit."""
     idx = rng.integers(0, 3, size=n)
@@ -104,114 +144,96 @@ def sample_pauli_frame(n: int, rng: np.random.Generator) -> PauliFrame:
 
 
 # ---------------------------------------------------------------------------
-# Koenig-Smolin canonical symplectic matrices.
+# Koenig-Smolin canonical symplectic matrices, for a stack of m at once.
 #
 # These helpers work in the interleaved bit convention (x_1 z_1 x_2 z_2 ...);
 # the public tableau uses (x_1..x_n | z_1..z_n) blocks and is produced by a
-# final permutation.
+# final permutation.  Vectors are uint8 bit arrays with a leading axis of m.
 # ---------------------------------------------------------------------------
 
-def _sympl_inner(v: np.ndarray, w: np.ndarray) -> int:
-    t = 0
-    for i in range(0, v.size, 2):
-        t += v[i] * w[i + 1] + w[i] * v[i + 1]
-    return int(t % 2)
+def _transvect(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Z_k v = v + <k, v> k (mod 2) for each of m transvection vectors k
+    (m, nn), on the rows of v (m, r, nn); <., .> is the symplectic form."""
+    swapped = k.reshape(len(k), k.shape[1] // 2, 2)[:, :, ::-1].reshape(k.shape)
+    return v ^ ((v @ swapped[:, :, None]) & 1) * k[:, None, :]
 
 
-def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v + _sympl_inner(k, v) * k) % 2
+def _bits(values: np.ndarray, width: int) -> np.ndarray:
+    """(m, width) uint8 bits of m integers, least significant first."""
+    return ((values[:, None] >> np.arange(width)) & 1).astype(np.uint8)
 
 
-def _bits_of(i: int, n: int) -> np.ndarray:
-    return np.array([(i >> j) & 1 for j in range(n)], dtype=np.uint8)
+def _transvections_from_e1(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t0, t1) with Z_t1 Z_t0 e1 = f, for each nonzero row f (m, nn).
 
-
-def _find_transvection(x: np.ndarray, y: np.ndarray):
-    """Pair (h0, h1) with y = Z_h0 Z_h1 x for nonzero x, y (all-zero = no-op)."""
-    out = np.zeros((2, x.size), dtype=np.uint8)
-    if np.array_equal(x, y):
-        return out
-    if _sympl_inner(x, y) == 1:
-        out[0] = (x + y) % 2
-        return out
-    z = np.zeros(x.size, dtype=np.uint8)
-    for i in range(0, x.size, 2):
-        if (x[i] or x[i + 1]) and (y[i] or y[i + 1]):
-            z[i] = (x[i] + y[i]) % 2
-            z[i + 1] = (x[i + 1] + y[i + 1]) % 2
-            if z[i] == 0 and z[i + 1] == 0:
-                z[i + 1] = 1
-                if x[i] != x[i + 1]:
-                    z[i] = 1
-            out[0] = (x + z) % 2
-            out[1] = (y + z) % 2
-            return out
-    for i in range(0, x.size, 2):
-        if (x[i] or x[i + 1]) and not (y[i] or y[i + 1]):
-            if x[i] == x[i + 1]:
-                z[i + 1] = 1
-            else:
-                z[i + 1] = x[i]
-                z[i] = x[i + 1]
-            break
-    for i in range(0, x.size, 2):
-        if not (x[i] or x[i + 1]) and (y[i] or y[i + 1]):
-            if y[i] == y[i + 1]:
-                z[i + 1] = 1
-            else:
-                z[i + 1] = y[i]
-                z[i] = y[i + 1]
-            break
-    out[0] = (x + z) % 2
-    out[1] = (y + z) % 2
-    return out
-
-
-def _symplectic_step(k: int, bits_int: int, inner_g: np.ndarray | None) -> np.ndarray:
-    """One level of the canonical construction: extend a 2(n-1) matrix to 2n."""
-    nn = 2 if inner_g is None else inner_g.shape[0] + 2
-    f1 = _bits_of(k, nn)
+    Koenig and Smolin's FINDTRANSVECTION with x = e1, its branches
+    evaluated as masks: f = e1 needs none; <e1, f> = f[1] = 1 needs one,
+    f - e1; otherwise a vector z with <e1, z> = <z, f> = 1 gives
+    t0 = e1 + z, t1 = f + z.  z is (1, 1) on qubit 0 when f[0] = 1; else
+    it is (0, 1) on qubit 0 and (1 - a, a) on the first qubit whose pair
+    (a, b) of f is nonzero.
+    """
+    nn = f.shape[1]
     e1 = np.zeros(nn, dtype=np.uint8)
     e1[0] = 1
-    t0, t1 = _find_transvection(e1, f1)
-    bits = _bits_of(bits_int, nn - 1)
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvection(t1, _transvection(t0, eprime))
-    if bits[0] == 1:
-        f1 = f1 * 0
-    g = np.eye(nn, dtype=np.uint8)
+    z = np.zeros_like(f)
+    z[:, 0], z[:, 1] = f[:, 0], 1
+    if nn > 2:
+        rows = np.flatnonzero(f[:, 0] == 0)
+        q = 1 + np.argmax(f[rows, 2::2] | f[rows, 3::2], axis=1)
+        a = f[rows, 2 * q]
+        z[rows, 2 * q], z[rows, 2 * q + 1] = 1 - a, a
+    t0, t1 = e1 ^ z, f ^ z
+    direct = f[:, 1] == 1
+    t0[direct], t1[direct] = f[direct] ^ e1, 0
+    same = (f == e1).all(axis=1)
+    t0[same], t1[same] = 0, 0
+    return t0, t1
+
+
+def _symplectic_step(k: np.ndarray, bits_int: np.ndarray,
+                     inner_g: np.ndarray | None) -> np.ndarray:
+    """One level of the canonical construction: extend (m, 2j-2, 2j-2) to
+    (m, 2j, 2j), for level choices k in [1, 4^j) and bits_int in
+    [0, 2^(2j-1))."""
+    m = len(k)
+    nn = 2 if inner_g is None else inner_g.shape[1] + 2
+    f1 = _bits(k, nn)
+    t0, t1 = _transvections_from_e1(f1)
+    bits = _bits(bits_int, nn - 1)
+    eprime = np.zeros((m, 1, nn), dtype=np.uint8)
+    eprime[:, 0, 0] = 1
+    eprime[:, 0, 2:] = bits[:, 1:]
+    h0 = _transvect(t1, _transvect(t0, eprime))[:, 0]
+    f1 *= 1 - bits[:, :1]
+    g = np.broadcast_to(np.eye(nn, dtype=np.uint8), (m, nn, nn)).copy()
     if inner_g is not None:
-        g[2:, 2:] = inner_g
-    for j in range(nn):
-        row = _transvection(t0, g[j])
-        row = _transvection(t1, row)
-        row = _transvection(h0, row)
-        g[j] = _transvection(f1, row)
+        g[:, 2:, 2:] = inner_g
+    for t in (t0, t1, h0, f1):
+        g = _transvect(t, g)
     return g
 
 
-def _interleaved_to_blocks(g: np.ndarray) -> np.ndarray:
-    n = g.shape[0] // 2
-    perm = np.empty(2 * n, dtype=int)
-    for q in range(n):
-        perm[2 * q] = q        # x_q -> column q
-        perm[2 * q + 1] = n + q  # z_q -> column n + q
-    out = np.zeros_like(g)
-    out[np.ix_(perm, perm)] = g
-    return out
-
-
 def _symplectic_from_levels(levels) -> np.ndarray:
-    """Build the canonical symplectic matrix from per-level (k, bits) choices.
-
-    ``levels`` lists one pair per system size 1..n, innermost first.
-    """
+    """Canonical symplectic matrices, (m, 2n, 2n) in (x | z) blocks, from
+    per-level (k, bits) arrays; ``levels`` lists one pair per system size
+    1..n, innermost first."""
     g = None
     for k, bits_int in levels:
         g = _symplectic_step(k, bits_int, g)
-    return _interleaved_to_blocks(g)
+    n = g.shape[1] // 2
+    inv = np.concatenate((np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)))
+    return g[:, inv[:, None], inv[None, :]]
+
+
+def is_symplectic(s: np.ndarray) -> np.ndarray:
+    """Whether each binary (2n, 2n) matrix of a stack satisfies
+    S Omega S^T = Omega (mod 2), Omega = [[0, I], [I, 0]]."""
+    n = s.shape[-1] // 2
+    s = np.asarray(s, dtype=np.int64)
+    s_omega = np.concatenate((s[..., n:], s[..., :n]), axis=-1)
+    omega = np.eye(2 * n, k=n, dtype=np.int64) + np.eye(2 * n, k=-n, dtype=np.int64)
+    return ((s_omega @ s.swapaxes(-1, -2)) % 2 == omega).all(axis=(-2, -1))
 
 
 def symplectic_group_order(n: int) -> int:
@@ -226,114 +248,121 @@ def clifford_group_order(n: int) -> int:
     return symplectic_group_order(n) * 4**n
 
 
-def sample_clifford(n: int, rng: np.random.Generator) -> CliffordFrame:
-    """Uniformly random Clifford frame (modulo phase) on 1..6 qubits."""
+def sample_frames(n: int, ensemble: str, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of m uniformly random frames of one ensemble.
+
+    Pauli frames take one draw of (m, n) axes; Clifford frames one draw
+    of m level choices per Koenig-Smolin level, then (m, 2n) sign bits.
+    """
+    if ensemble == PAULI_ENSEMBLE:
+        return rng.integers(0, 3, size=(m, n))
+    if ensemble != CLIFFORD_ENSEMBLE:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
     if not 1 <= n <= MAX_CLIFFORD_QUBITS:
         raise ValueError(f"n={n} outside the supported range 1..{MAX_CLIFFORD_QUBITS}")
-    levels = [(int(rng.integers(1, 4**j)), int(rng.integers(0, 2 ** (2 * j - 1))))
-              for j in range(1, n + 1)]
-    signs = rng.integers(0, 2, size=2 * n).astype(np.uint8)
-    return CliffordFrame(_symplectic_from_levels(levels), signs)
+    levels = []
+    for j in range(1, n + 1):
+        k, bits = np.divmod(rng.integers(0, (4**j - 1) * 2 ** (2 * j - 1), size=m),
+                            2 ** (2 * j - 1))
+        levels.append((k + 1, bits))
+    tableaus = np.empty((m, 2 * n, 2 * n + 1), dtype=np.uint8)
+    tableaus[:, :, :-1] = _symplectic_from_levels(levels)
+    tableaus[:, :, -1] = rng.integers(0, 2, size=(m, 2 * n))
+    return tableaus
+
+
+def sample_clifford(n: int, rng: np.random.Generator) -> CliffordFrame:
+    """Uniformly random Clifford frame (modulo phase) on 1..6 qubits."""
+    return clifford_frames(sample_frames(n, CLIFFORD_ENSEMBLE, 1, rng))[0]
 
 
 def enumerate_clifford_group(n: int = 1):
     """All Clifford frames modulo phase; exhaustive, so n=1 only (24 elements)."""
     if n != 1:
         raise ValueError("exhaustive enumeration is only supported for n=1")
-    frames = []
-    for k in range(1, 4):
-        for bits in range(2):
-            sympl = _symplectic_from_levels([(k, bits)])
-            for p in range(4):
-                frames.append(CliffordFrame(sympl, _bits_of(p, 2)))
-    return frames
+    sympl = _symplectic_from_levels([(np.repeat([1, 2, 3], 2), np.tile([0, 1], 3))])
+    signs = _bits(np.arange(4), 2)
+    return [CliffordFrame(s, p) for s in sympl for p in signs]
 
 
 # ---------------------------------------------------------------------------
-# Tableau -> dense unitary.
+# Frame stack -> dense unitaries.
 # ---------------------------------------------------------------------------
 
-def _pauli_matrix(x: np.ndarray, z: np.ndarray, sign: int) -> np.ndarray:
-    """Hermitian Pauli (-1)^sign * prod_q i^{x_q z_q} X^{x_q} Z^{z_q}."""
-    factors = []
-    for xq, zq in zip(x, z):
-        m = ID2
-        if xq and zq:
-            m = PAULI["Y"]
-        elif xq:
-            m = PAULI["X"]
-        elif zq:
-            m = PAULI["Z"]
-        factors.append(m)
-    return (-1) ** int(sign) * tensor(*factors)
+def _pauli_unitaries(axes: np.ndarray) -> np.ndarray:
+    """Kronecker products of the axis frames, qubit 0 first."""
+    mats = np.array([AXIS_FRAME[a] for a in AXES])
+    out = np.ones((len(axes), 1, 1), dtype=complex)
+    for q in range(axes.shape[1]):
+        d = 2 * out.shape[1]
+        factor = mats[axes[:, q]]
+        out = (out[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(-1, d, d)
+    return out
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rescale a vector so its first non-negligible entry is real positive."""
-    for a in v:
-        if abs(a) > 1e-8:
-            return v * (abs(a) / a)
-    raise ValueError("cannot fix the phase of a null vector")
+def _clifford_unitaries(tableaus: np.ndarray) -> np.ndarray:
+    """Canonical-phase unitaries of a tableau stack.
 
-
-def _clifford_matrix_uncached(sympl_bytes: bytes, sign_bytes: bytes, n: int) -> np.ndarray:
-    sympl = np.frombuffer(sympl_bytes, dtype=np.uint8).reshape(2 * n, 2 * n)
-    signs = np.frombuffer(sign_bytes, dtype=np.uint8)
+    The Pauli of tableau row r, (-1)^sign prod_q i^{x_q z_q} X^x_q Z^z_q,
+    maps basis index c ^ x to c with the phase
+    (-1)^sign (-i)^{|x & z|} (-1)^{z . c}, so each one acts on a stack as
+    a gather and a multiplication by one of 1, i, -1, -i, which is exact.
+    U|0> spans the joint +1 eigenspace of the Z images, found as the
+    largest column of the product of their projectors; U|b> is then the
+    product of the X images of b's bits applied to U|0>.
+    """
+    m, rows, _ = tableaus.shape
+    n = rows // 2
     d = 2**n
-    x_images = [_pauli_matrix(sympl[j, :n], sympl[j, n:], signs[j]) for j in range(n)]
-    z_images = [_pauli_matrix(sympl[n + j, :n], sympl[n + j, n:], signs[n + j])
-                for j in range(n)]
-    # U|0..0> spans the +1 eigenspace of the Z images:
-    proj = np.eye(d, dtype=complex)
-    for zi in z_images:
-        proj = proj @ (np.eye(d) + zi) / 2
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    psi0 = proj[:, col]
-    nrm = np.linalg.norm(psi0)
-    if nrm < 1e-8:
+    t = tableaus.astype(np.int64)
+    weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant
+    x, z = t[:, :, :n] @ weights, t[:, :, n:2 * n] @ weights
+    index_bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    exponent = (2 * t[:, :, -1, None]
+                + 3 * (t[:, :, :n] * t[:, :, n:2 * n]).sum(axis=2)[:, :, None]
+                + 2 * (t[:, :, n:2 * n] @ index_bits.T))
+    phase = np.array([1, 1j, -1, -1j])[exponent % 4]  # (m, 2n, d)
+    # row c of Pauli r applied to matrix s comes from row source[s, r, c] of
+    # the stack flattened to (m d) rows
+    source = (np.arange(d) ^ x[:, :, None]) + d * np.arange(m)[:, None, None]
+
+    def apply(row: int, v: np.ndarray) -> np.ndarray:
+        flat = np.ascontiguousarray(v).reshape(m * d, -1)
+        gathered = np.take(flat, source[:, row].reshape(-1), axis=0)
+        return gathered.reshape(v.shape) * phase[:, row, :, None]
+
+    proj = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
+    for j in range(n):
+        proj = (proj + apply(n + j, proj)) / 2
+    norms = np.linalg.norm(proj, axis=1)
+    col = np.argmax(norms, axis=1)
+    nrm = norms[np.arange(m), col]
+    if np.any(nrm < 1e-8):
         raise ValueError("tableau does not define a stabilizer state")
-    psi0 = _canonical_phase(psi0 / nrm)
-    u = np.zeros((d, d), dtype=complex)
-    u[:, 0] = psi0
-    for m in range(1, d):
-        v = psi0
-        for j in range(n):
-            if (m >> (n - 1 - j)) & 1:
-                v = x_images[j] @ v
-        u[:, m] = v
+    psi0 = proj[np.arange(m), :, col] / nrm[:, None]
+    first = psi0[np.arange(m), np.argmax(np.abs(psi0) > 1e-8, axis=1)]
+    u = np.empty((m, d, d), dtype=complex)
+    u[:, :, 0] = psi0 * (np.abs(first) / first)[:, None]
+    for q in range(n - 1, -1, -1):
+        w = 1 << (n - 1 - q)
+        u[:, :, w:2 * w] = apply(q, u[:, :, :w])
     return u
 
 
-_MATRIX_CACHE: dict[bytes, np.ndarray] = {}
-
-
-def _clifford_matrix(frame: CliffordFrame) -> np.ndarray:
-    key = frame.key()
-    u = _MATRIX_CACHE.get(key)
-    if u is None:
-        if len(_MATRIX_CACHE) > 20000:
-            _MATRIX_CACHE.clear()
-        u = _clifford_matrix_uncached(frame.symplectic.tobytes(),
-                                      frame.signs.tobytes(), frame.n_qubits)
-        u.setflags(write=False)
-        _MATRIX_CACHE[key] = u
-    return u
-
-
-@lru_cache(maxsize=64)
-def _pauli_frame_matrix(axes: str) -> np.ndarray:
-    u = tensor(*(AXIS_FRAME[a] for a in axes))
-    u.setflags(write=False)
-    return u
+def frame_unitaries(ensemble: str, frames: np.ndarray) -> np.ndarray:
+    """(m, d, d) dense unitaries of a frame stack of one ensemble."""
+    if ensemble == PAULI_ENSEMBLE:
+        return _pauli_unitaries(frames)
+    if ensemble == CLIFFORD_ENSEMBLE:
+        return _clifford_unitaries(frames)
+    raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
 def to_matrix(frame: Frame) -> np.ndarray:
     """Dense unitary of a frame (canonical phase for tableau frames)."""
-    if isinstance(frame, PauliFrame):
-        return _pauli_frame_matrix(frame.axes)
-    if isinstance(frame, CliffordFrame):
-        return _clifford_matrix(frame)
-    raise TypeError(f"not a frame: {frame!r}")
+    if not isinstance(frame, (PauliFrame, CliffordFrame)):
+        raise TypeError(f"not a frame: {frame!r}")
+    return frame_unitaries(*frame_stack([frame]))[0]
 
 
 def sample_frame(n: int, ensemble: str, rng: np.random.Generator) -> Frame:
@@ -352,23 +381,6 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     lam = np.diag(r).copy()
     lam /= np.abs(lam)
     return q * lam
-
-
-def measure_computational(rho: np.ndarray, rng: np.random.Generator) -> str:
-    """Sample a bit string from the diagonal of a state in the logical basis."""
-    rho = np.asarray(rho)
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    p = np.real(np.diag(rho)).copy()
-    if p.min() < -1e-6:
-        raise ValueError(f"diagonal entry {p.min()} is too negative to clamp")
-    p[p < 0] = 0.0
-    s = p.sum()
-    if abs(s - 1.0) > 1e-6:
-        raise ValueError(f"diagonal mass {s} deviates from 1")
-    p /= s
-    outcome = int(rng.choice(d, p=p))
-    return format(outcome, f"0{n}b")
 
 
 def measurement_probabilities(rho: np.ndarray, frame: Frame) -> np.ndarray:

@@ -18,10 +18,15 @@ demand.  Each estimator has one code path for every frame ensemble, and
 the Choi-type sums share one kernel, ``_kron_sum``.  ``_choi_sum`` maps
 per-record weights to the weighted Choi sum behind both the sample mean
 and the purity U-statistic; two-shadow estimators contract sample
-means, not label pairs.  Acquisition is the one remaining selection:
-Pauli/Pauli rounds come from the exact 36^n label table (the Pauli
-state table of the Choi state) up to ``_MAX_TABLE_QUBITS`` qubits, all
-others are simulated one by one.
+means, not label pairs.
+
+Acquisition has two paths.  Pauli/Pauli rounds come from the exact 36^n
+label table (the Pauli state table of the Choi state) up to
+``_MAX_TABLE_QUBITS`` qubits.  Every other case is one batched
+simulation, ``_simulate_records``: it draws the input bits and a stack
+of input frames, pushes the prepared vectors through the Kraus
+operators as one contraction, and measures the results in a stack of
+output frames with the state-shadow kernel ``state_shadows._simulate``.
 """
 
 from __future__ import annotations
@@ -32,12 +37,11 @@ import numpy as np
 
 from . import ensembles
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
-                        measure_computational, prepared_state_vector, to_matrix)
-from .qcore import (Channel, ChoiMatrix, PauliString, _trace_register, apply_channel,
-                    choi_of_channel)
-from .state_shadows import (SnapshotLabels, StateSnapshot, _MAX_TABLE_QUBITS,
+                        frame_unitaries, prepared_state_vector, sample_frames)
+from .qcore import Channel, ChoiMatrix, PauliString, _trace_register, choi_of_channel
+from .state_shadows import (SnapshotLabels, StateSnapshot, _MAX_TABLE_QUBITS, _simulate,
                             exact_pauli_snapshot_distribution, key_matrices,
-                            materialize_snapshot, median_of_means)
+                            materialize_snapshot, median_of_means, sample_table)
 
 
 def _ensemble_of(frame: Frame) -> str:
@@ -58,6 +62,8 @@ class ShadowRecord:
         if self.u_out.n_qubits != n:
             raise ValueError("input and output frames act on different sizes")
         for bits in (self.b_in, self.b_out):
+            if not isinstance(bits, str):
+                raise ValueError(f"bit string {bits!r} is not a str")
             if len(bits) != n or any(c not in "01" for c in bits):
                 raise ValueError(f"bit string {bits!r} does not match {n} qubits")
 
@@ -130,20 +136,6 @@ class ProcessShadow:
         return self.side_in.labels, self.side_out.labels
 
 
-def acquire_record(ch: Channel, ensemble_in: str, ensemble_out: str,
-                   rng: np.random.Generator) -> ShadowRecord:
-    """One acquisition round against a channel."""
-    n = ch.n_qubits
-    b_in = format(int(rng.integers(0, ch.dim)), f"0{n}b")
-    u_in = ensembles.sample_frame(n, ensemble_in, rng)
-    psi = prepared_state_vector(u_in, b_in)
-    rho_out = apply_channel(ch, np.outer(psi, psi.conj()))
-    u_out = ensembles.sample_frame(n, ensemble_out, rng)
-    u = to_matrix(u_out)
-    b_out = measure_computational(u @ rho_out @ u.conj().T, rng)
-    return ShadowRecord(b_in, u_in, u_out, b_out)
-
-
 def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
     """Joint probability of raw (input, output) keys for Pauli/Pauli rounds.
 
@@ -158,26 +150,48 @@ def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
     return table.reshape(6**n, 6**n)
 
 
+def _simulate_records(ch: Channel, m: int, ensemble_in: str, ensemble_out: str,
+                      rng: np.random.Generator) -> ProcessShadow:
+    """m simulated acquisition rounds, in batches.
+
+    Draws the m input bit strings, then the input frames, then hands the
+    channel outputs of the prepared states U_in^dag|b> to the state
+    kernel, which draws the output frames and outcomes.
+    """
+    n, d = ch.n_qubits, ch.dim
+    bits = rng.integers(0, d, size=m)
+    frames_in = sample_frames(n, ensemble_in, m, rng)
+    rank = len(ch.kraus)
+    stacked = np.array(ch.kraus).reshape(rank * d, d).T  # psi @ stacked = (K_k psi)_k
+
+    def pushed(sl):
+        u = frame_unitaries(ensemble_in, frames_in[sl])
+        psi = u[np.arange(len(u)), bits[sl]].conj()
+        return (psi @ stacked).reshape(len(u), rank, d)
+
+    frames_out, outcomes = _simulate(n, m, ensemble_out, rng, pushed, rank)
+    return ProcessShadow._of(SnapshotLabels.of_stack(ensemble_in, frames_in, bits),
+                             SnapshotLabels.of_stack(ensemble_out, frames_out, outcomes))
+
+
 def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: str,
                            rng: np.random.Generator) -> ProcessShadow:
     """Acquire m i.i.d. records.
 
-    Pauli/Pauli rounds have a finite joint distribution over (frame,
-    outcome) labels, so they are sampled from the exact table in one
-    vectorized draw; any other ensemble combination simulates the
-    protocol record by record.
+    Pauli/Pauli rounds up to ``_MAX_TABLE_QUBITS`` qubits have a finite
+    joint distribution over (frame, outcome) labels, so they are sampled
+    from the exact table in one vectorized draw; every other case runs
+    the batched simulation.
     """
     if m < 0:
         raise ValueError(f"record count must be non-negative, got {m}")
     n = ch.n_qubits
     if (ensemble_in == PAULI_ENSEMBLE and ensemble_out == PAULI_ENSEMBLE
             and n <= _MAX_TABLE_QUBITS):
-        p = exact_pauli_record_distribution(ch).reshape(-1)
-        p /= p.sum()
-        kin, kout = np.divmod(rng.choice(p.size, size=m, p=p), 6**n)
+        table = exact_pauli_record_distribution(ch).reshape(-1)
+        kin, kout = np.divmod(sample_table(table, m, rng), 6**n)
         return ProcessShadow._of(SnapshotLabels(kin, n), SnapshotLabels(kout, n))
-    return ProcessShadow([acquire_record(ch, ensemble_in, ensemble_out, rng)
-                          for _ in range(m)], n)
+    return _simulate_records(ch, m, ensemble_in, ensemble_out, rng)
 
 
 def materialize_choi_shadow(r: ShadowRecord) -> np.ndarray:
@@ -209,8 +223,8 @@ def _choi_sum(ps: ProcessShadow):
     pairs, inverse = np.unique(ia * len(b) + ib, return_inverse=True)
     pb = pairs % len(b)
     bounds = np.append(np.searchsorted(pairs // len(b), np.arange(len(a))), pairs.size)
-    # input labels per chunk, so that a gathered chunk holds about 2^20 entries
-    rows = max(1, (2**20 // b[0].size) * len(a) // pairs.size)
+    # input labels per chunk, so that a gathered chunk holds about 2^18 entries
+    rows = max(1, (2**18 // b[0].size) * len(a) // pairs.size)
     a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
 
     def choi_sum(counts: np.ndarray) -> np.ndarray:
@@ -219,8 +233,9 @@ def _choi_sum(ps: ProcessShadow):
         for lo in range(0, len(c), rows):
             edge = bounds[lo:lo + rows + 1]
             sl = slice(edge[0], edge[-1])
-            np.add.reduceat(w[sl, None, None] * b[pb[sl]], edge[:-1] - edge[0],
-                            axis=0, out=c[lo:lo + rows])
+            chunk = b[pb[sl]]
+            chunk *= w[sl, None, None]
+            np.add.reduceat(chunk, edge[:-1] - edge[0], axis=0, out=c[lo:lo + rows])
         return _kron_sum(a_t, c)
 
     return choi_sum

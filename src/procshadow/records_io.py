@@ -13,8 +13,8 @@ line.  Loading parses each line once into four columns: input frames,
 input bits, output frames, output bits.  A Pauli side's axes and bit
 strings are joined and mapped byte by byte to base-6 key digits in one
 numpy pass.  A Clifford side's tableaus are deduplicated in
-first-appearance order, so each distinct tableau is validated once and
-the labels and ``frames`` equal those of ``SnapshotLabels.encode``.
+first-appearance order and validated together, as one stack, so the
+labels and ``frames`` equal those of ``SnapshotLabels.encode``.
 Saving renders each side's distinct labels once and joins the lines
 from the label arrays.  When any check fails, the file is read again
 with the strict per-record check, which names the first offending line.
@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .ensembles import (AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame,
-                        PauliFrame)
+                        PauliFrame, clifford_frames, is_symplectic)
 from .process_shadows import ProcessShadow, ShadowRecord
-from .state_shadows import SnapshotLabels
+from .state_shadows import SnapshotLabels, pauli_keys
 
 FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
@@ -65,19 +65,28 @@ def _frame_to_json(frame):
     raise ValueError(f"cannot serialize frame type {type(frame).__name__}")
 
 
-def _tableau_frame(rows, signs, n: int) -> CliffordFrame:
-    if len(rows) != 2 * n:
+def _tableau_stack(tableaus: list, n: int) -> np.ndarray:
+    """(k, 2n, 2n+1) tableau stack of k >= 1 JSON (rows, signs) pairs.
+
+    Checks the whole stack at once, in this order: row count, rows are
+    integers in [0, 4^n), signs are bits, symplectic form, sign count.
+    """
+    if any(len(rows) != 2 * n for rows, _ in tableaus):
         raise ValueError("tableau row count does not match header")
-    if any(not isinstance(r, int) or not 0 <= r < 4**n for r in rows):
+    rows = [r for t, _ in tableaus for r in t]
+    if not (set(map(type, rows)) <= {int, bool} and 0 <= min(rows)
+            and max(rows) < 4**n):
         raise ValueError(f"tableau rows must be integers in [0, {4**n})")
-    if any(not isinstance(b, int) or b not in (0, 1) for b in signs):
+    signs = [b for _, p in tableaus for b in p]
+    if not (set(map(type, signs)) <= {int, bool} and set(signs) <= {0, 1}):
         raise ValueError("sign bits must be 0 or 1")
-    sym = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(2 * n)) & 1
-    # omega = [[0, I], [I, 0]]
-    omega = np.eye(2 * n, k=n, dtype=int) + np.eye(2 * n, k=-n, dtype=int)
-    if np.any((sym @ omega @ sym.T) % 2 != omega):
+    sym = (np.array(rows, dtype=np.int64).reshape(-1, 2 * n, 1) >> np.arange(2 * n)) & 1
+    if not is_symplectic(sym).all():
         raise ValueError("tableau is not symplectic")
-    return CliffordFrame(sym.astype(np.uint8), np.array(signs, dtype=np.uint8))
+    if len(signs) != len(rows):
+        raise ValueError("sign vector length does not match tableau")
+    return np.concatenate((sym, np.array(signs).reshape(-1, 2 * n, 1)),
+                          axis=2).astype(np.uint8)
 
 
 def _frame_from_json(obj, n: int):
@@ -88,7 +97,7 @@ def _frame_from_json(obj, n: int):
             raise ValueError(f"Pauli axes {axes!r} are not a string")
         return PauliFrame(axes)
     if kind == "clifford":
-        return _tableau_frame(obj["s"], obj["p"], n)
+        return clifford_frames(_tableau_stack([(obj["s"], obj["p"])], n))[0]
     raise ValueError(f"unknown frame kind {kind!r}")
 
 
@@ -171,13 +180,12 @@ def _encode_side(tag, frames: list, bits: list, n: int) -> SnapshotLabels:
         return SnapshotLabels(np.empty(0, dtype=np.int64), n)
     outcomes = _digits(bits, _BIT_DIGIT, n)
     if tag == PAULI_ENSEMBLE:
-        weights = 6 ** np.arange(n - 1, -1, -1)
-        return SnapshotLabels((2 * _digits(frames, _AXIS_DIGIT, n) + outcomes) @ weights, n)
+        return SnapshotLabels(pauli_keys(_digits(frames, _AXIS_DIGIT, n), outcomes), n)
     if tag == CLIFFORD_ENSEMBLE:
         index: dict = {}
         idx = np.fromiter((index.setdefault(f, len(index)) for f in frames),
                           dtype=np.int64, count=len(frames))
-        table = tuple(_tableau_frame(s, p, n) for s, p in index)
+        table = tuple(clifford_frames(_tableau_stack(list(index), n)))
         return SnapshotLabels((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
                               n, table)
     raise ValueError(f"unknown ensemble tag {tag!r}")
@@ -221,14 +229,15 @@ def _raise_first_bad_record(path, header: dict) -> None:
                 continue
             try:
                 obj = json.loads(line)
-                record = ShadowRecord(
-                    b_in=obj["b_in"],
-                    u_in=_frame_from_json(obj["u_in"], n),
-                    u_out=_frame_from_json(obj["u_out"], n),
-                    b_out=obj["b_out"],
-                )
-                if not isinstance(record.b_in, str) or not isinstance(record.b_out, str):
-                    raise ValueError("bit strings must be JSON strings")
+                b_in = obj["b_in"]
+                u_in = _frame_from_json(obj["u_in"], n)
+                u_out = _frame_from_json(obj["u_out"], n)
+                b_out = obj["b_out"]
+                for bits in (b_in, b_out):
+                    if not isinstance(bits, str):
+                        raise ValueError("bit strings must be JSON strings, got "
+                                         f"{type(bits).__name__}")
+                record = ShadowRecord(b_in, u_in, u_out, b_out)
                 if record.n_qubits != n:
                     raise ValueError(f"record acts on {record.n_qubits} qubits, "
                                      f"header says {n}")

@@ -10,9 +10,15 @@ with axis order X, Y, Z, and per register the base-6 digits with qubit
 ``frame_index * 2^n + outcome``, indexing the shadow's distinct frames.
 Estimators materialize the distinct labels present and weight them by
 their counts, one code path each; ``StateSnapshot`` objects are views
-built on demand.  Pauli snapshots are sampled from the exact 6^n label
-table at every register size, computed one qubit at a time from
-``PROJ1``; Clifford snapshots are simulated one by one.
+built on demand.
+
+Acquisition has two paths.  Pauli snapshots are drawn from the exact
+6^n label table at every register size, computed one qubit at a time
+from ``PROJ1``.  Clifford snapshots come from the batched simulation
+``_simulate``, which ``process_shadows`` shares: it samples a stack of
+frames, builds their unitaries, takes the Born rows of the measured
+states in those frames and draws every outcome by an inverse CDF, in
+chunks of records that keep each temporary near 2^15 complex entries.
 """
 
 from __future__ import annotations
@@ -22,20 +28,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import ensembles
 from .qcore import PAULI, check_density_matrix, n_qubits_of, tensor
 from .ensembles import (AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame,
-                        Frame, PauliFrame, measure_computational, to_matrix)
-
-_EIGENSTATES = {}
-for _axis in AXES:
-    _u = ensembles.AXIS_FRAME[_axis]
-    _EIGENSTATES[_axis] = [_u[b, :].conj() for b in range(2)]
+                        Frame, PauliFrame, clifford_frames, frame_stack,
+                        frame_unitaries, sample_frames)
 
 # PROJ1[k] is the measured projector for qubit key k; TAU1[k] = 3 PROJ1[k] - I.
 # Written as exact dyadic literals (building them from the frame matrices
 # would square 1/sqrt(2) and leave 1-ulp noise in every table downstream);
-# they equal outer(v, v*) for the prepared vectors in _EIGENSTATES.
+# they equal outer(v, v*) for the prepared vectors v = U^dag|b> of the axis frames.
 PROJ1 = 0.5 * np.array([
     [[1, 1], [1, 1]],
     [[1, -1], [-1, 1]],
@@ -77,6 +78,17 @@ def key_axes_bits(key: int, n: int) -> tuple[str, str]:
     return axes, bits
 
 
+def pauli_keys(axes: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Base-6 keys of (m, n) axis indices and (m, n) outcome bits."""
+    n = axes.shape[1]
+    return (2 * axes + bits) @ 6 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def outcome_bits(outcomes: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) bits of outcome indices, qubit 0 (most significant) first."""
+    return (np.asarray(outcomes)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def key_matrices(keys, n: int) -> np.ndarray:
     """Pauli snapshots (``TAU1`` tensor products) of the given base-6 keys,
     built digit by digit (qubit 0 first) so only those keys are materialized."""
@@ -105,6 +117,8 @@ class StateSnapshot:
     outcome: str
 
     def __post_init__(self):
+        if not isinstance(self.outcome, str):
+            raise ValueError(f"outcome {self.outcome!r} is not a str")
         if len(self.outcome) != self.frame.n_qubits or \
                 any(c not in "01" for c in self.outcome):
             raise ValueError(f"outcome {self.outcome!r} does not match frame")
@@ -126,6 +140,25 @@ class SnapshotLabels:
         self.labels.setflags(write=False)
         self.n_qubits = n_qubits
         self.frames = frames
+
+    @classmethod
+    def of_stack(cls, ensemble: str, frames: np.ndarray,
+                 outcomes: np.ndarray) -> "SnapshotLabels":
+        """Labels of a frame stack (see ``ensembles.sample_frames``) and
+        its outcome indices; distinct tableaus are indexed in order of
+        first appearance, as ``encode`` does."""
+        if ensemble == PAULI_ENSEMBLE:
+            n = frames.shape[1]
+            return cls(pauli_keys(frames, outcome_bits(outcomes, n)), n)
+        n = frames.shape[1] // 2
+        flat = frames.reshape(len(frames), 2 * n * (2 * n + 1))
+        _, first, inverse = np.unique(flat, axis=0, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return cls((rank[inverse.reshape(-1)] << n) | outcomes, n,
+                   tuple(clifford_frames(frames[first[order]])))
 
     @classmethod
     def encode(cls, frames, outcomes, n: int) -> "SnapshotLabels":
@@ -182,12 +215,11 @@ class SnapshotLabels:
         label i.
         """
         uniq, inv = np.unique(self.labels, return_inverse=True)
+        n = self.n_qubits
         if self.frames is None:
-            return inv, key_matrices(uniq, self.n_qubits)
-        d = 2**self.n_qubits
-        stack = np.array([materialize_snapshot(StateSnapshot(f, b))
-                          for f, b in self._decode(uniq)]).reshape(-1, d, d)
-        return inv, stack
+            return inv, key_matrices(uniq, n)
+        return inv, frame_snapshots([self.frames[i] for i in uniq >> n],
+                                    uniq & (2**n - 1), n)
 
 
 class ShadowEstimate:
@@ -275,27 +307,34 @@ def inverse_map_clifford(a: np.ndarray) -> np.ndarray:
     return (d + 1.0) * a - np.trace(a) * np.eye(d)
 
 
+def frame_snapshots(frames: list, outcomes: np.ndarray, n: int) -> np.ndarray:
+    """Materialized snapshots of (frame, outcome index) pairs.
+
+    Pauli frames give ``TAU1`` products; the Clifford frames are built in
+    one stack, and give the global inverse map of U^dag|b><b|U.
+    """
+    d = 2**n
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    out = np.empty((len(frames), d, d), dtype=complex)
+    pauli = np.array([isinstance(f, PauliFrame) for f in frames], dtype=bool)
+    if pauli.any():
+        _, axes = frame_stack([f for f, p in zip(frames, pauli) if p])
+        out[pauli] = key_matrices(pauli_keys(axes, outcome_bits(outcomes[pauli], n)), n)
+    if not pauli.all():
+        u = frame_unitaries(*frame_stack([f for f, p in zip(frames, pauli) if not p]))
+        rows = u[np.arange(len(u)), outcomes[~pauli]]
+        snaps = (d + 1.0) * (rows.conj()[:, :, None] * rows[:, None, :])
+        snaps[:, np.arange(d), np.arange(d)] -= (rows.conj() * rows).sum(axis=1)[:, None]
+        out[~pauli] = snaps
+    return out
+
+
 def materialize_snapshot(s: StateSnapshot) -> np.ndarray:
     """Dense inverse-map image of the snapshot's measured projector."""
     if isinstance(s.frame, PauliFrame):
         return tensor(*(TAU1[qubit_key(a, int(b))]
                         for a, b in zip(s.frame.axes, s.outcome)))
-    u = to_matrix(s.frame)
-    row = u[int(s.outcome, 2), :]
-    return inverse_map_clifford(np.outer(row.conj(), row))
-
-
-def acquire_state_snapshot(rho: np.ndarray, ensemble: str,
-                           rng: np.random.Generator,
-                           _validate: bool = True) -> StateSnapshot:
-    """Rotate by a random frame, measure in the logical basis."""
-    if _validate:
-        check_density_matrix(rho)
-    n = n_qubits_of(rho)
-    frame = ensembles.sample_frame(n, ensemble, rng)
-    u = to_matrix(frame)
-    outcome = measure_computational(u @ rho @ u.conj().T, rng)
-    return StateSnapshot(frame, outcome)
+    return frame_snapshots([s.frame], [int(s.outcome, 2)], s.n_qubits)[0]
 
 
 def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:
@@ -321,25 +360,70 @@ def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:
     return np.divide(probs, 3**n, out=probs).reshape(-1)
 
 
+def sample_table(p: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m indices drawn with probabilities proportional to ``p``.
+
+    Gives the draws, and leaves the generator in the state, of
+    ``rng.choice(p.size, size=m, p=p / p.sum())``, without its copy of
+    the table: ``p`` is normalized and then overwritten with its CDF.
+    """
+    total = p.sum()
+    if not (np.isfinite(total) and total > 0) or p.min() < 0:
+        raise ValueError("table weights must be non-negative with a positive finite sum")
+    p /= total
+    cdf = np.cumsum(p, out=p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(m), side="right")
+
+
+def _simulate(n: int, m: int, ensemble: str, rng: np.random.Generator,
+              states, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measure m states in m random frames of one ensemble, in batches.
+
+    ``states(sl)`` gives the amplitudes of the states of records ``sl``
+    as a (records, rank, d) stack, or one (rank, d) stack for all: each
+    state is sum_k |v_k><v_k|.  Draws the frames, then one uniform per
+    record; returns the frame stack and the outcome indices.
+    """
+    d = 2**n
+    frames = sample_frames(n, ensemble, m, rng)
+    uniform = rng.random(m)
+    outcomes = np.empty(m, dtype=np.int64)
+    # records per chunk: each temporary holds about 2^15 complex entries, so
+    # the chunks add little to the heap of the process that runs them
+    step = max(1, 2**15 // (d * max(d, rank)))
+    for lo in range(0, m, step):
+        sl = slice(lo, lo + step)
+        amp = states(sl) @ frame_unitaries(ensemble, frames[sl]).transpose(0, 2, 1)
+        cdf = np.cumsum((amp.real**2 + amp.imag**2).sum(axis=1), axis=1)
+        mass = cdf[:, -1]
+        if np.any(np.abs(mass - 1.0) > 1e-6):
+            raise ValueError(f"Born mass {mass[np.argmax(np.abs(mass - 1.0))]} "
+                             "deviates from 1")
+        outcomes[sl] = (cdf <= (uniform[sl] * mass)[:, None]).sum(axis=1)
+    return frames, outcomes
+
+
 def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
                    rng: np.random.Generator) -> ShadowEstimate:
     """Acquire m i.i.d. snapshots of a state.
 
     The Pauli ensemble is sampled from the exact 6^n-entry distribution
-    of (frame, outcome) at every size; the Clifford ensemble simulates
-    the rotate-and-measure protocol per snapshot.
+    of (frame, outcome) at every size; the Clifford ensemble runs the
+    batched simulation on the eigen-decomposition of rho.
     """
     check_density_matrix(rho)
     if m < 0:
         raise ValueError(f"record count must be non-negative, got {m}")
     n = n_qubits_of(rho)
     if ensemble == PAULI_ENSEMBLE:
-        p = exact_pauli_snapshot_distribution(rho)
-        p /= p.sum()
-        return ShadowEstimate._of(SnapshotLabels(rng.choice(p.size, size=m, p=p), n))
-    snaps = [acquire_state_snapshot(rho, ensemble, rng, _validate=False)
-             for _ in range(m)]
-    return ShadowEstimate(snaps, n)
+        table = exact_pauli_snapshot_distribution(rho)
+        return ShadowEstimate._of(SnapshotLabels(sample_table(table, m, rng), n))
+    lam, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    keep = lam > 0
+    amps = (vecs[:, keep] * np.sqrt(lam[keep])).T
+    frames, outcomes = _simulate(n, m, ensemble, rng, lambda sl: amps, len(amps))
+    return ShadowEstimate._of(SnapshotLabels.of_stack(ensemble, frames, outcomes))
 
 
 def reconstruct(est: ShadowEstimate) -> np.ndarray:

@@ -9,20 +9,24 @@ from hypothesis import strategies as st
 from procshadow.ensembles import (
     CliffordFrame,
     PauliFrame,
+    clifford_frames,
     clifford_group_order,
     enumerate_clifford_group,
     frame_kind,
-    measure_computational,
+    frame_unitaries,
+    is_symplectic,
     measurement_probabilities,
     prepared_state_vector,
     sample_clifford,
     sample_frame,
+    sample_frames,
     sample_haar_unitary,
     sample_pauli_frame,
     symplectic_group_order,
     to_matrix,
 )
 from procshadow.qcore import PauliString, basis_projector, random_density_matrix
+from procshadow.state_shadows import _simulate
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 S_DAG = np.diag([1.0, -1j])
@@ -76,19 +80,24 @@ def test_measurement_probabilities_normalized(seed):
         assert np.sum(p) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_measure_computational_distribution(rng):
-    rho = np.diag([0.8, 0.2])
-    counts = {"0": 0, "1": 0}
-    for _ in range(4000):
-        counts[measure_computational(rho, rng)] += 1
-    assert counts["0"] / 4000 == pytest.approx(0.8, abs=0.03)
+def test_kernel_outcomes_follow_born_rule(rng):
+    """The batched kernel's inverse-CDF draw: diag(0.8, 0.2) measured in Z
+    gives 0 with probability 0.8, and in X or Y with probability 1/2."""
+    amps = np.diag(np.sqrt([0.8, 0.2])).astype(complex)
+    axes, outcomes = _simulate(1, 12000, "pauli", rng, lambda sl: amps, 2)
+    for axis, p0 in ((0, 0.5), (1, 0.5), (2, 0.8)):
+        hits = outcomes[axes[:, 0] == axis]
+        assert np.mean(hits == 0) == pytest.approx(p0, abs=0.03)
 
 
-def test_measure_computational_deterministic():
-    rho = np.diag([0.5, 0.5])
-    a = [measure_computational(rho, np.random.default_rng(7)) for _ in range(1)]
-    b = [measure_computational(rho, np.random.default_rng(7)) for _ in range(1)]
-    assert a == b
+def test_kernel_outcomes_deterministic():
+    amps = np.eye(2, dtype=complex) / np.sqrt(2)
+
+    def draw():
+        return _simulate(1, 50, "clifford", np.random.default_rng(7), lambda sl: amps, 2)
+
+    a, b = draw(), draw()
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_prepared_state_vector_convention():
@@ -151,6 +160,66 @@ def test_clifford_conjugation_sends_paulis_to_paulis(n):
         hits = [o for o in overlaps if o > 1e-9]
         assert len(hits) == 1
         assert hits[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sampled_cliffords_are_uniform_at_one_qubit(chi_square):
+    """Kernel-sampled frames hit each of the 24 enumerated frames equally
+    (chi-square on 23 degrees of freedom)."""
+    index = {fr.key(): i for i, fr in enumerate(enumerate_clifford_group(1))}
+    frames = clifford_frames(sample_frames(1, "clifford", 24000, np.random.default_rng(5)))
+    counts = np.bincount([index[fr.key()] for fr in frames], minlength=24)
+    stat, df = chi_square(counts, np.full(24, 1 / 24))
+    assert df == 23
+
+
+def test_sampled_symplectic_parts_are_uniform_at_two_qubits(chi_square):
+    """Koenig-Smolin levels over m hit each of the 720 symplectic matrices
+    of two qubits equally (chi-square on 719 degrees of freedom)."""
+    tab = sample_frames(2, "clifford", 72000, np.random.default_rng(6))
+    _, counts = np.unique(tab[:, :, :-1].reshape(len(tab), -1), axis=0, return_counts=True)
+    assert counts.size == symplectic_group_order(2)
+    chi_square(counts, np.full(counts.size, 1 / counts.size))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sampled_tableaus_are_symplectic(n):
+    tab = sample_frames(n, "clifford", 400, np.random.default_rng(n))
+    assert tab.shape == (400, 2 * n, 2 * n + 1) and tab.dtype == np.uint8
+    assert is_symplectic(tab[:, :, :-1]).all()
+    assert set(np.unique(tab)) <= {0, 1}
+
+
+def test_is_symplectic_rejects_broken_tableaus():
+    s = np.array([[[1, 0], [0, 1]], [[1, 0], [1, 0]], [[0, 1], [1, 1]]])
+    assert is_symplectic(s).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("ens,n", [("pauli", 3), ("clifford", 1), ("clifford", 3)])
+def test_frame_unitaries_match_to_matrix(ens, n):
+    """The stacked builder equals to_matrix frame by frame, and is unitary."""
+    stack = sample_frames(n, ens, 20, np.random.default_rng(n))
+    us = frame_unitaries(ens, stack)
+    frames = (clifford_frames(stack) if ens == "clifford"
+              else [PauliFrame("".join("XYZ"[a] for a in row)) for row in stack])
+    for fr, u in zip(frames, us):
+        assert np.array_equal(u, to_matrix(fr))
+        assert la.norm(u @ u.conj().T - np.eye(2**n)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_unitaries_conjugate_generators_to_tableau_rows(n):
+    """U X_j U^dag and U Z_j U^dag are the signed Paulis of tableau rows j
+    and n + j, built here as dense Kronecker products."""
+    letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    tab = sample_frames(n, "clifford", 30, np.random.default_rng(10 + n))
+    for t, u in zip(tab, frame_unitaries("clifford", tab)):
+        for row in range(2 * n):
+            gen = ["I"] * n
+            gen[row % n] = "XZ"[row // n]
+            image = "".join(letters[t[row, q], t[row, n + q]] for q in range(n))
+            target = (-1) ** int(t[row, -1]) * PauliString(image).matrix
+            conj = u @ PauliString("".join(gen)).matrix @ u.conj().T
+            assert la.norm(conj - target) < 1e-12
 
 
 def test_sample_clifford_deterministic():

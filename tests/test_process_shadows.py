@@ -8,8 +8,8 @@ from procshadow.channels import channel_from_spec, named_channel, random_unitary
 from procshadow.process_shadows import (
     ProcessShadow,
     ShadowRecord,
+    _simulate_records,
     acquire_process_shadow,
-    acquire_record,
     choi_mean_from_histogram,
     estimate_channel_functional,
     estimate_output_state,
@@ -19,7 +19,13 @@ from procshadow.process_shadows import (
     single_shot_functional_values,
     verify_bin_independence,
 )
-from procshadow.ensembles import PauliFrame, measurement_probabilities, prepared_state_vector
+from procshadow.ensembles import (
+    PauliFrame,
+    enumerate_clifford_group,
+    measurement_probabilities,
+    prepared_state_vector,
+    sample_clifford,
+)
 from procshadow.qcore import (
     PauliString,
     apply_channel,
@@ -38,9 +44,16 @@ def test_record_validation():
     assert r.n_qubits == 1
 
 
+@pytest.mark.parametrize("b_in,b_out", [(["0"], "1"), ("0", ("1",)), ("0", b"1")])
+def test_record_rejects_bits_that_are_not_str(b_in, b_out):
+    frame = sample_clifford(1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="is not a str"):
+        ShadowRecord(b_in, frame, frame, b_out)
+
+
 def test_acquire_record_fields(rng):
     ch = named_channel("identity", 2)
-    r = acquire_record(ch, "pauli", "clifford", rng)
+    r = acquire_process_shadow(ch, 1, "pauli", "clifford", rng).records[0]
     assert len(r.b_in) == 2 and len(r.b_out) == 2
     assert r.ensemble_in == "pauli" and r.ensemble_out == "clifford"
 
@@ -48,7 +61,7 @@ def test_acquire_record_fields(rng):
 def test_choi_shadow_has_unit_trace(rng):
     ch = named_channel("hadamard", 1)
     for ens in ("pauli", "clifford"):
-        r = acquire_record(ch, ens, ens, rng)
+        r = acquire_process_shadow(ch, 1, ens, ens, rng).records[0]
         z = materialize_choi_shadow(r)
         assert z.shape == (4, 4)
         assert np.trace(z) == pytest.approx(1.0, abs=1e-10)
@@ -155,6 +168,60 @@ def test_acquire_deterministic():
     assert np.array_equal(a.keys[1], b.keys[1])
 
 
+def test_clifford_records_match_exact_born_distribution(chi_square):
+    """Clifford/Clifford records at n=1 against the protocol's exact law over
+    (input frame, input bit, output frame, output bit): 2304 cells, of
+    which amplitude damping leaves some empty; chi-square on the others."""
+    ch = named_channel("amplitude-damping", 1, 0.3)
+    group = enumerate_clifford_group(1)
+    exact = np.empty((24, 2, 24, 2))
+    for i, fin in enumerate(group):
+        for b in range(2):
+            psi = prepared_state_vector(fin, str(b))
+            rho_out = apply_channel(ch, np.outer(psi, psi.conj()))
+            for o, fout in enumerate(group):
+                exact[i, b, o] = measurement_probabilities(rho_out, fout) / (2 * 24**2)
+    ps = acquire_process_shadow(ch, 100000, "clifford", "clifford",
+                                np.random.default_rng(31))
+    index = {fr.key(): i for i, fr in enumerate(group)}
+    cells = []
+    for side in (ps.side_in, ps.side_out):
+        frame = np.array([index[fr.key()] for fr in side.frames])
+        cells.append(2 * frame[side.labels >> 1] + (side.labels & 1))
+    counts = np.bincount(cells[0] * 48 + cells[1], minlength=48 * 48)
+    stat, df = chi_square(counts, exact)
+    assert df > 1500
+
+
+def test_batched_pauli_records_match_exact_table(chi_square):
+    """The batched kernel, called directly on Pauli/Pauli at n=2, against
+    exact_pauli_record_distribution: chi-square on 1295 degrees of freedom."""
+    ch = channel_from_spec("random-full-rank:3", 2)
+    ps = _simulate_records(ch, 200000, "pauli", "pauli", np.random.default_rng(32))
+    kin, kout = ps.side_in.labels, ps.side_out.labels
+    stat, df = chi_square(np.bincount(kin * 36 + kout, minlength=36**2),
+                          exact_pauli_record_distribution(ch))
+    assert df == 36**2 - 1
+
+
+@pytest.mark.parametrize("ensemble,n,spec", [("clifford", 3, "random-unitary:4"),
+                                             ("pauli", 5, "amplitude-damping:0.2")])
+def test_simulated_acquisition_is_deterministic(ensemble, n, spec):
+    ch = channel_from_spec(spec, n)
+    a, b = (acquire_process_shadow(ch, 300, ensemble, ensemble, np.random.default_rng(9))
+            for _ in range(2))
+    for x, y in ((a.side_in, b.side_in), (a.side_out, b.side_out)):
+        assert np.array_equal(x.labels, y.labels)
+        assert x.frames == y.frames
+    assert a.records == b.records
+
+
+@pytest.mark.parametrize("ensembles", [("pauli", "clifford"), ("clifford", "clifford")])
+def test_simulated_acquisition_of_no_records(rng, ensembles):
+    ps = acquire_process_shadow(named_channel("hadamard", 2), 0, *ensembles, rng)
+    assert len(ps) == 0 and ps.n_qubits == 2 and ps.records == ()
+
+
 def test_reconstruct_choi_converges_identity():
     rng = np.random.default_rng(21)
     ch = named_channel("identity", 1)
@@ -235,7 +302,7 @@ def test_bin_independence_random_channels(seed):
 
 
 def test_process_shadow_rejects_mixed_sizes(rng):
-    r1 = acquire_record(named_channel("identity", 1), "pauli", "pauli", rng)
-    r2 = acquire_record(named_channel("identity", 2), "pauli", "pauli", rng)
+    r1 = acquire_process_shadow(named_channel("identity", 1), 1, "pauli", "pauli", rng)
+    r2 = acquire_process_shadow(named_channel("identity", 2), 1, "pauli", "pauli", rng)
     with pytest.raises(ValueError):
-        ProcessShadow([r1, r2])
+        ProcessShadow(r1.records + r2.records)

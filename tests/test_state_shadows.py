@@ -21,7 +21,6 @@ from procshadow.state_shadows import (
     ShadowEstimate,
     StateSnapshot,
     acquire_shadow,
-    acquire_state_snapshot,
     estimate_observable,
     exact_pauli_snapshot_distribution,
     inverse_map_clifford,
@@ -104,7 +103,7 @@ def test_key_encoding():
 def test_materialize_snapshot_matches_inverse_map(rng):
     rho = random_density_matrix(1, rng)
     for ens, inv in (("pauli", inverse_map_pauli), ("clifford", inverse_map_clifford)):
-        s = acquire_state_snapshot(rho, ens, rng)
+        s = acquire_shadow(rho, 1, ens, rng).snapshots[0]
         u = to_matrix(s.frame)
         prepared = u.conj().T @ basis_projector(s.outcome) @ u
         assert la.norm(materialize_snapshot(s) - inv(prepared)) < 1e-12
@@ -256,8 +255,8 @@ def test_median_of_means_rejects_too_many_groups():
 
 
 def test_shadow_estimate_mixed_frames_allowed(rng):
-    s1 = acquire_state_snapshot(basis_projector("0"), "pauli", rng)
-    s2 = acquire_state_snapshot(basis_projector("0"), "clifford", rng)
+    s1 = acquire_shadow(basis_projector("0"), 1, "pauli", rng).snapshots[0]
+    s2 = acquire_shadow(basis_projector("0"), 1, "clifford", rng).snapshots[0]
     est = ShadowEstimate([s1, s2])
     assert len(est) == 2
     r = reconstruct(est)
@@ -268,3 +267,51 @@ def test_shadow_estimate_mixed_frames_allowed(rng):
 def test_snapshot_validation():
     with pytest.raises(ValueError):
         StateSnapshot(PauliFrame("XY"), "0")  # outcome length mismatch
+
+
+@pytest.mark.parametrize("outcome", [["0"], ("1",), b"0", 0])
+def test_snapshot_rejects_outcomes_that_are_not_str(outcome):
+    with pytest.raises(ValueError, match="is not a str"):
+        StateSnapshot(PauliFrame("X"), outcome)
+
+
+@pytest.mark.parametrize("size,m", [(1, 5), (6, 1000), (36, 0), (1296, 777)])
+def test_sample_table_matches_rng_choice(size, m):
+    """Same draws, and the same generator state after, as rng.choice."""
+    p = np.random.default_rng(size).random(size) * 3.0
+    p[::5] = 0.0
+    if not p.any():
+        p[0] = 1.0
+    ref_rng, rng = np.random.default_rng(40 + m), np.random.default_rng(40 + m)
+    expected = ref_rng.choice(size, size=m, p=p / p.sum())
+    draws = shad.sample_table(p.copy(), m, rng)
+    assert np.array_equal(draws, expected)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]])
+def test_sample_table_rejects_invalid_weights(rng, bad):
+    with pytest.raises(ValueError, match="table weights"):
+        shad.sample_table(np.array(bad), 3, rng)
+
+
+def test_clifford_snapshots_match_exact_born_distribution(chi_square):
+    """Clifford state snapshots of a mixed qubit state against the exact law
+    over (frame, bit): 48 cells, chi-square on 47 degrees of freedom."""
+    rho = random_density_matrix(1, np.random.default_rng(33))
+    group = enumerate_clifford_group(1)
+    exact = np.array([measurement_probabilities(rho, fr) for fr in group]) / 24
+    est = acquire_shadow(rho, 48000, "clifford", np.random.default_rng(34))
+    index = {fr.key(): i for i, fr in enumerate(group)}
+    frame = np.array([index[fr.key()] for fr in est.side.frames])
+    labels = est.side.labels
+    stat, df = chi_square(np.bincount(2 * frame[labels >> 1] + (labels & 1), minlength=48),
+                          exact)
+    assert df == 47
+
+
+def test_clifford_acquisition_is_deterministic():
+    rho = random_density_matrix(3, np.random.default_rng(35))
+    a, b = (acquire_shadow(rho, 200, "clifford", np.random.default_rng(36)) for _ in range(2))
+    assert np.array_equal(a.side.labels, b.side.labels)
+    assert a.side.frames == b.side.frames
