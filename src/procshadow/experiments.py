@@ -159,9 +159,6 @@ def _check_feasible(cfg: ExperimentConfig) -> None:
     if cfg.grid[-1] > MAX_RECORDS:
         raise InfeasibleError(
             f"grid asks for {cfg.grid[-1]} records (cap {MAX_RECORDS})")
-    if cfg.experiment in ("composed-correlator",) and \
-            (cfg.ensemble_in != "pauli" or cfg.ensemble_out != "pauli"):
-        raise ConfigError("shadow composition requires Pauli ensembles")
     if cfg.experiment == "unitarity" and cfg.n_qubits > MAX_PURITY_QUBITS:
         raise InfeasibleError(
             f"unitarity testing on {cfg.n_qubits} qubits exceeds the "
@@ -248,8 +245,10 @@ def _trial_composed(cfg: ExperimentConfig, seed_seq) -> dict:
         apply_channel(composed, rho @ op.matrix) @ op.matrix)))
     d = 2**cfg.n_qubits
     probe = np.kron((rho @ op.matrix).T, op.matrix)
-    ps_x = acquire_process_shadow(ch_x, cfg.grid[-1], "pauli", "pauli", rng)
-    ps_y = acquire_process_shadow(ch_y, cfg.grid[-1], "pauli", "pauli", rng)
+    ps_x = acquire_process_shadow(ch_x, cfg.grid[-1], cfg.ensemble_in,
+                                  cfg.ensemble_out, rng)
+    ps_y = acquire_process_shadow(ch_y, cfg.grid[-1], cfg.ensemble_in,
+                                  cfg.ensemble_out, rng)
     errs = []
     for m in cfg.grid:
         mean = compose_process_shadows(ps_x.take(m), ps_y.take(m)).materialize()

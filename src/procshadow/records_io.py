@@ -8,21 +8,29 @@ files.  Each side of a file holds one frame ensemble: the header's
 ``ensemble_in`` and ``ensemble_out`` tags name it, and loading rejects
 any record whose frame kind differs from its tag.
 
-Files are read and written by columns, without one record object per
-line.  Loading parses each line once into four columns: input frames,
-input bits, output frames, output bits.  A Pauli side's axes and bit
-strings are joined and mapped byte by byte to base-6 key digits in one
-numpy pass.  A Clifford side's tableaus are deduplicated in
-first-appearance order and validated together, as one stack, so the
-labels and ``frames`` equal those of ``SnapshotLabels.encode``.
-Saving renders each side's distinct labels once and joins the lines
-from the label arrays.  When any check fails, the file is read again
-with the strict per-record check, which names the first offending line.
+Canonical lines are read as bytes, without a JSON decoder.  The header
+fixes a line template: constant text, and bit and Pauli-axis digits at
+fixed offsets from the line's start or end.  On a Clifford side the
+frame's sign bits and tableau rows, between ``"p":[`` and ``]}``, are
+the one text of variable width.  One numpy pass over the file checks
+every line's constant bytes and maps its digits through byte tables to
+base-6 Pauli keys and outcome bits; a Pauli/Pauli file takes no Python
+object per record.  A Clifford side's texts are deduplicated in
+first-appearance order, matched once each against the canonical form,
+parsed together and validated as one stack, so the labels and
+``frames`` equal those of ``SnapshotLabels.encode``.  Any other line
+(other spacing or key order, escapes, extra fields, CRLF endings) is
+decoded as JSON, its known fields are rendered canonically, and the
+result goes through the same reader; blank lines are skipped.  When a
+line still fails, the file is checked again record by record, which
+names the first offending line.  Saving renders each side's distinct
+labels once and joins the lines from the label arrays.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,20 +44,24 @@ FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
 # the widest register an int64 Pauli key holds: 6**24 <= 2**63 < 6**25
 _MAX_PAULI_KEY_QUBITS = 24
+# the widest register whose 2n-bit tableau rows fit in an int64
+_MAX_CLIFFORD_QUBITS = 31
 
-# Byte -> digit lookup tables for the joined columns; -1 marks an invalid byte.
+# Byte -> digit lookup tables for a line's digits; -1 marks an invalid byte.
 _AXIS_DIGIT = np.full(256, -1, dtype=np.int64)
 _AXIS_DIGIT[[ord(a) for a in AXES]] = range(len(AXES))
 _BIT_DIGIT = np.full(256, -1, dtype=np.int64)
 _BIT_DIGIT[[ord("0"), ord("1")]] = (0, 1)
 
-# No record field holds a float.  Kept as text, a float such as 2.0 can
-# neither pass for the tableau row 2 when tableaus are deduplicated by
-# value nor be accepted as a sign bit.
-_DECODER = json.JSONDecoder(parse_float=str)
-
 # canonical JSON: sorted keys, no whitespace
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# a record line: _dump of the record, from its rendered fields
+_LINE = '{{"b_in":{},"b_out":{},"u_in":{},"u_out":{}}}'
+
+# a Clifford frame's signs-and-rows text goes where the newline is
+_CLIFFORD_TEMPLATE = '{"kind":"clifford","p":[\n]}'
+_ROWS_SEP = b'],"s":['
 
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
@@ -65,40 +77,38 @@ def _frame_to_json(frame):
     raise ValueError(f"cannot serialize frame type {type(frame).__name__}")
 
 
-def _tableau_stack(tableaus: list, n: int) -> np.ndarray:
-    """(k, 2n, 2n+1) tableau stack of k >= 1 JSON (rows, signs) pairs.
-
-    Checks the whole stack at once, in this order: row count, rows are
-    integers in [0, 4^n), signs are bits, symplectic form, sign count.
-    """
-    if any(len(rows) != 2 * n for rows, _ in tableaus):
-        raise ValueError("tableau row count does not match header")
-    rows = [r for t, _ in tableaus for r in t]
-    if not (set(map(type, rows)) <= {int, bool} and 0 <= min(rows)
-            and max(rows) < 4**n):
-        raise ValueError(f"tableau rows must be integers in [0, {4**n})")
-    signs = [b for _, p in tableaus for b in p]
-    if not (set(map(type, signs)) <= {int, bool} and set(signs) <= {0, 1}):
-        raise ValueError("sign bits must be 0 or 1")
-    sym = (np.array(rows, dtype=np.int64).reshape(-1, 2 * n, 1) >> np.arange(2 * n)) & 1
+def _symplectic(rows: np.ndarray, n: int) -> np.ndarray:
+    """(k, 2n, 2n) bit matrices of (k, 2n) tableau rows; raises unless
+    every one is symplectic."""
+    sym = (rows[:, :, None] >> np.arange(2 * n)) & 1
     if not is_symplectic(sym).all():
         raise ValueError("tableau is not symplectic")
-    if len(signs) != len(rows):
-        raise ValueError("sign vector length does not match tableau")
-    return np.concatenate((sym, np.array(signs).reshape(-1, 2 * n, 1)),
-                          axis=2).astype(np.uint8)
+    return sym
 
 
 def _frame_from_json(obj, n: int):
+    """One decoded frame, checked in this order: row count, rows are
+    integers in [0, 4^n), signs are bits, symplectic form, sign count.
+    JSON ``true`` and ``false`` are not integers here."""
     kind = obj.get("kind")
     if kind == "pauli":
         axes = obj["axes"]
         if not isinstance(axes, str):
             raise ValueError(f"Pauli axes {axes!r} are not a string")
         return PauliFrame(axes)
-    if kind == "clifford":
-        return clifford_frames(_tableau_stack([(obj["s"], obj["p"])], n))[0]
-    raise ValueError(f"unknown frame kind {kind!r}")
+    if kind != "clifford":
+        raise ValueError(f"unknown frame kind {kind!r}")
+    rows, signs = obj["s"], obj["p"]
+    if len(rows) != 2 * n:
+        raise ValueError("tableau row count does not match header")
+    if not (set(map(type, rows)) <= {int} and 0 <= min(rows) and max(rows) < 4**n):
+        raise ValueError(f"tableau rows must be integers in [0, {4**n})")
+    if not (set(map(type, signs)) <= {int} and set(signs) <= {0, 1}):
+        raise ValueError("sign bits must be 0 or 1")
+    sym = _symplectic(np.array([rows], dtype=np.int64), n)[0]
+    if len(signs) != len(rows):
+        raise ValueError("sign vector length does not match tableau")
+    return CliffordFrame(sym, signs)
 
 
 def _rendered(side: SnapshotLabels) -> list:
@@ -128,19 +138,15 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
                 raise ValueError(f"{tag}: a record file cannot mix Pauli and "
                                  "Clifford frames on one side")
             header[tag] = side.ensemble
-    # each line is _dump of its record: keys in sorted order, no whitespace
-    lines = [f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'
+    lines = [_LINE.format(b_in, b_out, u_in, u_out) + "\n"
              for (b_in, u_in), (b_out, u_out)
              in zip(_rendered(ps.side_in), _rendered(ps.side_out))]
     Path(path).write_text(_dump(header) + "\n" + "".join(lines))
 
 
-def load_header(path) -> dict:
-    """Read and validate only the header line."""
-    with open(path) as fh:
-        first = fh.readline()
+def _parse_header(first: bytes) -> dict:
     try:
-        header = json.loads(first)
+        header = json.loads(first.decode(errors="replace"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"line 1: malformed header ({exc.msg})") from exc
     if not isinstance(header, dict):
@@ -156,108 +162,208 @@ def load_header(path) -> dict:
         if type(value) is not int or value < least:
             raise ValueError(f"line 1: {key} must be an integer >= {least}, "
                              f"got {value!r}")
-    if (PAULI_ENSEMBLE in (header.get("ensemble_in"), header.get("ensemble_out"))
-            and header["n_qubits"] > _MAX_PAULI_KEY_QUBITS):
-        raise ValueError(f"line 1: Pauli records on {header['n_qubits']} qubits exceed "
+    tags = header.get("ensemble_in"), header.get("ensemble_out")
+    n = header["n_qubits"]
+    if PAULI_ENSEMBLE in tags and n > _MAX_PAULI_KEY_QUBITS:
+        raise ValueError(f"line 1: Pauli records on {n} qubits exceed "
                          f"the {_MAX_PAULI_KEY_QUBITS} that int64 keys hold")
+    if CLIFFORD_ENSEMBLE in tags and n > _MAX_CLIFFORD_QUBITS:
+        raise ValueError(f"line 1: Clifford records on {n} qubits exceed "
+                         f"the {_MAX_CLIFFORD_QUBITS} that int64 tableau rows hold")
     return header
 
 
-def _digits(column: list, table: np.ndarray, n: int) -> np.ndarray:
-    """(m, n) digits of a column of n-character strings, through a byte table."""
-    if not all(type(s) is str and len(s) == n for s in column):
-        raise ValueError("column holds a value that is not an n-character string")
-    raw = "".join(column).encode("ascii", "replace")  # non-ASCII -> '?', invalid
-    digits = table[np.frombuffer(raw, dtype=np.uint8)].reshape(len(column), n)
-    if (digits < 0).any():
-        raise ValueError("column holds an invalid character")
-    return digits
+def load_header(path) -> dict:
+    """Read and validate only the header line."""
+    with open(path, "rb") as fh:
+        return _parse_header(fh.readline())
 
 
-def _encode_side(tag, frames: list, bits: list, n: int) -> SnapshotLabels:
-    """Labels of one side's columns, equal to ``SnapshotLabels.encode``."""
-    if not frames:
-        return SnapshotLabels(np.empty(0, dtype=np.int64), n)
-    outcomes = _digits(bits, _BIT_DIGIT, n)
-    if tag == PAULI_ENSEMBLE:
-        return SnapshotLabels(pauli_keys(_digits(frames, _AXIS_DIGIT, n), outcomes), n)
-    if tag == CLIFFORD_ENSEMBLE:
+def _template(tags, n: int) -> list | None:
+    """The constant chunks of a canonical record line, split where a
+    Clifford frame's signs-and-rows text goes; None for an unknown tag.
+
+    Bits are rendered as "0" and axes as "X", which no constant text holds.
+    """
+    if not set(tags) <= {PAULI_ENSEMBLE, CLIFFORD_ENSEMBLE}:
+        return None
+    frames = [_dump({"kind": PAULI_ENSEMBLE, "axes": "X" * n}) if tag == PAULI_ENSEMBLE
+              else _CLIFFORD_TEMPLATE for tag in tags]
+    return [np.frombuffer(chunk, dtype=np.uint8) for chunk in
+            _LINE.format(_dump("0" * n), _dump("0" * n), *frames).encode().split(b"\n")]
+
+
+def _tableau_pattern(n: int):
+    """A canonical signs-and-rows text: 2n sign bits, then 2n rows of at
+    most 19 digits, which uint64 holds."""
+    row = rb"(?:0|[1-9][0-9]{0,18})"
+    return re.compile(rb"[01](?:,[01]){%d}%s%s(?:,%s){%d}" % (
+        2 * n - 1, re.escape(_ROWS_SEP), row, row, 2 * n - 1))
+
+
+def _rows_at(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """(len(starts), width) bytes of buf from each start; a view when the
+    starts are evenly spaced, as the lines of a Pauli/Pauli file are."""
+    windows = np.lib.stride_tricks.sliding_window_view(buf, width)
+    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
+    if step > 0 and (np.diff(starts) == step).all():
+        return windows[starts[0]::step][:starts.size]
+    return windows[starts]
+
+
+def _scan(body: bytes, n: int, tags):
+    """Check every line of a record body against the canonical template.
+
+    Returns ``(starts, ends, ok, sides)``: each line's bounds (``ends``
+    excludes the newline), whether it is canonical, and per side the
+    (tag, frame digits or tableau texts, outcome bits) to encode.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if body and body[-1:] != b"\n":
+        ends = np.append(ends, len(body))
+    starts = np.concatenate(([0], ends[:-1] + 1))[:ends.size]
+    chunks = _template(tags, n)
+    if not ends.size or chunks is None or buf.size < max(map(len, chunks)):
+        return starts, ends, np.zeros(ends.size, dtype=bool), None
+    # the first chunk starts at the line's start and the last ends at its
+    # end; a middle one (Clifford/Clifford) starts at the "]}" that closes
+    # the input frame, the line's first "}"
+    anchors = [starts]
+    if len(chunks) == 3:
+        braces = np.flatnonzero(buf == ord("}"))
+        anchors.append(np.append(braces, buf.size)[np.searchsorted(braces, starts)] - 1)
+    if len(chunks) > 1:
+        anchors.append(ends - len(chunks[-1]))
+    lengths, fixed = ends - starts, sum(map(len, chunks))
+    ok = lengths == fixed if len(chunks) == 1 else lengths >= fixed
+    gaps = [(at + len(chunk), after) for at, chunk, after in zip(anchors, chunks, anchors[1:])]
+    for start, end in gaps:
+        ok &= end >= start
+    anchors = [np.where(ok, at, 0) for at in anchors]
+    mats = []
+    for chunk, at in zip(chunks, anchors):
+        mat = _rows_at(buf, at, len(chunk))
+        bad = mat != chunk
+        bad[:, (chunk == ord("0")) | (chunk == ord("X"))] = False
+        ok &= ~bad.any(axis=1)
+        mats.append(mat)
+    bits = _BIT_DIGIT[mats[0][:, np.flatnonzero(chunks[0] == ord("0"))]]
+    ok &= (bits >= 0).all(axis=1)
+    sides, gaps = [], iter(gaps)
+    for tag, mat, chunk, pick, outcomes in (
+            (tags[0], mats[0], chunks[0], slice(None, n), bits[:, :n]),
+            (tags[1], mats[-1], chunks[-1], slice(-n, None), bits[:, n:])):
+        if tag == PAULI_ENSEMBLE:
+            axes = _AXIS_DIGIT[mat[:, np.flatnonzero(chunk == ord("X"))[pick]]]
+            ok &= (axes >= 0).all(axis=1)
+            sides.append((tag, axes, outcomes))
+            continue
+        # distinct texts in first-appearance order; -1 marks a rejected line
+        start, end = next(gaps)
         index: dict = {}
-        idx = np.fromiter((index.setdefault(f, len(index)) for f in frames),
-                          dtype=np.int64, count=len(frames))
-        table = tuple(clifford_frames(_tableau_stack(list(index), n)))
-        return SnapshotLabels((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
-                              n, table)
-    raise ValueError(f"unknown ensemble tag {tag!r}")
+        idx = np.fromiter((index.setdefault(body[a:b], len(index)) if good else -1
+                           for a, b, good in zip(start.tolist(), end.tolist(), ok.tolist())),
+                          dtype=np.int64, count=ends.size)
+        canonical = _tableau_pattern(n).fullmatch
+        ok &= np.array([canonical(text) is not None for text in index] + [False])[idx]
+        sides.append((tag, (idx, list(index)), outcomes))
+    return starts, ends, ok, sides
 
 
-def _frame_value(u: dict, pauli: bool):
-    """A frame's column entry: Pauli axes, or a tableau's (rows, signs)."""
-    return u["axes"] if pauli else (tuple(u["s"]), tuple(u["p"]))
+def _encode(tag, frames, outcomes: np.ndarray, n: int) -> SnapshotLabels:
+    """Labels of one side of a scanned body, equal to ``SnapshotLabels.encode``."""
+    if tag == PAULI_ENSEMBLE:
+        return SnapshotLabels(pauli_keys(frames, outcomes), n)
+    idx, texts = frames
+    values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
+                           dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
+    if values.max() >= 4**n:  # the sign bits are 0 or 1
+        raise ValueError(f"tableau rows must be integers in [0, {4**n})")
+    values = values.astype(np.int64)
+    stack = np.concatenate((_symplectic(values[:, 2 * n:], n), values[:, :2 * n, None]),
+                           axis=2)
+    return SnapshotLabels((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
+                          n, tuple(clifford_frames(stack)))
 
 
-def _read_columns(path, header: dict) -> tuple[SnapshotLabels, SnapshotLabels]:
+def _rerendered(line: bytes) -> bytes:
+    """A record line decoded as JSON and its known fields rendered canonically."""
+    obj = json.loads(line.decode())
+    frames = []
+    for u in (obj["u_in"], obj["u_out"]):
+        keys = ("axes",) if u["kind"] == PAULI_ENSEMBLE else ("p", "s")
+        frames.append(_dump({"kind": u["kind"], **{k: u[k] for k in keys}}))
+    return _LINE.format(_dump(obj["b_in"]), _dump(obj["b_out"]), *frames).encode()
+
+
+def _normalized(body: bytes, starts, ends, odd: np.ndarray) -> bytes:
+    """The body with its odd lines rendered canonically and blank ones dropped."""
+    pieces, pos = [], 0
+    for start, end in zip(starts[odd].tolist(), ends[odd].tolist()):
+        pieces.append(body[pos:start])
+        line = body[start:end]
+        if line.strip():
+            pieces.append(_rerendered(line) + b"\n")
+        pos = end + 1
+    pieces.append(body[pos:])
+    return b"".join(pieces)
+
+
+def _read_body(body: bytes, header: dict) -> tuple[SnapshotLabels, SnapshotLabels]:
     """Both sides' labels; raises without a line number on any bad record."""
     n = header["n_qubits"]
     tags = header.get("ensemble_in"), header.get("ensemble_out")
-    pauli_in, pauli_out = (tag == PAULI_ENSEMBLE for tag in tags)
-    frames_in, bits_in, frames_out, bits_out = [], [], [], []
-    with open(path) as fh:
-        fh.readline()  # header already validated
-        for line in fh:
-            if line.isspace():
-                continue
-            obj = _DECODER.decode(line)
-            u_in, u_out = obj["u_in"], obj["u_out"]
-            if (u_in["kind"], u_out["kind"]) != tags:
-                raise ValueError("frame kind does not match the header")
-            frames_in.append(_frame_value(u_in, pauli_in))
-            frames_out.append(_frame_value(u_out, pauli_out))
-            bits_in.append(obj["b_in"])
-            bits_out.append(obj["b_out"])
-    return (_encode_side(tags[0], frames_in, bits_in, n),
-            _encode_side(tags[1], frames_out, bits_out, n))
+    starts, ends, ok, sides = _scan(body, n, tags)
+    if not ok.all():
+        body = _normalized(body, starts, ends, ~ok)
+        _, ends, ok, sides = _scan(body, n, tags)
+        if not ok.all():
+            raise ValueError("a record line is not canonical")
+    if not ends.size:
+        empty = SnapshotLabels(np.empty(0, dtype=np.int64), n)
+        return empty, empty
+    return tuple(_encode(tag, frames, outcomes, n) for tag, frames, outcomes in sides)
 
 
-def _raise_first_bad_record(path, header: dict) -> None:
+def _raise_first_bad_record(body: bytes, header: dict) -> None:
     """Check every record on its own, and raise at the first offending line."""
     n = header["n_qubits"]
-    with open(path) as fh:
-        fh.readline()  # header already validated
-        for lineno, line in enumerate(fh, start=2):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line)
-                b_in = obj["b_in"]
-                u_in = _frame_from_json(obj["u_in"], n)
-                u_out = _frame_from_json(obj["u_out"], n)
-                b_out = obj["b_out"]
-                for bits in (b_in, b_out):
-                    if not isinstance(bits, str):
-                        raise ValueError("bit strings must be JSON strings, got "
-                                         f"{type(bits).__name__}")
-                record = ShadowRecord(b_in, u_in, u_out, b_out)
-                if record.n_qubits != n:
-                    raise ValueError(f"record acts on {record.n_qubits} qubits, "
-                                     f"header says {n}")
-                for tag, kind in (("ensemble_in", record.ensemble_in),
-                                  ("ensemble_out", record.ensemble_out)):
-                    if kind != header.get(tag):
-                        raise ValueError(f"{kind} frame does not match the header's "
-                                         f"{tag} {header.get(tag)!r}")
-            except _RECORD_ERRORS as exc:
-                raise ValueError(f"line {lineno}: bad record ({exc})") from exc
+    for lineno, line in enumerate(body.split(b"\n"), start=2):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode())
+            b_in = obj["b_in"]
+            u_in = _frame_from_json(obj["u_in"], n)
+            u_out = _frame_from_json(obj["u_out"], n)
+            b_out = obj["b_out"]
+            for bits in (b_in, b_out):
+                if not isinstance(bits, str):
+                    raise ValueError("bit strings must be JSON strings, got "
+                                     f"{type(bits).__name__}")
+            record = ShadowRecord(b_in, u_in, u_out, b_out)
+            if record.n_qubits != n:
+                raise ValueError(f"record acts on {record.n_qubits} qubits, "
+                                 f"header says {n}")
+            for tag, kind in (("ensemble_in", record.ensemble_in),
+                              ("ensemble_out", record.ensemble_out)):
+                if kind != header.get(tag):
+                    raise ValueError(f"{kind} frame does not match the header's "
+                                     f"{tag} {header.get(tag)!r}")
+        except _RECORD_ERRORS as exc:
+            raise ValueError(f"line {lineno}: bad record ({exc})") from exc
 
 
 def load_records(path) -> ProcessShadow:
     """Read a shadow back; errors carry the offending line number."""
-    header = load_header(path)
+    first, _, body = Path(path).read_bytes().partition(b"\n")
+    header = _parse_header(first)
     try:
-        side_in, side_out = _read_columns(path, header)
+        side_in, side_out = _read_body(body, header)
     except _RECORD_ERRORS:
-        _raise_first_bad_record(path, header)
-        raise  # not reached: the per-record check rejects whatever the columns do
+        _raise_first_bad_record(body, header)
+        raise  # not reached: the per-record check rejects whatever the reader does
     if len(side_in) != header["count"]:
         raise ValueError(
             f"line {len(side_in) + 1}: expected {header['count']} records, "

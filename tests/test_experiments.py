@@ -131,6 +131,22 @@ def test_composed_experiment_runs():
     assert np.all(np.isfinite(res.errors))
 
 
+def test_composed_experiment_runs_on_clifford_frames():
+    """At n = 1 a Clifford snapshot is a uniform stabilizer state, as a Pauli
+    one is, so the Pauli/Pauli rms bound holds: a pair term is
+    h = d^2 W Tr[tau A] Tr[tau' X] with E[W^2] = 7, E[Tr(tau A)^2] = 1 for
+    A = |+><+| and Tr(tau' X)^2 <= 9, and E[h^2] (2/m + 1/m^2) bounds the
+    variance of the two-sample mean."""
+    grid = (100, 1000, 10000)
+    cfg = dict(experiment="composed-correlator", n_qubits=1, grid=grid, trials=2, seed=7)
+    res = run_experiment(ExperimentConfig(**cfg, ensemble_in="clifford",
+                                          ensemble_out="clifford"))
+    rms = np.sqrt(16 * 7 * 1 * 9 * (2 / np.array(grid) + 1 / np.array(grid) ** 2))
+    assert res.errors.shape == (2, 3)
+    assert np.all(res.errors <= 4 * rms)
+    assert not np.array_equal(res.errors, run_experiment(ExperimentConfig(**cfg)).errors)
+
+
 def test_sign_statistics_experiment():
     cfg = ExperimentConfig(experiment="sign-statistics", n_qubits=1,
                            grid=(100, 20000), trials=6, seed=5)
@@ -172,10 +188,6 @@ def test_infeasible_configurations():
                                         grid=(50, 100), trials=1))
     with pytest.raises(InfeasibleError):
         run_experiment(ExperimentConfig(experiment="unitarity", n_qubits=4,
-                                        grid=(50, 100), trials=1))
-    with pytest.raises(ConfigError):
-        run_experiment(ExperimentConfig(experiment="composed-correlator",
-                                        ensemble_in="clifford",
                                         grid=(50, 100), trials=1))
     with pytest.raises(InfeasibleError):
         run_experiment(ExperimentConfig(experiment="choi-convergence",

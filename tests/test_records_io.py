@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procshadow.channels import named_channel
 from procshadow.cli import main
 from procshadow.ensembles import CliffordFrame, PauliFrame, sample_clifford, to_matrix
 from procshadow.process_shadows import ProcessShadow, ShadowRecord, acquire_process_shadow, reconstruct_choi
 from procshadow.records_io import load_header, load_records, save_records
+from procshadow.state_shadows import SnapshotLabels
 
 
 def _sample(tmp_path, ens_in="pauli", ens_out="pauli", m=12, seed=0, **kw):
@@ -349,3 +353,171 @@ def test_saved_bytes_match_golden_digest(tmp_path, ens_in, ens_out, n, digest):
         assert np.array_equal(side.labels, ref_side.labels)
         assert side.labels.dtype == ref_side.labels.dtype
         assert side.frames == ref_side.frames
+
+
+def _same_labels(loaded, ps):
+    assert loaded.n_qubits == ps.n_qubits
+    for side, ref in ((loaded.side_in, ps.side_in), (loaded.side_out, ps.side_out)):
+        assert np.array_equal(side.labels, ref.labels)
+        assert side.labels.dtype == ref.labels.dtype
+        assert side.frames == ref.frames
+
+
+PAIRS = [("pauli", "pauli"), ("clifford", "clifford"), ("pauli", "clifford"),
+         ("clifford", "pauli")]
+
+
+@pytest.mark.parametrize("ens_in,ens_out,n", [
+    *[(a, b, n) for a, b in PAIRS for n in (1, 2, 3)], ("pauli", "pauli", 5)])
+def test_round_trip_labels_and_frames(tmp_path, ens_in, ens_out, n):
+    ps = _fixed_shadow(ens_in, ens_out, n, 40, seed=10 + n)
+    path = tmp_path / "r.jsonl"
+    save_records(path, ps)
+    _same_labels(load_records(path), ps)
+
+
+def test_round_trip_of_an_empty_shadow(tmp_path):
+    ps = ProcessShadow([], 2)
+    path = tmp_path / "empty.jsonl"
+    save_records(path, ps)
+    assert load_header(path)["count"] == 0
+    loaded = load_records(path)
+    assert len(loaded) == 0
+    _same_labels(loaded, ps)
+
+
+def _shuffled_json(line, rng):
+    """Default json.dumps spacing, shuffled keys, an extra field and \\u0030
+    escapes in the bit strings: the same record, in no canonical form."""
+    def shuffle(obj):
+        if not isinstance(obj, dict):
+            return obj
+        keys = list(obj)
+        rng.shuffle(keys)
+        return {k: shuffle(obj[k]) for k in keys}
+
+    obj = shuffle({**json.loads(line), "note": "hand-edited"})
+    text = json.dumps(obj)
+    return re.sub(r'"([01]+)"', lambda m: '"' + m[1].replace("0", "\\u0030") + '"', text)
+
+
+@pytest.mark.parametrize("ens_in,ens_out", PAIRS)
+@pytest.mark.parametrize("layout", ["no-final-newline", "blank-lines", "crlf", "non-canonical"])
+def test_other_layouts_load_the_same_labels(tmp_path, ens_in, ens_out, layout):
+    ps = _fixed_shadow(ens_in, ens_out, 2, 30, seed=3)
+    path = tmp_path / "r.jsonl"
+    save_records(path, ps)
+    text = path.read_text()
+    if layout == "no-final-newline":
+        text = text.rstrip("\n")
+    elif layout == "blank-lines":
+        lines = text.splitlines()
+        lines[5:5] = ["", "  \t"]
+        lines[-2:-2] = [" "]
+        text = "\n".join(lines) + "\n\n"
+    elif layout == "crlf":
+        text = text.replace("\n", "\r\n")
+    else:
+        rng = np.random.default_rng(0)
+        lines = text.splitlines()
+        text = "\n".join(lines[:1] + [_shuffled_json(line, rng) for line in lines[1:]]) + "\n"
+        assert "\\u0030" in text and "hand-edited" in text
+    path.write_bytes(text.encode())
+    _same_labels(load_records(path), ps)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("s", [True, 2], r"integers in \[0, 4\)"),
+    ("s", [1, 2, False, 3], "row count"),
+    ("p", [False, True], "sign bits"),
+], ids=["row-true", "row-false-extra", "sign-bools"])
+def test_json_booleans_in_a_tableau_are_rejected(tmp_path, field, value, message):
+    """true and false are not tableau integers, even where 1 and 0 would be valid."""
+    _, path = _sample(tmp_path, ens_in="clifford", ens_out="clifford")
+    frame = {"kind": "clifford", "s": [1, 2], "p": [0, 1]}
+    _edit_record(path, 4, u_in=frame)
+    assert len(load_records(path)) == 12
+    _edit_record(path, 6, u_in={**frame, field: value})
+    with pytest.raises(ValueError, match=f"^line 6: bad record .*{message}"):
+        load_records(path)
+
+
+def test_clifford_header_beyond_int64_rows_is_a_line_1_error(tmp_path):
+    _, path = _sample(tmp_path, ens_in="clifford", ens_out="clifford", m=3)
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head["n_qubits"] = 32
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line 1: Clifford records on 32 qubits"):
+        load_records(path)
+    with pytest.raises(ValueError, match="^line 1: "):
+        load_header(path)
+    assert main(["reconstruct", "--records", str(path)]) == 2
+    head["n_qubits"] = 31
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line 2: bad record .*row count"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("row", [2**63, 2**64, 10**30], ids=["2^63", "2^64", "10^30"])
+def test_oversized_tableau_row_is_a_bad_record(tmp_path, n, row):
+    ps = _fixed_shadow("clifford", "clifford", n, 8, seed=n)
+    path = tmp_path / "r.jsonl"
+    save_records(path, ps)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["u_out"]["s"][-1] = row
+    lines[4] = _dump_canonical(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line 5: bad record .*integers in \\[0, {4**n}\\)"):
+        load_records(path)
+    assert main(["reconstruct", "--records", str(path)]) == 2
+
+
+def _dump_canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _reference_labels(path):
+    """Both sides' labels of a file decoded with json and encoded by
+    ``SnapshotLabels.encode``."""
+    lines = path.read_bytes().split(b"\n")
+    n = json.loads(lines[0])["n_qubits"]
+    recs = [json.loads(line) for line in lines[1:] if line.strip()]
+
+    def frame(u):
+        if u["kind"] == "pauli":
+            return PauliFrame(u["axes"])
+        rows = np.array(u["s"], dtype=np.int64)
+        return CliffordFrame((rows[:, None] >> np.arange(2 * n)) & 1, u["p"])
+
+    return [SnapshotLabels.encode([frame(r[u]) for r in recs], [r[b] for r in recs], n)
+            for u, b in (("u_in", "b_in"), ("u_out", "b_out"))]
+
+
+@settings(max_examples=300)
+@given(pair=st.sampled_from(PAIRS), n=st.integers(1, 2), data=st.data())
+def test_single_byte_edit_loads_like_json_or_names_its_line(tmp_path_factory, pair, n, data):
+    ps = _fixed_shadow(*pair, n, 6, seed=n)
+    path = tmp_path_factory.mktemp("fuzz") / "r.jsonl"
+    save_records(path, ps)
+    lines = path.read_bytes().split(b"\n")
+    lineno = data.draw(st.integers(2, len(lines) - 1), label="lineno")
+    line = lines[lineno - 1]
+    pos = data.draw(st.integers(0, len(line)), label="pos")
+    char = data.draw(st.characters(min_codepoint=0x20, max_codepoint=0x7e), label="char")
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+    new = b"" if edit == "delete" else char.encode()
+    lines[lineno - 1] = line[:pos] + new + line[pos + (edit != "insert"):]
+    path.write_bytes(b"\n".join(lines))
+    try:
+        loaded = load_records(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"line {lineno}: "), str(exc)
+        return
+    for side, ref in zip((loaded.side_in, loaded.side_out), _reference_labels(path)):
+        assert np.array_equal(side.labels, ref.labels)
+        assert side.frames == ref.frames
