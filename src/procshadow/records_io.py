@@ -48,9 +48,9 @@ _MAX_PAULI_KEY_QUBITS = 24
 _MAX_CLIFFORD_QUBITS = 31
 
 # Byte -> digit lookup tables for a line's digits; -1 marks an invalid byte.
-_AXIS_DIGIT = np.full(256, -1, dtype=np.int64)
+_AXIS_DIGIT = np.full(256, -1, dtype=np.int8)
 _AXIS_DIGIT[[ord(a) for a in AXES]] = range(len(AXES))
-_BIT_DIGIT = np.full(256, -1, dtype=np.int64)
+_BIT_DIGIT = np.full(256, -1, dtype=np.int8)
 _BIT_DIGIT[[ord("0"), ord("1")]] = (0, 1)
 
 # canonical JSON: sorted keys, no whitespace
@@ -241,13 +241,12 @@ def _scan(body: bytes, n: int, tags):
     for start, end in gaps:
         ok &= end >= start
     anchors = [np.where(ok, at, 0) for at in anchors]
-    mats = []
-    for chunk, at in zip(chunks, anchors):
-        mat = _rows_at(buf, at, len(chunk))
-        bad = mat != chunk
-        bad[:, (chunk == ord("0")) | (chunk == ord("X"))] = False
-        ok &= ~bad.any(axis=1)
-        mats.append(mat)
+    mats = [_rows_at(buf, at, len(chunk)) for chunk, at in zip(chunks, anchors)]
+    for mat, chunk in zip(mats, chunks):
+        digit = (chunk == ord("0")) | (chunk == ord("X"))
+        # in blocks of rows, which bounds the temporary
+        ok &= np.concatenate([((mat[i:i + 4096] == chunk) | digit).all(axis=1)
+                              for i in range(0, len(mat), 4096)])
     bits = _BIT_DIGIT[mats[0][:, np.flatnonzero(chunks[0] == ord("0"))]]
     ok &= (bits >= 0).all(axis=1)
     sides, gaps = [], iter(gaps)
@@ -357,8 +356,9 @@ def _raise_first_bad_record(body: bytes, header: dict) -> None:
 
 def load_records(path) -> ProcessShadow:
     """Read a shadow back; errors carry the offending line number."""
-    first, _, body = Path(path).read_bytes().partition(b"\n")
-    header = _parse_header(first)
+    with open(path, "rb") as fh:
+        header = _parse_header(fh.readline())
+        body = fh.read()
     try:
         side_in, side_out = _read_body(body, header)
     except _RECORD_ERRORS:
