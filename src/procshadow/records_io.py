@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +55,7 @@ _BIT_DIGIT[[ord("0"), ord("1")]] = (0, 1)
 # canonical JSON: sorted keys, no whitespace
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# a record line: _dump of the record, from its rendered fields
+# a record line from its rendered fields, as save_records writes it
 _LINE = '{{"b_in":{},"b_out":{},"u_in":{},"u_out":{}}}'
 
 # a Clifford frame's signs-and-rows text goes where the newline is
@@ -138,10 +137,14 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
                 raise ValueError(f"{tag}: a record file cannot mix Pauli and "
                                  "Clifford frames on one side")
             header[tag] = side.ensemble
-    lines = [_LINE.format(b_in, b_out, u_in, u_out) + "\n"
-             for (b_in, u_in), (b_out, u_out)
-             in zip(_rendered(ps.side_in), _rendered(ps.side_out))]
-    Path(path).write_text(_dump(header) + "\n" + "".join(lines))
+    # each line is _dump of its record: keys in sorted order, no whitespace
+    # (the layout of _LINE, which is slower per line than an f-string)
+    body = "".join([f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'
+                    for (b_in, u_in), (b_out, u_out)
+                    in zip(_rendered(ps.side_in), _rendered(ps.side_out))])
+    with open(path, "w") as fh:  # the header, then the body: no joined copy of both
+        fh.write(_dump(header) + "\n")
+        fh.write(body)
 
 
 def _parse_header(first: bytes) -> dict:
@@ -211,6 +214,13 @@ def _rows_at(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return windows[starts]
 
 
+def _positions(buf: np.ndarray, byte: str) -> np.ndarray:
+    """Offsets of one byte in buf, found in blocks, which bounds the temporary."""
+    step = 1 << 16
+    return np.concatenate([np.flatnonzero(buf[i:i + step] == ord(byte)) + i
+                           for i in range(0, buf.size or 1, step)])
+
+
 def _scan(body: bytes, n: int, tags):
     """Check every line of a record body against the canonical template.
 
@@ -219,7 +229,7 @@ def _scan(body: bytes, n: int, tags):
     (tag, frame digits or tableau texts, outcome bits) to encode.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    ends = _positions(buf, "\n")
     if body and body[-1:] != b"\n":
         ends = np.append(ends, len(body))
     starts = np.concatenate(([0], ends[:-1] + 1))[:ends.size]
@@ -231,7 +241,7 @@ def _scan(body: bytes, n: int, tags):
     # the input frame, the line's first "}"
     anchors = [starts]
     if len(chunks) == 3:
-        braces = np.flatnonzero(buf == ord("}"))
+        braces = _positions(buf, "}")
         anchors.append(np.append(braces, buf.size)[np.searchsorted(braces, starts)] - 1)
     if len(chunks) > 1:
         anchors.append(ends - len(chunks[-1]))
@@ -244,7 +254,7 @@ def _scan(body: bytes, n: int, tags):
     mats = [_rows_at(buf, at, len(chunk)) for chunk, at in zip(chunks, anchors)]
     for mat, chunk in zip(mats, chunks):
         digit = (chunk == ord("0")) | (chunk == ord("X"))
-        # in blocks of rows, which bounds the temporary
+        # in blocks of rows, as _positions does
         ok &= np.concatenate([((mat[i:i + 4096] == chunk) | digit).all(axis=1)
                               for i in range(0, len(mat), 4096)])
     bits = _BIT_DIGIT[mats[0][:, np.flatnonzero(chunks[0] == ord("0"))]]
