@@ -287,7 +287,7 @@ def _encode(tag, frames, outcomes: np.ndarray, n: int) -> SnapshotLabels:
     idx, texts = frames
     values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
                            dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
-    if values.max() >= 4**n:  # the sign bits are 0 or 1
+    if values.max() >= np.uint64(4**n):  # the sign bits are 0 or 1
         raise ValueError(f"tableau rows must be integers in [0, {4**n})")
     values = values.astype(np.int64)
     stack = np.concatenate((_symplectic(values[:, 2 * n:], n), values[:, :2 * n, None]),
