@@ -188,8 +188,8 @@ def _template(tags, n: int) -> list | None:
 
     Bits are rendered as "0" and axes as "X", which no constant text holds.
     """
-    if not set(tags) <= {PAULI_ENSEMBLE, CLIFFORD_ENSEMBLE}:
-        return None
+    if not all(tag in (PAULI_ENSEMBLE, CLIFFORD_ENSEMBLE) for tag in tags):
+        return None  # tags are header values of any JSON type
     frames = [_dump({"kind": PAULI_ENSEMBLE, "axes": "X" * n}) if tag == PAULI_ENSEMBLE
               else _CLIFFORD_TEMPLATE for tag in tags]
     return [np.frombuffer(chunk, dtype=np.uint8) for chunk in

@@ -442,6 +442,22 @@ def test_json_booleans_in_a_tableau_are_rejected(tmp_path, field, value, message
         load_records(path)
 
 
+@pytest.mark.parametrize("m", [0, 4])
+def test_unknown_ensemble_tags_reject_records_only(tmp_path, m):
+    """Header tags of any JSON type: an empty file loads, a record names its line."""
+    _, path = _sample(tmp_path, m=m)
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head["ensemble_in"] = ["pauli"]
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    if m:
+        with pytest.raises(ValueError, match="^line 2: bad record .*ensemble_in"):
+            load_records(path)
+    else:
+        assert len(load_records(path)) == 0
+
+
 def test_clifford_header_beyond_int64_rows_is_a_line_1_error(tmp_path):
     _, path = _sample(tmp_path, ens_in="clifford", ens_out="clifford", m=3)
     lines = path.read_text().splitlines()
