@@ -18,10 +18,10 @@ base-6 Pauli keys and outcome bits; a Pauli/Pauli file takes no Python
 object per record.  A Clifford side's texts are deduplicated in
 first-appearance order, matched once each against the canonical form,
 parsed together and validated as one stack, so the labels and
-``frames`` equal those of ``SnapshotLabels.encode``.  Any other line
-(other spacing or key order, escapes, extra fields, CRLF endings) is
-decoded as JSON, its known fields are rendered canonically, and the
-result goes through the same reader; blank lines are skipped.  When a
+``frames`` equal those of ``SnapshotLabels.encode``.  Lines may end in
+CRLF.  Any other line (other spacing or key order, escapes, extra
+fields) is decoded as JSON, its known fields are rendered canonically,
+and the result goes through the same reader; blank lines are skipped.  When a
 line still fails, the file is checked again record by record, which
 names the first offending line.  Saving renders each side's distinct
 labels once and joins the lines from the label arrays.
@@ -55,11 +55,7 @@ _BIT_DIGIT[[ord("0"), ord("1")]] = (0, 1)
 # canonical JSON: sorted keys, no whitespace
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# a record line from its rendered fields, as save_records writes it
-_LINE = '{{"b_in":{},"b_out":{},"u_in":{},"u_out":{}}}'
-
-# a Clifford frame's signs-and-rows text goes where the newline is
-_CLIFFORD_TEMPLATE = '{"kind":"clifford","p":[\n]}'
+# between a Clifford frame's sign bits and its tableau rows
 _ROWS_SEP = b'],"s":['
 
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
@@ -137,8 +133,8 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
                 raise ValueError(f"{tag}: a record file cannot mix Pauli and "
                                  "Clifford frames on one side")
             header[tag] = side.ensemble
-    # each line is _dump of its record: keys in sorted order, no whitespace
-    # (the layout of _LINE, which is slower per line than an f-string)
+    # each line is _dump of its record (keys in sorted order, no
+    # whitespace), spelled out because an f-string is faster per line
     body = "".join([f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'
                     for (b_in, u_in), (b_out, u_out)
                     in zip(_rendered(ps.side_in), _rendered(ps.side_out))])
@@ -190,10 +186,10 @@ def _template(tags, n: int) -> list | None:
     """
     if not all(tag in (PAULI_ENSEMBLE, CLIFFORD_ENSEMBLE) for tag in tags):
         return None  # tags are header values of any JSON type
-    frames = [_dump({"kind": PAULI_ENSEMBLE, "axes": "X" * n}) if tag == PAULI_ENSEMBLE
-              else _CLIFFORD_TEMPLATE for tag in tags]
-    return [np.frombuffer(chunk, dtype=np.uint8) for chunk in
-            _LINE.format(_dump("0" * n), _dump("0" * n), *frames).encode().split(b"\n")]
+    u_in, u_out = ({"kind": tag, "axes": "X" * n} if tag == PAULI_ENSEMBLE
+                   else {"kind": tag, "p": [], "s": []} for tag in tags)
+    line = _dump({"b_in": "0" * n, "b_out": "0" * n, "u_in": u_in, "u_out": u_out})
+    return [np.frombuffer(chunk, dtype=np.uint8) for chunk in line.encode().split(_ROWS_SEP)]
 
 
 def _tableau_pattern(n: int):
@@ -224,18 +220,20 @@ def _positions(buf: np.ndarray, byte: str) -> np.ndarray:
 def _scan(body: bytes, n: int, tags):
     """Check every line of a record body against the canonical template.
 
-    Returns ``(starts, ends, ok, sides)``: each line's bounds (``ends``
-    excludes the newline), whether it is canonical, and per side the
-    (tag, frame digits or tableau texts, outcome bits) to encode.
+    Returns ``(starts, newlines, ok, sides)``: where each line starts and
+    where its newline is (or the body ends), whether it is canonical, and
+    per side the (tag, frame digits or tableau texts, outcome bits) to
+    encode.  A line may end in CRLF.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
-    ends = _positions(buf, "\n")
+    newlines = _positions(buf, "\n")
     if body and body[-1:] != b"\n":
-        ends = np.append(ends, len(body))
-    starts = np.concatenate(([0], ends[:-1] + 1))[:ends.size]
+        newlines = np.append(newlines, len(body))
+    starts = np.concatenate(([0], newlines[:-1] + 1))[:newlines.size]
+    ends = newlines - ((newlines > starts) & (buf[newlines - 1] == ord("\r")))
     chunks = _template(tags, n)
     if not ends.size or chunks is None or buf.size < max(map(len, chunks)):
-        return starts, ends, np.zeros(ends.size, dtype=bool), None
+        return starts, newlines, np.zeros(ends.size, dtype=bool), None
     # the first chunk starts at the line's start and the last ends at its
     # end; a middle one (Clifford/Clifford) starts at the "]}" that closes
     # the input frame, the line's first "}"
@@ -277,7 +275,7 @@ def _scan(body: bytes, n: int, tags):
         canonical = _tableau_pattern(n).fullmatch
         ok &= np.array([canonical(text) is not None for text in index] + [False])[idx]
         sides.append((tag, (idx, list(index)), outcomes))
-    return starts, ends, ok, sides
+    return starts, newlines, ok, sides
 
 
 def _encode(tag, frames, outcomes: np.ndarray, n: int) -> SnapshotLabels:
@@ -297,19 +295,20 @@ def _encode(tag, frames, outcomes: np.ndarray, n: int) -> SnapshotLabels:
 
 
 def _rerendered(line: bytes) -> bytes:
-    """A record line decoded as JSON and its known fields rendered canonically."""
+    """A record line decoded as JSON, with its known fields rendered canonically."""
     obj = json.loads(line.decode())
-    frames = []
-    for u in (obj["u_in"], obj["u_out"]):
-        keys = ("axes",) if u["kind"] == PAULI_ENSEMBLE else ("p", "s")
-        frames.append(_dump({"kind": u["kind"], **{k: u[k] for k in keys}}))
-    return _LINE.format(_dump(obj["b_in"]), _dump(obj["b_out"]), *frames).encode()
+    known = {"b_in": obj["b_in"], "b_out": obj["b_out"]}
+    for side in ("u_in", "u_out"):
+        u = obj[side]
+        keys = ("kind", "axes") if u["kind"] == PAULI_ENSEMBLE else ("kind", "p", "s")
+        known[side] = {k: u[k] for k in keys}
+    return _dump(known).encode()
 
 
-def _normalized(body: bytes, starts, ends, odd: np.ndarray) -> bytes:
+def _normalized(body: bytes, starts, newlines, odd: np.ndarray) -> bytes:
     """The body with its odd lines rendered canonically and blank ones dropped."""
     pieces, pos = [], 0
-    for start, end in zip(starts[odd].tolist(), ends[odd].tolist()):
+    for start, end in zip(starts[odd].tolist(), newlines[odd].tolist()):
         pieces.append(body[pos:start])
         line = body[start:end]
         if line.strip():
@@ -323,13 +322,13 @@ def _read_body(body: bytes, header: dict) -> tuple[SnapshotLabels, SnapshotLabel
     """Both sides' labels; raises without a line number on any bad record."""
     n = header["n_qubits"]
     tags = header.get("ensemble_in"), header.get("ensemble_out")
-    starts, ends, ok, sides = _scan(body, n, tags)
+    starts, newlines, ok, sides = _scan(body, n, tags)
     if not ok.all():
-        body = _normalized(body, starts, ends, ~ok)
-        _, ends, ok, sides = _scan(body, n, tags)
+        body = _normalized(body, starts, newlines, ~ok)
+        _, newlines, ok, sides = _scan(body, n, tags)
         if not ok.all():
             raise ValueError("a record line is not canonical")
-    if not ends.size:
+    if not newlines.size:
         empty = SnapshotLabels(np.empty(0, dtype=np.int64), n)
         return empty, empty
     return tuple(_encode(tag, frames, outcomes, n) for tag, frames, outcomes in sides)

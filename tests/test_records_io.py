@@ -415,8 +415,11 @@ def test_other_layouts_load_the_same_labels(tmp_path, ens_in, ens_out, layout):
         lines[5:5] = ["", "  \t"]
         lines[-2:-2] = [" "]
         text = "\n".join(lines) + "\n\n"
-    elif layout == "crlf":
-        text = text.replace("\n", "\r\n")
+    elif layout == "crlf":  # with a blank line and a line in default spacing
+        lines = text.splitlines()
+        lines[3] = json.dumps(json.loads(lines[3]))
+        lines[6:6] = [""]
+        text = "\r\n".join(lines) + "\r\n"
     else:
         rng = np.random.default_rng(0)
         lines = text.splitlines()
