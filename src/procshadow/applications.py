@@ -194,6 +194,12 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     bootstrap replicate resamples the records with replacement and
     leaves out the pairs formed by two copies of one record.
     """
+    if n_bootstrap < 1:
+        raise ValueError(f"need at least one bootstrap replicate, got {n_bootstrap}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    if not 0.0 < threshold_fraction <= 1.0:
+        raise ValueError(f"threshold fraction must lie in (0, 1], got {threshold_fraction}")
     n = ps.n_qubits
     if n > MAX_PURITY_QUBITS and not allow_large:
         raise ValueError(

@@ -4,7 +4,9 @@ The guarantees come in two layers: a per-observable variance proxy f,
 whose product over the two registers bounds the single-shot variance of
 any channel functional, and the resulting (K, N) median-of-means
 schedule that achieves additive error epsilon with confidence 1-delta
-for every queried pair at once.
+for every queried pair at once.  The exhaustive checks enumerate a frame
+ensemble as one stack of unitaries (``ensembles.frame_unitaries``) and
+contract it with one second-moment kernel.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (AXIS_FRAME, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE,
-                        enumerate_clifford_group, frame_stack, frame_unitaries)
+from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, enumerate_clifford_group,
+                        frame_stack, frame_unitaries)
 from .qcore import PauliString, n_qubits_of, operator_norm
 from .state_shadows import inverse_map_clifford, inverse_map_pauli_factorwise
 
@@ -64,7 +66,8 @@ class ComplexityQuery:
     ``input_states`` entries are (matrix, support) pairs or bare
     matrices when the ensemble does not need a support count.  An empty
     ``input_states`` list requests the state-tomography budget instead
-    of the process budget.
+    of the process budget.  Every operator must act on ``n_qubits``
+    qubits, and ``n_qubits`` must be at least 1.
     """
 
     epsilon: float
@@ -80,6 +83,14 @@ class ComplexityQuery:
             raise ValueError("epsilon and delta must lie in (0, 1]")
         if not self.observables:
             raise ValueError("need at least one observable")
+        if self.n_qubits < 1:
+            raise ValueError(f"need at least one qubit, got n_qubits={self.n_qubits}")
+        for entry in (*self.observables, *self.input_states):
+            op, _ = _normalize_op(entry)
+            size = op.n_qubits if isinstance(op, PauliString) else n_qubits_of(op)
+            if size != self.n_qubits:
+                raise ValueError(f"operator on {size} qubits does not match "
+                                 f"n_qubits={self.n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -152,36 +163,16 @@ def sample_budget(q: ComplexityQuery) -> ComplexityAnswer:
 # Exhaustive shadow norms and the variance-bound verifier.
 # ---------------------------------------------------------------------------
 
-def _second_moment_pauli(b_op: np.ndarray, n: int) -> np.ndarray:
-    """sum_b E_frames U^dag|b><b|U <b|U B U^dag|b>^2 over Pauli frames."""
-    d = 2**n
-    x = np.zeros((d, d), dtype=complex)
-    frames = list(itertools.product("XYZ", repeat=n))
-    for axes in frames:
-        u = AXIS_FRAME[axes[0]]
-        for ax in axes[1:]:
-            u = np.kron(u, AXIS_FRAME[ax])
-        rot = u @ b_op @ u.conj().T
-        states = u.conj().T  # columns are U^dag |b>
-        for b in range(d):
-            amp = np.real(rot[b, b])
-            col = states[:, b]
-            x += np.outer(col, col.conj()) * amp**2
-    return x / len(frames)
+def _second_moment(u: np.ndarray, b_op: np.ndarray) -> np.ndarray:
+    """sum_b E_U U^dag|b><b|U <b|U B U^dag|b>^2 over a stack u of frame
+    unitaries; row b of U, conjugated, is the state U^dag|b>."""
+    amp = np.real(np.einsum("kbi,ij,kbj->kb", u, b_op, u.conj()))
+    return np.einsum("kb,kbi,kbj->ij", amp**2, u.conj(), u) / len(u)
 
 
-def _second_moment_clifford(b_op: np.ndarray) -> np.ndarray:
-    """Same outcome-summed second moment over the one-qubit Clifford group."""
-    x = np.zeros((2, 2), dtype=complex)
-    group = frame_unitaries(*frame_stack(enumerate_clifford_group(1)))
-    for u in group:
-        rot = u @ b_op @ u.conj().T
-        states = u.conj().T
-        for b in range(2):
-            amp = np.real(rot[b, b])
-            col = states[:, b]
-            x += np.outer(col, col.conj()) * amp**2
-    return x / len(group)
+def _clifford_unitaries() -> np.ndarray:
+    """The 24 one-qubit Clifford frame unitaries, as one stack."""
+    return frame_unitaries(*frame_stack(enumerate_clifford_group(1)))
 
 
 def shadow_norm_bruteforce(o: np.ndarray, ensemble: str, *,
@@ -200,11 +191,13 @@ def shadow_norm_bruteforce(o: np.ndarray, ensemble: str, *,
     if ensemble == PAULI_ENSEMBLE:
         if n > 2:
             raise ValueError("exhaustive Pauli enumeration limited to n <= 2")
-        x = _second_moment_pauli(inverse_map_pauli_factorwise(o), n)
+        axes = np.array(list(itertools.product(range(3), repeat=n)))
+        x = _second_moment(frame_unitaries(PAULI_ENSEMBLE, axes),
+                           inverse_map_pauli_factorwise(o))
     elif ensemble == CLIFFORD_ENSEMBLE:
         if n > 1:
             raise ValueError("exhaustive Clifford enumeration limited to n = 1")
-        x = _second_moment_clifford(inverse_map_clifford(o))
+        x = _second_moment(_clifford_unitaries(), inverse_map_clifford(o))
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     return float(np.linalg.eigvalsh((x + x.conj().T) / 2).max())
@@ -259,15 +252,16 @@ def verify_moment_bound(trials: int, rng: np.random.Generator,
     """
     worst_viol = 0.0
     worst_res = 0.0
+    group = _clifford_unitaries()
     for _ in range(trials):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         o = (g + g.conj().T) / 2
-        x = _second_moment_clifford(inverse_map_clifford(o))
+        x = _second_moment(group, inverse_map_clifford(o))
         gap = 2.0 * s_operator(o) - x
         eig = np.linalg.eigvalsh((gap + gap.conj().T) / 2).min()
         worst_viol = min(worst_viol, float(eig))
         design = _haar_third_moment(o)
-        enumerated = _second_moment_clifford(o)
+        enumerated = _second_moment(group, o)
         worst_res = max(worst_res, float(np.abs(enumerated - design).max()))
     return MomentBoundReport(trials=trials, worst_violation=worst_viol,
                              worst_design_residual=worst_res, tolerance=tolerance)

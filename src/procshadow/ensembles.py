@@ -98,14 +98,6 @@ class CliffordFrame:
 Frame = PauliFrame | CliffordFrame
 
 
-def frame_kind(frame: Frame) -> str:
-    if isinstance(frame, PauliFrame):
-        return "pauli-product"
-    if isinstance(frame, CliffordFrame):
-        return "clifford"
-    raise TypeError(f"not a frame: {frame!r}")
-
-
 def frame_stack(frames) -> tuple[str, np.ndarray]:
     """``(ensemble, stack)`` of a non-empty sequence of frames of one kind."""
     if all(isinstance(f, PauliFrame) for f in frames):
@@ -363,14 +355,6 @@ def to_matrix(frame: Frame) -> np.ndarray:
     if not isinstance(frame, (PauliFrame, CliffordFrame)):
         raise TypeError(f"not a frame: {frame!r}")
     return frame_unitaries(*frame_stack([frame]))[0]
-
-
-def sample_frame(n: int, ensemble: str, rng: np.random.Generator) -> Frame:
-    if ensemble == PAULI_ENSEMBLE:
-        return sample_pauli_frame(n, rng)
-    if ensemble == CLIFFORD_ENSEMBLE:
-        return sample_clifford(n, rng)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -69,6 +69,12 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
+        if self.n_qubits < 1:
+            raise ConfigError(f"need at least one qubit, got n_qubits={self.n_qubits}")
+        for tag in ("ensemble_in", "ensemble_out"):
+            if getattr(self, tag) not in ("pauli", "clifford"):
+                raise ConfigError(f"unknown {tag} {getattr(self, tag)!r}; "
+                                  "choose pauli or clifford")
         grid = tuple(int(m) for m in self.grid)
         if len(grid) < 2 or any(m < 2 for m in grid) or list(grid) != sorted(grid):
             raise ConfigError("sample grid must be at least two ascending counts")

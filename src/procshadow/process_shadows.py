@@ -35,13 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ensembles
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
-                        frame_unitaries, prepared_state_vector, sample_frames)
+                        frame_unitaries, sample_frames)
 from .qcore import Channel, ChoiMatrix, PauliString, _trace_register, choi_of_channel
-from .state_shadows import (SnapshotLabels, StateSnapshot, _MAX_TABLE_QUBITS, _simulate,
+from .state_shadows import (SnapshotLabels, StateSnapshot, _simulate,
                             exact_pauli_snapshot_distribution, key_matrices,
                             materialize_snapshot, median_of_means, sample_table)
+
+# largest register whose Pauli/Pauli records are drawn from the 36^n table
+_MAX_TABLE_QUBITS = 4
 
 
 def _ensemble_of(frame: Frame) -> str:
@@ -123,17 +125,6 @@ class ProcessShadow:
         return tuple(ShadowRecord(b_in, u_in, u_out, b_out)
                      for (u_in, b_in), (u_out, b_out)
                      in zip(self.side_in.views(), self.side_out.views()))
-
-    @property
-    def all_pauli(self) -> bool:
-        return self.side_in.frames is None and self.side_out.frames is None
-
-    @property
-    def keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw-label (input, output) key arrays; Pauli/Pauli records only."""
-        if not self.all_pauli:
-            raise ValueError("record keys exist only for Pauli frames")
-        return self.side_in.labels, self.side_out.labels
 
 
 def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
@@ -336,9 +327,9 @@ def verify_bin_independence(ch: Channel, samples: int, rng: np.random.Generator,
     d = ch.dim
     max_norm = 0.0
     for _ in range(samples):
-        bits = format(int(rng.integers(0, d)), f"0{n}b")
-        frame = ensembles.sample_frame(n, ensemble_in, rng)
-        psi = prepared_state_vector(frame, bits)
+        bits = int(rng.integers(0, d))
+        u = frame_unitaries(ensemble_in, sample_frames(n, ensemble_in, 1, rng))[0]
+        psi = u[bits].conj()  # the prepared state U^dag|b>
         proj_t = np.outer(psi, psi.conj()).T
         val = np.real(np.trace(np.kron(proj_t, np.eye(d)) @ eta))
         max_norm = max(max_norm, abs(val - 1.0))

@@ -282,8 +282,7 @@ def channel_of_choi(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
     if abs(tr - expected) > 1e-6:
         raise ValueError(f"Choi trace {tr} inconsistent with normalized="
                          f"{choi.normalized} (expected {expected})")
-    eta = choi.unnormalized()
-    return _trace_register((np.kron(rho.T, np.eye(d))) @ eta, d, d, "A")
+    return np.einsum("ipjq,ij->pq", choi.unnormalized().reshape(d, d, d, d), rho)
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -128,11 +128,8 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
     if channel is not None:
         header["channel"] = channel
     if len(ps):
-        for tag, side in (("ensemble_in", ps.side_in), ("ensemble_out", ps.side_out)):
-            if side.ensemble is None:
-                raise ValueError(f"{tag}: a record file cannot mix Pauli and "
-                                 "Clifford frames on one side")
-            header[tag] = side.ensemble
+        header["ensemble_in"] = ps.side_in.ensemble
+        header["ensemble_out"] = ps.side_out.ensemble
     # each line is _dump of its record (keys in sorted order, no
     # whitespace), spelled out because an f-string is faster per line
     body = "".join([f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'

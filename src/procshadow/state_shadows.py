@@ -2,12 +2,14 @@
 
 A snapshot is one (frame, outcome) pair; its materialized form is the
 inverse-map image of the measured projector and averages to the state.
-A shadow stores one int64 label per snapshot (``SnapshotLabels``).  A
-random-Pauli snapshot factorizes into one 2x2 ``tau`` matrix per qubit
-and is labelled by a compact key: per qubit ``2*axis + bit`` in {0..5}
-with axis order X, Y, Z, and per register the base-6 digits with qubit
-0 most significant.  Any other frame is labelled
-``frame_index * 2^n + outcome``, indexing the shadow's distinct frames.
+A shadow stores one int64 label per snapshot (``SnapshotLabels``), and
+all snapshots of a shadow come from one frame ensemble: a side that
+mixes Pauli and Clifford frames is refused.  A random-Pauli snapshot
+factorizes into one 2x2 ``tau`` matrix per qubit and is labelled by a
+compact key: per qubit ``2*axis + bit`` in {0..5} with axis order X, Y,
+Z, and per register the base-6 digits with qubit 0 most significant.  A
+Clifford snapshot is labelled ``frame_index * 2^n + outcome``, indexing
+the shadow's distinct frames.
 Estimators materialize the distinct labels present and weight them by
 their counts, one code path each; ``StateSnapshot`` objects are views
 built on demand.
@@ -24,7 +26,6 @@ chunks of records that keep each temporary near 2^15 complex entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +52,6 @@ TAU1 = 3.0 * PROJ1 - np.eye(2)
 # Tr[PROJ1[k] A] = sum_s _PROJ1_PAULI[k, s] Tr[sigma_s A] for Hermitian A.
 _SIGMA_VEC = np.array([PAULI[c].T.reshape(-1) for c in "IXYZ"])
 _PROJ1_PAULI = np.real(PROJ1.reshape(6, 4) @ _SIGMA_VEC.T) / 2
-
-_MAX_TABLE_QUBITS = 4
 
 
 def qubit_key(axis: str, bit: int) -> int:
@@ -101,14 +100,6 @@ def key_matrices(keys, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def snapshot_matrices(n: int) -> np.ndarray:
-    """All 6^n materialized Pauli snapshots (tau tensor products), by key."""
-    if n > _MAX_TABLE_QUBITS:
-        raise ValueError(f"snapshot table too large for n={n}")
-    return key_matrices(np.arange(6**n), n)
-
-
 @dataclass(frozen=True)
 class StateSnapshot:
     """One measured (frame, outcome) pair."""
@@ -131,8 +122,9 @@ class StateSnapshot:
 class SnapshotLabels:
     """One int64 label per snapshot, for one side of a shadow.
 
-    ``frames`` is None for base-6 Pauli keys, else the tuple of distinct
-    frames that ``label >> n`` indexes.
+    A side holds one frame ensemble.  ``frames`` is None for base-6 Pauli
+    keys, else the tuple of distinct Clifford frames that ``label >> n``
+    indexes.
     """
 
     def __init__(self, labels, n_qubits: int, frames: tuple | None = None):
@@ -162,10 +154,13 @@ class SnapshotLabels:
 
     @classmethod
     def encode(cls, frames, outcomes, n: int) -> "SnapshotLabels":
-        """Labels of (frame, outcome bits) pairs, each encoded once."""
+        """Labels of (frame, outcome bits) pairs of one ensemble, each
+        encoded once; an empty side is a Pauli side."""
         frames = list(frames)
         if all(isinstance(f, PauliFrame) for f in frames):
             return cls([register_key(f.axes, b) for f, b in zip(frames, outcomes)], n)
+        if not all(isinstance(f, CliffordFrame) for f in frames):
+            raise ValueError("one side of a shadow cannot mix Pauli and Clifford frames")
         index: dict = {}
         labels = [(index.setdefault(f, len(index)) << n) | int(b, 2)
                   for f, b in zip(frames, outcomes)]
@@ -181,13 +176,9 @@ class SnapshotLabels:
         return SnapshotLabels(self.labels[:m], self.n_qubits, self.frames)
 
     @property
-    def ensemble(self) -> str | None:
-        """The side's ensemble tag, or None when it mixes Pauli and Clifford frames."""
-        if self.frames is None:
-            return PAULI_ENSEMBLE
-        if all(isinstance(f, CliffordFrame) for f in self.frames):
-            return CLIFFORD_ENSEMBLE
-        return None
+    def ensemble(self) -> str:
+        """The side's ensemble tag."""
+        return PAULI_ENSEMBLE if self.frames is None else CLIFFORD_ENSEMBLE
 
     def _decode(self, labels) -> list:
         n = self.n_qubits
@@ -254,12 +245,6 @@ class ShadowEstimate:
     def snapshots(self) -> tuple:
         return tuple(StateSnapshot(f, b) for f, b in self.side.views())
 
-    @property
-    def keys(self) -> np.ndarray:
-        if self.side.frames is not None:
-            raise ValueError("snapshot keys exist only for Pauli frames")
-        return self.side.labels
-
 
 def inverse_map_pauli(a: np.ndarray) -> np.ndarray:
     """Single-qubit inverse measurement map 3 A - Tr(A) I."""
@@ -308,25 +293,16 @@ def inverse_map_clifford(a: np.ndarray) -> np.ndarray:
 
 
 def frame_snapshots(frames: list, outcomes: np.ndarray, n: int) -> np.ndarray:
-    """Materialized snapshots of (frame, outcome index) pairs.
-
-    Pauli frames give ``TAU1`` products; the Clifford frames are built in
-    one stack, and give the global inverse map of U^dag|b><b|U.
-    """
+    """Materialized snapshots of Clifford (frame, outcome index) pairs: the
+    global inverse map of U^dag|b><b|U, with the frames built in one stack."""
     d = 2**n
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    out = np.empty((len(frames), d, d), dtype=complex)
-    pauli = np.array([isinstance(f, PauliFrame) for f in frames], dtype=bool)
-    if pauli.any():
-        _, axes = frame_stack([f for f, p in zip(frames, pauli) if p])
-        out[pauli] = key_matrices(pauli_keys(axes, outcome_bits(outcomes[pauli], n)), n)
-    if not pauli.all():
-        u = frame_unitaries(*frame_stack([f for f, p in zip(frames, pauli) if not p]))
-        rows = u[np.arange(len(u)), outcomes[~pauli]]
-        snaps = (d + 1.0) * (rows.conj()[:, :, None] * rows[:, None, :])
-        snaps[:, np.arange(d), np.arange(d)] -= (rows.conj() * rows).sum(axis=1)[:, None]
-        out[~pauli] = snaps
-    return out
+    if not frames:
+        return np.empty((0, d, d), dtype=complex)
+    u = frame_unitaries(*frame_stack(frames))
+    rows = u[np.arange(len(u)), np.asarray(outcomes, dtype=np.int64)]
+    snaps = (d + 1.0) * (rows.conj()[:, :, None] * rows[:, None, :])
+    snaps[:, np.arange(d), np.arange(d)] -= (rows.conj() * rows).sum(axis=1)[:, None]
+    return snaps
 
 
 def materialize_snapshot(s: StateSnapshot) -> np.ndarray:

@@ -154,6 +154,39 @@ def test_acquire_rejects_negative_count(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--bootstrap", "0"], "at least one bootstrap replicate, got 0"),
+    (["--threshold-fraction", "-1"], "threshold fraction must lie in (0, 1], got -1.0"),
+    (["--threshold-fraction", "1.5"], "threshold fraction must lie in (0, 1], got 1.5"),
+])
+def test_verify_unitarity_rejects_invalid_settings(tmp_path, capsys, flags, message):
+    path = _acquire(tmp_path, m=50)
+    capsys.readouterr()
+    assert main(["verify-unitarity", "--records", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("qubits", ["0", "-1"])
+def test_experiment_rejects_empty_register(capsys, qubits):
+    code = main(["experiment", "--experiment", "choi-convergence", "--qubits", qubits,
+                 "--grid", "2,4", "--trials", "1"])
+    assert code == 2
+    assert f"n_qubits={qubits}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("qubits,observables,message", [
+    ("0", "Z", "n_qubits=0"),
+    ("2", "Z", "operator on 1 qubits does not match n_qubits=2"),
+])
+def test_budget_rejects_register_mismatch(capsys, qubits, observables, message):
+    code = main(["budget", "--epsilon", "0.1", "--delta", "0.1", "--qubits", qubits,
+                 "--observables", observables])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_exit_code_missing_records(capsys):
     assert main(["reconstruct", "--records", "/nonexistent/r.jsonl"]) == 2
 

@@ -134,6 +134,20 @@ def test_query_validation():
         ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=1, observables=())
 
 
+def test_query_rejects_register_mismatch():
+    with pytest.raises(ValueError, match="n_qubits=0"):
+        ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=0, observables=(PauliString("Z"),))
+    with pytest.raises(ValueError, match="operator on 1 qubits does not match n_qubits=2"):
+        ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=2, observables=(PauliString("Z"),))
+    with pytest.raises(ValueError, match="operator on 2 qubits does not match n_qubits=1"):
+        ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=1, observables=((np.eye(4), 1),))
+    with pytest.raises(ValueError, match="operator on 1 qubits does not match n_qubits=2"):
+        ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=2, observables=(PauliString("ZZ"),),
+                        input_states=((basis_projector("0"), 1),))
+    ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=2, observables=(PauliString("ZZ"),),
+                    input_states=((basis_projector("00"), 1), basis_projector("01")))
+
+
 def test_shadow_norm_z_frozen():
     # Only the Z-basis draw contributes: (1/3) * 9 * (P0 + P1) = 3 I
     assert shadow_norm_bruteforce(PauliString("Z").matrix, "pauli") == pytest.approx(3.0, abs=1e-10)

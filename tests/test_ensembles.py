@@ -12,13 +12,11 @@ from procshadow.ensembles import (
     clifford_frames,
     clifford_group_order,
     enumerate_clifford_group,
-    frame_kind,
     frame_unitaries,
     is_symplectic,
     measurement_probabilities,
     prepared_state_vector,
     sample_clifford,
-    sample_frame,
     sample_frames,
     sample_haar_unitary,
     sample_pauli_frame,
@@ -238,8 +236,8 @@ def test_sample_haar_unitary(rng):
     assert np.array_equal(again, same)
 
 
-def test_sample_frame_dispatch(rng):
-    assert frame_kind(sample_frame(1, "pauli", rng)) == "pauli-product"
-    assert frame_kind(sample_frame(1, "clifford", rng)) == "clifford"
-    with pytest.raises(ValueError):
-        sample_frame(1, "haar", rng)
+def test_sample_frames_dispatch(rng):
+    assert sample_frames(2, "pauli", 3, rng).shape == (3, 2)
+    assert sample_frames(2, "clifford", 3, rng).shape == (3, 4, 5)
+    with pytest.raises(ValueError, match="unknown ensemble 'haar'"):
+        sample_frames(1, "haar", 1, rng)

@@ -72,6 +72,17 @@ def test_config_validation():
         ExperimentConfig(experiment="unitarity", trials=0)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"n_qubits": 0}, "n_qubits=0"),
+    ({"n_qubits": -1}, "n_qubits=-1"),
+    ({"ensemble_in": "haar"}, "unknown ensemble_in 'haar'"),
+    ({"ensemble_out": "Pauli"}, "unknown ensemble_out 'Pauli'"),
+])
+def test_config_rejects_bad_register_or_ensemble(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(experiment="choi-convergence", **fields)
+
+
 def test_config_dict_round_trip():
     cfg = ExperimentConfig(experiment="choi-convergence", **SMALL)
     again = ExperimentConfig.from_dict(cfg.to_dict())

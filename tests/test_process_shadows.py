@@ -127,7 +127,7 @@ def test_exhaustive_average_is_normalized_choi(channel, n):
 def test_histogram_mean_matches_snapshot_mean(rng):
     ch = named_channel("depolarizing", 1, 0.4)
     ps = acquire_process_shadow(ch, 40, "pauli", "pauli", rng)
-    kin, kout = ps.keys
+    kin, kout = ps.side_in.labels, ps.side_out.labels
     hist = np.zeros((6, 6))
     np.add.at(hist, (kin, kout), 1.0 / 40)
     direct = sum(materialize_choi_shadow(r) for r in ps.records) / 40
@@ -139,7 +139,7 @@ def test_acquire_process_shadow_basics(rng):
     ps = acquire_process_shadow(ch, 25, "pauli", "clifford", rng)
     assert len(ps) == 25
     assert ps.n_qubits == 1
-    assert not ps.all_pauli
+    assert (ps.side_in.ensemble, ps.side_out.ensemble) == ("pauli", "clifford")
     head = ps.take(10)
     assert len(head) == 10
     assert head.records[0] == ps.records[0]
@@ -164,8 +164,8 @@ def test_acquire_deterministic():
     ch = named_channel("pauli-x", 1)
     a = acquire_process_shadow(ch, 15, "pauli", "pauli", np.random.default_rng(3))
     b = acquire_process_shadow(ch, 15, "pauli", "pauli", np.random.default_rng(3))
-    assert np.array_equal(a.keys[0], b.keys[0])
-    assert np.array_equal(a.keys[1], b.keys[1])
+    assert np.array_equal(a.side_in.labels, b.side_in.labels)
+    assert np.array_equal(a.side_out.labels, b.side_out.labels)
 
 
 def test_clifford_records_match_exact_born_distribution(chi_square):

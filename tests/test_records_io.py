@@ -116,12 +116,18 @@ def test_load_reports_qubit_count_mismatch_with_line(tmp_path):
         load_records(path)
 
 
-def test_save_refuses_a_side_that_mixes_ensembles(tmp_path):
+def test_process_shadow_rejects_a_side_that_mixes_ensembles(tmp_path):
     rng = np.random.default_rng(1)
+    clifford = sample_clifford(1, rng)
     recs = [ShadowRecord("0", PauliFrame("X"), PauliFrame("Z"), "1"),
-            ShadowRecord("1", sample_clifford(1, rng), PauliFrame("Y"), "0")]
-    with pytest.raises(ValueError, match="ensemble_in: .*mix"):
-        save_records(tmp_path / "mixed.jsonl", ProcessShadow(recs))
+            ShadowRecord("1", clifford, PauliFrame("Y"), "0")]
+    with pytest.raises(ValueError, match="cannot mix Pauli and Clifford frames"):
+        ProcessShadow(recs)
+    # each side holds one ensemble; the two sides may differ
+    ps = ProcessShadow([ShadowRecord("0", PauliFrame("X"), clifford, "1"),
+                        ShadowRecord("1", PauliFrame("Y"), clifford, "0")])
+    save_records(tmp_path / "sides.jsonl", ps)
+    assert load_header(tmp_path / "sides.jsonl")["ensemble_out"] == "clifford"
 
 
 def test_save_is_byte_deterministic(tmp_path):

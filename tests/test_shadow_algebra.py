@@ -11,17 +11,26 @@ from hypothesis import strategies as st
 from procshadow.channels import named_channel, random_unitary_channel
 from procshadow.process_shadows import (
     acquire_process_shadow,
+    choi_mean_from_histogram,
     exact_pauli_record_distribution,
     materialize_choi_shadow,
+    reconstruct_choi,
 )
-from procshadow.qcore import Channel, apply_channel, basis_projector, choi_of_channel, partial_trace, random_density_matrix
+from procshadow.qcore import (
+    Channel,
+    apply_channel,
+    basis_projector,
+    channel_of_choi,
+    choi_of_channel,
+    partial_trace,
+    random_density_matrix,
+)
 from procshadow.shadow_algebra import (
     WEIGHT_SUPPORT,
+    WeightedSnapshotSum,
     apply_process_to_state_shadow,
     big_weight_pmf,
     compose_process_shadows,
-    exact_apply_sum,
-    exact_compose_sum,
     negative_weight_probability,
     pair_weight,
     weight_sign_statistics,
@@ -29,12 +38,52 @@ from procshadow.shadow_algebra import (
 from procshadow.state_shadows import (
     acquire_shadow,
     exact_pauli_snapshot_distribution,
+    key_matrices,
     materialize_snapshot,
     qubit_key,
-    snapshot_matrices,
+    reconstruct,
 )
 
 AXES = "XYZ"
+ENSEMBLE_PAIRS = [(a, b) for a in ("pauli", "clifford") for b in ("pauli", "clifford")]
+
+
+def _gram(x, y):
+    """G[u, v] = Re Tr[x_u y_v] over two stacks of square matrices."""
+    return np.real(x.reshape(len(x), -1) @ y.transpose(0, 2, 1).reshape(len(y), -1).T)
+
+
+def iter_terms(mode, first, second):
+    """Oracle: the paper's per-pair terms, as (signed weight, factor) pairs.
+
+    ``apply`` pairs every record of the process shadow ``first`` with
+    every snapshot of the state shadow ``second``: the record's input
+    snapshot is contracted against the state snapshot, leaving its output
+    snapshot.  ``compose`` pairs the records of two process shadows: X's
+    output snapshot is contracted against Y's input snapshot, leaving X's
+    transposed input snapshot tensored with Y's output snapshot.  The
+    weight is 2^n times the trace of the contracted product.
+    """
+    d = 2**first.n_qubits
+    (ixa, ax), (ixb, bx) = first.side_in.matrices(), first.side_out.matrices()
+    if mode == "apply":
+        i_s, s = second.side.matrices()
+        g = _gram(ax, s)
+        for u, v in zip(ixa, ixb):
+            for t in i_s:
+                yield d * g[u, t], bx[v]
+    else:
+        (iya, ay), (iyb, by) = second.side_in.matrices(), second.side_out.matrices()
+        g = _gram(bx, ay)
+        for u, v in zip(ixa, ixb):
+            for p, q in zip(iya, iyb):
+                yield d * g[v, p], np.kron(ax[u].T, by[q])
+
+
+def _term_mean(mode, first, second):
+    terms = list(iter_terms(mode, first, second))
+    assert len(terms) == len(first) * len(second)
+    return sum(w * factor for w, factor in terms) / len(terms)
 
 
 def test_pair_weight_five_cases():
@@ -47,7 +96,7 @@ def test_pair_weight_five_cases():
 
 def test_pair_weight_full_table_vs_dense():
     """All 36 single-qubit weights equal (1/2) Tr[t^T t'] on snapshot matrices."""
-    snaps = snapshot_matrices(1)
+    snaps = key_matrices(np.arange(6), 1)
     for mu in AXES:
         for b in (0, 1):
             for mu_p in AXES:
@@ -124,13 +173,14 @@ def test_mean_log_abs_exact_single_site():
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", [1, 2])
 def test_exact_apply_sum_recovers_channel_action(seed, n):
-    """Exhaustive pairing of exact distributions reproduces E(rho) exactly."""
+    """Contracting the means of the exact label distributions reproduces E(rho)."""
     rng = np.random.default_rng(seed)
     ch = random_unitary_channel(n, rng)
     rho = random_density_matrix(n, rng)
-    wss = exact_apply_sum(
-        exact_pauli_record_distribution(ch), exact_pauli_snapshot_distribution(rho), n
-    )
+    choi = choi_mean_from_histogram(exact_pauli_record_distribution(ch), n)
+    state = np.einsum("k,kij->ij", exact_pauli_snapshot_distribution(rho),
+                      key_matrices(np.arange(6**n), n))
+    wss = WeightedSnapshotSum("apply", n, choi, state)
     assert la.norm(wss.materialize() - apply_channel(ch, rho)) < 1e-10
 
 
@@ -142,10 +192,11 @@ def test_exact_compose_sum_recovers_composition(seed):
     composed = Channel(
         tuple(ky @ kx for kx in ch_x.kraus for ky in ch_y.kraus)
     )
-    wss = exact_compose_sum(
-        exact_pauli_record_distribution(ch_x),
-        exact_pauli_record_distribution(ch_y),
+    wss = WeightedSnapshotSum(
+        "compose",
         1,
+        choi_mean_from_histogram(exact_pauli_record_distribution(ch_x), 1),
+        choi_mean_from_histogram(exact_pauli_record_distribution(ch_y), 1),
     )
     target = choi_of_channel(composed).matrix / 2
     assert la.norm(wss.materialize() - target) < 1e-10
@@ -158,7 +209,7 @@ def test_apply_sampled_identity_channel():
     ps = acquire_process_shadow(ch, 20000, "pauli", "pauli", rng)
     ss = acquire_shadow(rho, 20000, "pauli", rng)
     wss = apply_process_to_state_shadow(ps, ss)
-    assert wss.n_terms == 20000 * 20000
+    assert (wss.mode, wss.n_qubits) == ("apply", 1)
     est = wss.materialize()
     assert np.trace(est).real == pytest.approx(1.0, abs=0.1)
     assert la.norm(est - rho, 2) < 0.1
@@ -175,12 +226,12 @@ def test_compose_sampled_bit_flips_cancel():
 
 
 def test_apply_single_pair_matches_dense_contraction(rng):
-    """One record paired with one snapshot: streamed term equals the dense formula."""
+    """One record paired with one snapshot: the oracle's term equals the
+    dense formula, and so does the contraction of the two means."""
     ch = named_channel("hadamard", 1)
     ps = acquire_process_shadow(ch, 1, "pauli", "pauli", rng)
     ss = acquire_shadow(basis_projector("0"), 1, "pauli", rng)
-    wss = apply_process_to_state_shadow(ps, ss)
-    terms = list(wss.iter_terms())
+    terms = list(iter_terms("apply", ps, ss))
     assert len(terms) == 1
     weight, snap = terms[0]
     streamed = weight * snap
@@ -188,28 +239,42 @@ def test_apply_single_pair_matches_dense_contraction(rng):
     sigma = materialize_snapshot(ss.snapshots[0])
     dense = 2.0 * partial_trace(np.kron(sigma.T, np.eye(2)) @ zeta, "A")
     assert la.norm(streamed - dense) < 1e-12
+    assert la.norm(apply_process_to_state_shadow(ps, ss).materialize() - dense) < 1e-12
 
 
 def test_iter_terms_sum_equals_materialize(rng):
-    ch = named_channel("depolarizing", 1, 0.5)
-    ps = acquire_process_shadow(ch, 6, "pauli", "pauli", rng)
-    ss = acquire_shadow(basis_projector("1"), 5, "pauli", rng)
-    wss = apply_process_to_state_shadow(ps, ss)
-    total = sum(w * snap for w, snap in wss.iter_terms()) / wss.n_terms
-    assert la.norm(total - wss.materialize()) < 1e-12
+    """The mean of the paper's signed-weight terms equals the contraction of
+    the sample means, for every pair of frame ensembles."""
+    for n in (1, 2):
+        ch = random_unitary_channel(n, rng)
+        rho = random_density_matrix(n, rng)
+        for ens_in, ens_out in ENSEMBLE_PAIRS:
+            ps = acquire_process_shadow(ch, 6, ens_in, ens_out, rng)
+            ss = acquire_shadow(rho, 5, ens_in, rng)
+            wss = apply_process_to_state_shadow(ps, ss)
+            assert la.norm(_term_mean("apply", ps, ss) - wss.materialize()) < 1e-10
 
-    ps_b = acquire_process_shadow(ch, 4, "pauli", "pauli", rng)
-    comp = compose_process_shadows(ps, ps_b)
-    total = sum(w * snap for w, snap in comp.iter_terms()) / comp.n_terms
-    assert la.norm(total - comp.materialize()) < 1e-12
+            ps_b = acquire_process_shadow(ch, 4, ens_out, ens_in, rng)
+            comp = compose_process_shadows(ps, ps_b)
+            assert la.norm(_term_mean("compose", ps, ps_b) - comp.materialize()) < 1e-10
 
 
 def test_histogram_only_sum_has_no_terms():
-    hist = np.full((6, 6), 1 / 36)
-    wss = exact_apply_sum(hist, np.full(6, 1 / 6), 1)
-    with pytest.raises(ValueError):
-        next(wss.iter_terms())
-    assert wss.materialize().shape == (2, 2)
+    """A sum built from exact distributions carries means, not sampled terms:
+    the uniform record histogram is the completely depolarizing channel."""
+    choi = choi_mean_from_histogram(np.full((6, 6), 1 / 36), 1)
+    state = np.einsum("k,kij->ij", np.full(6, 1 / 6), key_matrices(np.arange(6), 1))
+    out = WeightedSnapshotSum("apply", 1, choi, state).materialize()
+    assert la.norm(out - np.eye(2) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("ens_in,ens_out", ENSEMBLE_PAIRS)
+def test_apply_is_channel_of_choi_of_the_means(rng, ens_in, ens_out):
+    ch = random_unitary_channel(2, rng)
+    ps = acquire_process_shadow(ch, 40, ens_in, ens_out, rng)
+    ss = acquire_shadow(random_density_matrix(2, rng), 30, ens_in, rng)
+    out = apply_process_to_state_shadow(ps, ss).materialize()
+    assert np.array_equal(out, channel_of_choi(reconstruct_choi(ps), reconstruct(ss)))
 
 
 def test_compose_rejects_mismatched_sizes(rng):

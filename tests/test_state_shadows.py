@@ -32,8 +32,8 @@ from procshadow.state_shadows import (
     qubit_key,
     reconstruct,
     register_key,
+    key_matrices,
     single_shot_expectations,
-    snapshot_matrices,
 )
 
 Z = np.diag([1.0, -1.0])
@@ -64,7 +64,7 @@ def test_inverse_map_pauli_factorwise_matches_tensor():
 
 
 def test_snapshot_matrices_frozen():
-    snaps = snapshot_matrices(1)
+    snaps = key_matrices(np.arange(6), 1)
     assert snaps.shape == (6, 2, 2)
     # key order: X+, X-, Y+, Y-, Z+, Z-
     assert la.norm(snaps[0] - np.array([[0.5, 1.5], [1.5, 0.5]])) < 1e-12
@@ -141,7 +141,7 @@ def test_exhaustive_pauli_average_recovers_state(seed):
     """Averaging snapshots over the exact outcome distribution returns rho."""
     rho = random_density_matrix(1, np.random.default_rng(seed))
     dist = exact_pauli_snapshot_distribution(rho)
-    avg = np.einsum("k,kij->ij", dist, snapshot_matrices(1))
+    avg = np.einsum("k,kij->ij", dist, key_matrices(np.arange(6), 1))
     assert la.norm(avg - rho) < 1e-12
 
 
@@ -164,7 +164,7 @@ def test_acquire_shadow_basics(rng):
     est = acquire_shadow(rho, 50, "pauli", rng)
     assert len(est) == 50
     assert est.n_qubits == 2
-    assert est.keys.shape == (50,)
+    assert est.side.labels.shape == (50,)
 
 
 @pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
@@ -177,14 +177,14 @@ def test_acquire_shadow_deterministic():
     rho = np.diag([0.7, 0.3])
     a = acquire_shadow(rho, 10, "pauli", np.random.default_rng(9))
     b = acquire_shadow(rho, 10, "pauli", np.random.default_rng(9))
-    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(a.side.labels, b.side.labels)
 
 
 def test_take_prefix(rng):
     est = acquire_shadow(np.diag([1.0, 0.0]), 20, "pauli", rng)
     head = est.take(5)
     assert len(head) == 5
-    assert np.array_equal(head.keys, est.keys[:5])
+    assert np.array_equal(head.side.labels, est.side.labels[:5])
 
 
 @pytest.mark.parametrize("m", [-1, 21])
@@ -254,14 +254,14 @@ def test_median_of_means_rejects_too_many_groups():
         median_of_means(np.arange(3.0), 5)
 
 
-def test_shadow_estimate_mixed_frames_allowed(rng):
+def test_shadow_estimate_rejects_mixed_frames(rng):
     s1 = acquire_shadow(basis_projector("0"), 1, "pauli", rng).snapshots[0]
     s2 = acquire_shadow(basis_projector("0"), 1, "clifford", rng).snapshots[0]
-    est = ShadowEstimate([s1, s2])
-    assert len(est) == 2
-    r = reconstruct(est)
-    assert r.shape == (2, 2)
-    assert np.trace(r) == pytest.approx(1.0, abs=1e-10)
+    for snapshots in ([s1, s2], [s2, s1]):
+        with pytest.raises(ValueError, match="cannot mix Pauli and Clifford frames"):
+            ShadowEstimate(snapshots)
+    assert ShadowEstimate([s2, s2]).side.ensemble == "clifford"
+    assert ShadowEstimate([], 1).side.ensemble == "pauli"
 
 
 def test_snapshot_validation():
