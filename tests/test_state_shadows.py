@@ -195,6 +195,13 @@ def test_take_rejects_out_of_range_prefix(rng, m):
     assert len(est.take(0)) == 0 and len(est.take(20)) == 20
 
 
+def test_empty_clifford_prefix_materializes_no_snapshots(rng):
+    est = acquire_shadow(np.diag([1.0, 0.0]), 20, "clifford", rng).take(0)
+    index, mats = est.side.matrices()
+    assert index.shape == (0,) and mats.shape == (0, 2, 2)
+    assert single_shot_expectations(est, Z).shape == (0,)
+
+
 def test_reconstruct_converges():
     rho = basis_projector("0")
     rng = np.random.default_rng(10)
