@@ -4,8 +4,10 @@ multitime correlation functions, purity, and a unitarity verdict.
 All of these are linear or quadratic functionals of the Choi state and
 inherit the shadow guarantees; the quadratic ones (purity, unitarity)
 use distinct-pair U-statistics so the single-copy variance does not
-bias the estimate.  Every estimator takes any frame ensemble; the
-U-statistic is evaluated from the weighted Choi sum ``_choi_sum``.
+bias the estimate.  Every estimator takes any frame ensemble and works
+on Pauli coefficients; the U-statistic is the squared norm of the
+weighted Choi sum ``_choi_sum``, so no bootstrap replicate builds a
+dense matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .process_shadows import (ProcessShadow, _choi_sum, estimate_channel_functional,
                               single_shot_functional_values)
 from .qcore import PauliString, basis_projector, n_qubits_of
-from .state_shadows import ShadowEstimate, median_of_means
+from .state_shadows import ShadowEstimate, _snapshot_sum, median_of_means
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +105,12 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
     m, k = len(ps), len(ss)
     if n_groups < 1 or m // n_groups < 1 or k // n_groups < 1:
         raise ValueError("group count does not fit the sample sizes")
-    i_s, s = ss.side.matrices()
+    terms = ss.side.pauli_terms()
     gm, gk = m // n_groups, k // n_groups
     means = []
     for g in range(n_groups):
-        hs = np.bincount(i_s[g * gk:(g + 1) * gk], minlength=len(s))
-        early = np.tensordot(hs / gk, s, 1) @ op_early.matrix  # group mean . op_early
+        in_group = (np.arange(k) // gk == g) / gk
+        early = _snapshot_sum(terms, in_group, n) @ op_early.matrix  # group mean . op_early
         values = single_shot_functional_values(ps, early, op_late.matrix)
         means.append(values[g * gm:(g + 1) * gm].mean())
     return float(np.median(means))
@@ -125,19 +127,20 @@ def _purity_kernel(ps: ProcessShadow):
     """U-statistic for Tr[eta_norm^2] over pairs of distinct source records,
     as a function of each record's multiplicity ``counts``.
 
-    With S = sum_j c_j zeta_j, the ordered pairs sum to Tr[S^2] = ||S||_F^2.
-    Two copies of one record are not a distinct pair, so the terms
-    c_j^2 Tr[zeta_j^2] = c_j^2 Tr[a_j^2] Tr[b_j^2] of the (sum_j c_j)^2
-    ordered pairs are left out; NaN when none is left.
+    With S = sum_j c_j zeta_j, the ordered pairs sum to Tr[S^2], 4^n times
+    the squared norm of S's Pauli coefficients.  Two copies of one record
+    are not a distinct pair, so the terms c_j^2 Tr[a_j^2] Tr[b_j^2] of the
+    (sum_j c_j)^2 ordered pairs are left out; NaN when none is left.
     """
+    n = ps.n_qubits
     choi_sum = _choi_sum(ps)
-    tr_sq = [np.real(np.einsum("kij,kji->k", mats, mats))[index]  # Tr[x^2] per record
-             for index, mats in (ps.side_in.matrices(), ps.side_out.matrices())]
+    tr_sq = [2**n * np.sum(coef**2, axis=0)[index]  # Tr[x^2] per record
+             for index, _, coef in (ps.side_in.pauli_terms(), ps.side_out.pauli_terms())]
     self_overlap = tr_sq[0] * tr_sq[1]
 
     def u_statistic(counts: np.ndarray) -> float:
         s = choi_sum(counts)
-        full = float(np.vdot(s, s).real)
+        full = 4**n * float(s @ s)
         same = float(np.sum(counts**2 * self_overlap))
         pairs = float(counts.sum()**2 - np.sum(counts**2))
         return (full - same) / pairs if pairs else float("nan")

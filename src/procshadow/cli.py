@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible size.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -154,18 +155,16 @@ def _cmd_budget(args) -> int:
     _require(args, "epsilon", "delta", "qubits", "observables")
     observables = tuple(PauliString(s.strip())
                         for s in args.observables.split(","))
-    states: tuple = ()
+    q = ComplexityQuery(epsilon=float(args.epsilon), delta=float(args.delta),
+                        n_qubits=int(args.qubits), observables=observables,
+                        ensemble_in=args.ensemble_in, ensemble_out=args.ensemble_out)
     if args.state_supports:
         # each entry is the support count of a pure input state; the
         # budget only sees the support count and the (unit) norm, so a
-        # basis projector stands in for the actual state
-        placeholder = basis_projector("0" * int(args.qubits))
-        states = tuple((placeholder, int(s))
-                       for s in args.state_supports.split(","))
-    q = ComplexityQuery(epsilon=float(args.epsilon), delta=float(args.delta),
-                        n_qubits=int(args.qubits), observables=observables,
-                        input_states=states, ensemble_in=args.ensemble_in,
-                        ensemble_out=args.ensemble_out)
+        # basis projector on the checked register stands in for the state
+        placeholder = basis_projector("0" * q.n_qubits)
+        q = dataclasses.replace(q, input_states=tuple(
+            (placeholder, int(s)) for s in args.state_supports.split(",")))
     ans = sample_budget(q)
     print(f"k_groups = {ans.k_groups}")
     print(f"n_per_group = {ans.n_per_group}")

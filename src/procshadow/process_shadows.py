@@ -14,10 +14,11 @@ channel; functionals of the unnormalized Choi matrix carry an explicit
 
 A ``ProcessShadow`` stores one label array per side (see
 ``state_shadows.SnapshotLabels``); ``records`` are views built on
-demand.  Each estimator has one code path for every frame ensemble, and
-the Choi-type sums share one kernel, ``_kron_sum``.  ``_choi_sum`` maps
-per-record weights to the weighted Choi sum behind both the sample mean
-and the purity U-statistic; two-shadow estimators contract sample
+demand.  Each estimator has one code path for every frame ensemble, on
+the sides' Pauli terms (``SnapshotLabels.pauli_terms``): a functional is
+a gather per side, and ``_choi_sum`` maps per-record weights to the 16^n
+Pauli coefficients of the weighted Choi sum, behind both the sample
+mean and the purity U-statistic.  Two-shadow estimators contract sample
 means, not label pairs.
 
 Acquisition has two paths.  Pauli/Pauli rounds come from the exact 36^n
@@ -38,8 +39,8 @@ import numpy as np
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
                         frame_unitaries, sample_frames)
 from .qcore import Channel, ChoiMatrix, PauliString, _trace_register, choi_of_channel
-from .state_shadows import (SnapshotLabels, StateSnapshot, _simulate,
-                            exact_pauli_snapshot_distribution, key_matrices,
+from .state_shadows import (SnapshotLabels, StateSnapshot, _pauli_matrix, _side_values,
+                            _simulate, _snapshot_sum, exact_pauli_snapshot_distribution,
                             materialize_snapshot, median_of_means, sample_table)
 
 # largest register whose Pauli/Pauli records are drawn from the 36^n table
@@ -66,7 +67,7 @@ class ShadowRecord:
         for bits in (self.b_in, self.b_out):
             if not isinstance(bits, str):
                 raise ValueError(f"bit string {bits!r} is not a str")
-            if len(bits) != n or any(c not in "01" for c in bits):
+            if len(bits) != n or bits.strip("01"):
                 raise ValueError(f"bit string {bits!r} does not match {n} qubits")
 
     @property
@@ -192,65 +193,48 @@ def materialize_choi_shadow(r: ShadowRecord) -> np.ndarray:
     return np.kron(a_side, b_side)
 
 
-def _kron_sum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k a[k] (x) c[k] over two stacks of square matrices, as one
-    matrix product of the flattened stacks."""
-    k, da, _ = a.shape
-    dc = c.shape[-1]
-    out = a.reshape(k, da * da).T @ c.reshape(k, dc * dc)
-    return out.reshape(da, da, dc, dc).transpose(0, 2, 1, 3).reshape(da * dc, da * dc)
-
-
 def _choi_sum(ps: ProcessShadow):
-    """The map from per-record weights ``counts`` to sum_j c_j zeta_j.
+    """The map from per-record weights to the 16^n Pauli coefficients of
+    sum_j w_j zeta_j: a distinct (input, output) label pair adds its input
+    terms, signed by (-1)^{#Y} for the transpose, times its output terms."""
+    n = ps.n_qubits
+    ia, pauli_a, coef_a = ps.side_in.pauli_terms()
+    ib, pauli_b, coef_b = ps.side_out.pauli_terms()
+    odd_y = sum((pauli_a >> 2 * q) & 3 == 2 for q in range(n)) % 2
+    # one row per distinct label, so that a pair's terms are gathered as rows
+    pauli_a, coef_a = pauli_a.T.copy(), np.where(odd_y, -coef_a, coef_a).T.copy()
+    pauli_b, coef_b = pauli_b.T.copy(), coef_b.T.copy()
+    pairs, inverse = np.unique(ia * len(pauli_b) + ib, return_inverse=True)
+    pa, pb = np.divmod(pairs, len(pauli_b))
+    # pairs per chunk: about 2^18 terms, or 16^n where the bincount output is larger
+    step = max(2**18, 16**n) // 4**n
 
-    Labels are decoded once.  Row u of ``c`` sums the weighted output
-    snapshots of the records with input label u; the distinct (input,
-    output) pairs come sorted by input label and every input label
-    occurs, so each chunk of input labels reduces straight into its rows.
-    """
-    ia, a = ps.side_in.matrices()
-    ib, b = ps.side_out.matrices()
-    pairs, inverse = np.unique(ia * len(b) + ib, return_inverse=True)
-    pb = pairs % len(b)
-    bounds = np.append(np.searchsorted(pairs // len(b), np.arange(len(a))), pairs.size)
-    # input labels per chunk, so that a gathered chunk holds about 2^18 entries
-    rows = max(1, (2**18 // b[0].size) * len(a) // pairs.size)
-    a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+    def chunk(lo):  # the terms of pairs lo:lo+step, before the pair weights
+        a, b = pa[lo:lo + step], pb[lo:lo + step]
+        index = (pauli_a[a] << 2 * n)[:, :, None] | pauli_b[b][:, None, :]
+        coef = coef_a[a][:, :, None] * coef_b[b][:, None, :]
+        return index.reshape(-1), coef.reshape(len(a), -1)
 
-    def choi_sum(counts: np.ndarray) -> np.ndarray:
-        w = np.bincount(inverse, counts, pairs.size)
-        c = np.empty((len(a_t),) + b.shape[1:], dtype=complex)
-        for lo in range(0, len(c), rows):
-            edge = bounds[lo:lo + rows + 1]
-            sl = slice(edge[0], edge[-1])
-            chunk = b[pb[sl]]
-            chunk *= w[sl, None, None]
-            np.add.reduceat(chunk, edge[:-1] - edge[0], axis=0, out=c[lo:lo + rows])
-        return _kron_sum(a_t, c)
+    kept = chunk(0) if pairs.size <= step else None  # one chunk serves every call
+
+    def choi_sum(w: np.ndarray) -> np.ndarray:
+        wp = np.bincount(inverse, w, pairs.size)
+        out = np.zeros(16**n)
+        for lo in range(0, pairs.size, step):
+            index, coef = kept or chunk(lo)
+            out += np.bincount(index, (coef * wp[lo:lo + step, None]).reshape(-1), 16**n)
+        return out
 
     return choi_sum
-
-
-def choi_mean_from_histogram(hist: np.ndarray, n: int) -> np.ndarray:
-    """Weighted mean of Choi snapshots from a raw (kin, kout) histogram."""
-    snaps = key_matrices(np.arange(6**n), n)
-    c = (hist @ snaps.reshape(6**n, -1)).reshape(snaps.shape)
-    return _kron_sum(snaps.transpose(0, 2, 1), c) / hist.sum()
 
 
 def reconstruct_choi(ps: ProcessShadow) -> ChoiMatrix:
     """Sample mean of the Choi snapshots, as a normalized Choi matrix."""
     if not len(ps):
         raise ValueError("cannot reconstruct from an empty shadow")
-    mean = _choi_sum(ps)(np.ones(len(ps))) / len(ps)
+    mean = _pauli_matrix(_choi_sum(ps)(np.ones(len(ps))), 2 * ps.n_qubits)
+    mean /= len(ps)
     return ChoiMatrix(mean, ps.n_qubits, normalized=True)
-
-
-def _side_values(side: SnapshotLabels, op: np.ndarray) -> np.ndarray:
-    """Tr[snapshot op] for every label of one side."""
-    index, mats = side.matrices()
-    return np.einsum("kij,ji->k", mats, op)[index]
 
 
 def estimate_output_state(ps: ProcessShadow, rho: np.ndarray) -> np.ndarray:
@@ -268,9 +252,7 @@ def estimate_output_state(ps: ProcessShadow, rho: np.ndarray) -> np.ndarray:
     if not len(ps):
         raise ValueError("cannot estimate from an empty shadow")
     weights = np.real(_side_values(ps.side_in, rho))
-    ib, b = ps.side_out.matrices()
-    coeffs = np.bincount(ib, weights=weights, minlength=len(b))
-    return d * np.einsum("k,kij->ij", coeffs, b) / len(ps)
+    return d * _snapshot_sum(ps.side_out.pauli_terms(), weights, n) / len(ps)
 
 
 def single_shot_functional_values(ps: ProcessShadow, rho: np.ndarray,

@@ -262,12 +262,8 @@ def maximally_entangled_projector(n: int) -> np.ndarray:
 
 def choi_of_channel(ch: Channel) -> ChoiMatrix:
     """Unnormalized Choi matrix sum_{m,n} |m><n| (x) E(|m><n|)."""
-    d = ch.dim
-    eta = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        v = k.T.reshape(-1)  # v[(m, j)] = k[j, m]
-        eta += np.outer(v, v.conj())
-    return ChoiMatrix(eta, ch.n_qubits, normalized=False)
+    v = np.array(ch.kraus).transpose(0, 2, 1).reshape(len(ch.kraus), -1)  # v[k, (m, j)] = K_k[j, m]
+    return ChoiMatrix(v.T @ v.conj(), ch.n_qubits, normalized=False)
 
 
 def channel_of_choi(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:

@@ -9,10 +9,13 @@ factorizes into one 2x2 ``tau`` matrix per qubit and is labelled by a
 compact key: per qubit ``2*axis + bit`` in {0..5} with axis order X, Y,
 Z, and per register the base-6 digits with qubit 0 most significant.  A
 Clifford snapshot is labelled ``frame_index * 2^n + outcome``, indexing
-the shadow's distinct frames.
-Estimators materialize the distinct labels present and weight them by
-their counts, one code path each; ``StateSnapshot`` objects are views
-built on demand.
+the shadow's distinct frames.  ``StateSnapshot`` objects are views.
+
+Estimators work on Pauli coefficients: a snapshot has 2^n nonzero ones
+(``SnapshotLabels.pauli_terms``), so a trace Tr[snapshot O] is a gather
+of O's Pauli vector (``_pauli_vector``) and a weighted sum is one
+``bincount`` into 4^n coefficients, made dense one qubit at a time
+(``_pauli_matrix``).
 
 Acquisition has two paths.  Pauli snapshots are drawn from the exact
 6^n label table at every register size, computed one qubit at a time
@@ -48,10 +51,14 @@ PROJ1 = 0.5 * np.array([
 ], dtype=complex)
 TAU1 = 3.0 * PROJ1 - np.eye(2)
 
-# Tr[sigma_s A] = _SIGMA_VEC[s] @ A.reshape(-1) for sigma = I, X, Y, Z, and
-# Tr[PROJ1[k] A] = sum_s _PROJ1_PAULI[k, s] Tr[sigma_s A] for Hermitian A.
-_SIGMA_VEC = np.array([PAULI[c].T.reshape(-1) for c in "IXYZ"])
-_PROJ1_PAULI = np.real(PROJ1.reshape(6, 4) @ _SIGMA_VEC.T) / 2
+# _SIGMA[s] = sigma_s.reshape(-1) for sigma = I, X, Y, Z; Tr[PROJ1[k] A] =
+# sum_s _PROJ1_PAULI[k, s] Tr[sigma_s A] for Hermitian A; TAU1[k] is
+# sum_t _TAU_COEF[t, k] sigma_{_TAU_INDEX[t, k]}: 1/2 on I, +-3/2 on the axis.
+_SIGMA = np.array([PAULI[c].reshape(-1) for c in "IXYZ"])
+_PROJ1_PAULI = np.real(PROJ1.reshape(6, 4) @ _SIGMA.conj().T) / 2
+_TAU_PAULI = np.real(TAU1.reshape(6, 4) @ _SIGMA.conj().T) / 2
+_TAU_INDEX = np.ascontiguousarray(np.nonzero(_TAU_PAULI)[1].reshape(6, 2).T)
+_TAU_COEF = np.ascontiguousarray(np.take_along_axis(_TAU_PAULI, _TAU_INDEX.T, axis=1).T)
 
 
 def qubit_key(axis: str, bit: int) -> int:
@@ -66,17 +73,6 @@ def register_key(axes: str, bits: str) -> int:
     return k
 
 
-def key_axes_bits(key: int, n: int) -> tuple[str, str]:
-    digits = []
-    for _ in range(n):
-        digits.append(key % 6)
-        key //= 6
-    digits.reverse()
-    axes = "".join(AXES[d // 2] for d in digits)
-    bits = "".join(str(d % 2) for d in digits)
-    return axes, bits
-
-
 def pauli_keys(axes: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Base-6 keys of (m, n) axis indices and (m, n) outcome bits."""
     n = axes.shape[1]
@@ -88,16 +84,29 @@ def outcome_bits(outcomes: np.ndarray, n: int) -> np.ndarray:
     return (np.asarray(outcomes)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def key_matrices(keys, n: int) -> np.ndarray:
-    """Pauli snapshots (``TAU1`` tensor products) of the given base-6 keys,
-    built digit by digit (qubit 0 first) so only those keys are materialized."""
-    keys = np.asarray(keys, dtype=np.int64)
-    out = np.ones((keys.size, 1, 1), dtype=complex)
-    for q in range(n):
-        digit = (keys // 6 ** (n - 1 - q)) % 6
-        d = 2 * out.shape[1]
-        out = np.einsum("kij,kab->kiajb", out, TAU1[digit]).reshape(keys.size, d, d)
-    return out
+def _digits(keys: np.ndarray, n: int) -> np.ndarray:
+    """(k, n) base-6 digits of Pauli keys, qubit 0 first."""
+    return (keys[:, None] // 6 ** np.arange(n - 1, -1, -1, dtype=np.int64)) % 6
+
+
+def _pauli_vector(ops: np.ndarray, n: int) -> np.ndarray:
+    """(k, 4^n) Tr[sigma_s O] for each O of a (k, 2^n, 2^n) stack, s in
+    base 4 with qubit 0 most significant, contracted one qubit at a time."""
+    k = len(ops)
+    t = np.asarray(ops, dtype=complex).reshape((k,) + (2,) * (2 * n))
+    t = t.transpose([1 + a for q in range(n) for a in (q, n + q)] + [0])
+    for _ in range(n):  # contracts the leading qubit, appends its new axis last
+        t = t.reshape(4, -1).T @ _SIGMA.conj().T
+    return t.reshape(k, 4**n)
+
+
+def _pauli_matrix(t: np.ndarray, n: int) -> np.ndarray:
+    """sum_s t[s] sigma_s as a dense 2^n x 2^n matrix, expanded one qubit
+    at a time (the inverse of ``_pauli_vector`` up to a factor 2^n)."""
+    for _ in range(n):  # expands the leading qubit, appends its (row, col) last
+        t = t.reshape(4, -1).T @ _SIGMA
+    t = t.reshape((2,) * (2 * n))
+    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(2**n, 2**n)
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,7 @@ class StateSnapshot:
     def __post_init__(self):
         if not isinstance(self.outcome, str):
             raise ValueError(f"outcome {self.outcome!r} is not a str")
-        if len(self.outcome) != self.frame.n_qubits or \
-                any(c not in "01" for c in self.outcome):
+        if len(self.outcome) != self.frame.n_qubits or self.outcome.strip("01"):
             raise ValueError(f"outcome {self.outcome!r} does not match frame")
 
     @property
@@ -182,9 +190,12 @@ class SnapshotLabels:
 
     def _decode(self, labels) -> list:
         n = self.n_qubits
-        if self.frames is None:
-            return [(PauliFrame(axes), bits)
-                    for axes, bits in (key_axes_bits(int(k), n) for k in labels)]
+        if self.frames is None:  # digits to characters through byte tables
+            digits = _digits(labels, n)
+            axes = np.frombuffer(b"XXYYZZ", dtype=np.uint8)[digits].tobytes().decode()
+            bits = np.frombuffer(b"010101", dtype=np.uint8)[digits].tobytes().decode()
+            return [(PauliFrame(axes[i:i + n]), bits[i:i + n])
+                    for i in range(0, len(axes), n)]
         return [(self.frames[int(k) >> n], format(int(k) & (2**n - 1), f"0{n}b"))
                 for k in labels]
 
@@ -199,18 +210,35 @@ class SnapshotLabels:
         index, decoded = self.distinct()
         return [decoded[i] for i in index]
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialized snapshots of the distinct labels present.
-
-        Returns ``(index, stack)``: ``stack[index[i]]`` is the snapshot of
-        label i.
-        """
+    def pauli_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(index, pauli, coef)``: label i is the snapshot sum_t coef[t, u]
+        sigma_{pauli[t, u]} with u = index[i], so column u holds the 2^n
+        base-4 Pauli indices (qubit 0 most significant) and real
+        coefficients of one distinct label."""
         uniq, inv = np.unique(self.labels, return_inverse=True)
-        n = self.n_qubits
-        if self.frames is None:
-            return inv, key_matrices(uniq, n)
-        return inv, frame_snapshots([self.frames[i] for i in uniq >> n],
-                                    uniq & (2**n - 1), n)
+        n, d = self.n_qubits, 2**self.n_qubits
+        if self.frames is None:  # per qubit 1/2 on I and +-3/2 on the axis
+            pauli = np.zeros((1, uniq.size), dtype=np.int64)
+            coef = np.ones((1, uniq.size))
+            for digit in _digits(uniq, n).T:
+                pauli = (4 * pauli + _TAU_INDEX[:, None, digit]).reshape(-1, uniq.size)
+                coef = (coef * _TAU_COEF[:, None, digit]).reshape(-1, uniq.size)
+            return inv, pauli, coef
+        # the stabilizer group of U^dag|b>: 1/d on I, +-(d+1)/d on the other
+        # d-1 elements, 0 elsewhere; labels in chunks of about 2^18 entries
+        pauli = np.empty((d, uniq.size), dtype=np.int64)
+        coef = np.empty((d, uniq.size))
+        step = max(1, 2**18 // d**2)
+        for lo in range(0, uniq.size, step):
+            chunk = uniq[lo:lo + step]
+            c = np.real(_pauli_vector(frame_snapshots([self.frames[i] for i in chunk >> n],
+                                                      chunk & (d - 1), n), n)) / d
+            keep = np.abs(c) >= 0.5 / d
+            if np.any(keep.sum(axis=1) != d):
+                raise ValueError("a Clifford snapshot does not expand to 2^n Pauli terms")
+            pauli[:, lo:lo + step] = np.nonzero(keep)[1].reshape(-1, d).T
+            coef[:, lo:lo + step] = c[keep].reshape(-1, d).T
+        return inv, pauli, coef
 
 
 class ShadowEstimate:
@@ -258,31 +286,14 @@ def inverse_map_pauli_factorwise(a: np.ndarray, n: int | None = None) -> np.ndar
     """Tensor-factor-wise extension of the single-qubit inverse map.
 
     Acts as ``inverse_map_pauli`` on every qubit of an arbitrary n-qubit
-    operator (not just product operators).
+    operator (not just product operators): per qubit it keeps I and
+    triples X, Y and Z, so each Pauli coefficient gains 3^weight.
     """
     a = np.asarray(a, dtype=complex)
     if n is None:
         n = n_qubits_of(a)
-    t = a.reshape((2,) * (2 * n))
-    eye = np.eye(2)
-    for q in range(n):
-        row, col = q, n + q
-        traced = np.trace(t, axis1=row, axis2=col)
-        t = 3.0 * t - np.multiply.outer(traced, eye).reshape(
-            t.shape[:row] + t.shape[row + 1:col] + t.shape[col + 1:] + (2, 2)
-        ).transpose(_restore_axes(n, q))
-    return t.reshape(2**n, 2**n)
-
-
-def _restore_axes(n: int, q: int) -> tuple:
-    """Axis permutation that reinserts a traced qubit pair at (q, n+q)."""
-    rest = [ax for ax in range(2 * n) if ax not in (q, n + q)]
-    perm = [0] * (2 * n)
-    for pos, ax in enumerate(rest):
-        perm[ax] = pos
-    perm[q] = 2 * n - 2
-    perm[n + q] = 2 * n - 1
-    return tuple(perm)
+    weight = sum((np.arange(4**n) >> 2 * q) & 3 > 0 for q in range(n))
+    return _pauli_matrix(_pauli_vector(a[None], n)[0] * 3.0**weight / 2**n, n)
 
 
 def inverse_map_clifford(a: np.ndarray) -> np.ndarray:
@@ -321,11 +332,7 @@ def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:
     the last qubit so that no temporary comes near the table's size.
     """
     n = n_qubits_of(rho)
-    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
-    t = t.transpose([a for q in range(n) for a in (q, n + q)])  # (row, col) per qubit
-    for _ in range(n):  # contracts the leading qubit, appends its new axis last
-        t = t.reshape(4, -1).T @ _SIGMA_VEC.T
-    coeffs = np.real(t).reshape(-1, 4)
+    coeffs = np.real(_pauli_vector(np.asarray(rho)[None], n)).reshape(-1, 4)
     probs = np.empty((6 ** (n - 1), 6))
     for k in range(6):
         t = coeffs @ _PROJ1_PAULI[k]
@@ -402,13 +409,27 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     return ShadowEstimate._of(SnapshotLabels.of_stack(ensemble, frames, outcomes))
 
 
+def _side_values(side: SnapshotLabels, op: np.ndarray) -> np.ndarray:
+    """Tr[snapshot op] for every label of one side (complex): a gather of
+    the Pauli vector of ``op``, one term of every distinct label at a time."""
+    index, pauli, coef = side.pauli_terms()
+    o = _pauli_vector(np.asarray(op, dtype=complex)[None], side.n_qubits)[0]
+    return sum(c * o[p] for p, c in zip(pauli, coef))[index]
+
+
+def _snapshot_sum(terms: tuple, weights: np.ndarray, n: int) -> np.ndarray:
+    """sum_i weights[i] snapshot_i over one side's labels, given its
+    ``pauli_terms``: one bincount into 4^n Pauli coefficients, made dense."""
+    index, pauli, coef = terms
+    w = np.bincount(index, weights, pauli.shape[1])
+    return _pauli_matrix(np.bincount(pauli.reshape(-1), (coef * w).reshape(-1), 4**n), n)
+
+
 def reconstruct(est: ShadowEstimate) -> np.ndarray:
     """Mean of the materialized snapshots (Hermitian, unit trace)."""
     if not len(est):
         raise ValueError("cannot reconstruct from an empty shadow")
-    index, mats = est.side.matrices()
-    counts = np.bincount(index, minlength=len(mats)).astype(float)
-    return np.einsum("k,kij->ij", counts, mats) / len(est)
+    return _snapshot_sum(est.side.pauli_terms(), None, est.n_qubits) / len(est)
 
 
 def median_of_means(values: np.ndarray, n_groups: int) -> float:
@@ -429,9 +450,7 @@ def median_of_means(values: np.ndarray, n_groups: int) -> float:
 
 def single_shot_expectations(est: ShadowEstimate, obs: np.ndarray) -> np.ndarray:
     """Tr(snapshot * obs) per snapshot."""
-    obs = np.asarray(obs, dtype=complex)
-    index, mats = est.side.matrices()
-    return np.real(np.einsum("kij,ji->k", mats, obs))[index]
+    return np.real(_side_values(est.side, obs))
 
 
 def estimate_observable(est: ShadowEstimate, obs: np.ndarray,

@@ -1,0 +1,40 @@
+"""Dense references for the estimator tests.
+
+Each snapshot is materialized as a 2^n x 2^n matrix, so these share no
+aggregation code with the Pauli-coefficient estimators they check.
+"""
+
+import numpy as np
+
+from procshadow.state_shadows import TAU1, StateSnapshot, materialize_snapshot
+
+
+def key_matrices(keys, n):
+    """Pauli snapshots (``TAU1`` tensor products) of the given base-6 keys,
+    built digit by digit (qubit 0 first)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.ones((keys.size, 1, 1), dtype=complex)
+    for q in range(n):
+        digit = (keys // 6 ** (n - 1 - q)) % 6
+        d = 2 * out.shape[1]
+        out = np.einsum("kij,kab->kiajb", out, TAU1[digit]).reshape(keys.size, d, d)
+    return out
+
+
+def choi_mean_from_histogram(hist, n):
+    """Weighted mean of Choi snapshots from a raw (kin, kout) histogram:
+    sum_uv hist[u, v] transpose(tau_u) (x) tau_v / sum(hist)."""
+    snaps = key_matrices(np.arange(6**n), n)
+    d = 2**n
+    c = (hist @ snaps.reshape(6**n, -1)).reshape(snaps.shape)
+    out = snaps.transpose(0, 2, 1).reshape(6**n, d * d).T @ c.reshape(6**n, d * d)
+    return out.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) / hist.sum()
+
+
+def side_matrices(side):
+    """``(index, stack)`` for one side of a shadow: ``stack[index[i]]`` is the
+    dense snapshot of label i, materialized once per distinct label."""
+    index, decoded = side.distinct()
+    d = 2**side.n_qubits
+    stack = [materialize_snapshot(StateSnapshot(f, b)) for f, b in decoded]
+    return index, np.array(stack).reshape(len(stack), d, d)

@@ -47,8 +47,8 @@ from procshadow.records_io import save_records
 from procshadow.shadow_algebra import pair_weight, weight_sign_statistics
 from procshadow.state_shadows import (
     exact_pauli_snapshot_distribution,
+    TAU1,
     inverse_map_clifford,
-    key_matrices,
     qubit_key,
 )
 
@@ -65,7 +65,7 @@ def _verdict(num, desc, ok, detail=""):
 def test_criterion_01_inverse_map_exactness():
     start = time.time()
     worst = 0.0
-    snaps = key_matrices(np.arange(6), 1)
+    snaps = TAU1
     frames = list(enumerate_clifford_group(1))
     for seed in range(20):
         rho = random_density_matrix(1, np.random.default_rng(seed))
@@ -152,7 +152,7 @@ def test_criterion_05_correlator_convergence():
 
 def test_criterion_06_pair_weight_table():
     start = time.time()
-    snaps = key_matrices(np.arange(6), 1)
+    snaps = TAU1
     exact = True
     for mu in "XYZ":
         for b in (0, 1):

@@ -238,3 +238,21 @@ def test_unitarity_interval_coverage(name, value, purity, m):
         lo, hi = unitarity_verdict(ps, rng=np.random.default_rng(seed)).interval
         covered += lo <= purity <= hi
     assert covered >= 52
+
+
+@pytest.mark.parametrize("n,ens_in,ens_out,name,value,purity,interval", [
+    (1, "pauli", "pauli", "amplitude-damping", 0.3,
+     2.9205639097744363, (2.222534925631682, 3.6410085237803087)),
+    (2, "clifford", "pauli", "hadamard", None,
+     12.176466165413533, (5.641491969671459, 19.41746600357799)),
+])
+def test_unitarity_bootstrap_interval_is_pinned(n, ens_in, ens_out, name, value,
+                                                 purity, interval):
+    """Fixed-seed point estimate and bootstrap interval, recorded from the
+    dense per-label evaluation that the Pauli-coefficient kernel replaced;
+    the replicate draws are one rng.integers(0, m, m) each."""
+    ps = acquire_process_shadow(named_channel(name, n, value), 400, ens_in, ens_out,
+                                np.random.default_rng(21))
+    v = unitarity_verdict(ps, n_bootstrap=100, rng=np.random.default_rng(22))
+    assert abs(v.purity - purity) < 1e-12
+    assert np.max(np.abs(np.array(v.interval) - interval)) < 1e-12

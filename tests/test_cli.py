@@ -187,6 +187,15 @@ def test_budget_rejects_register_mismatch(capsys, qubits, observables, message):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("qubits", ["0", "-1"])
+def test_budget_with_state_supports_checks_register_first(capsys, qubits):
+    code = main(["budget", "--epsilon", "0.1", "--delta", "0.1", "--qubits", qubits,
+                 "--observables", "Z", "--state-supports", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"n_qubits={qubits}" in captured.err and captured.out == ""
+
+
 def test_exit_code_missing_records(capsys):
     assert main(["reconstruct", "--records", "/nonexistent/r.jsonl"]) == 2
 

@@ -6,6 +6,8 @@ dense matrices directly, so it shares no aggregation code with the
 estimators it checks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -20,6 +22,7 @@ from procshadow.applications import (
 )
 from procshadow.channels import named_channel, random_full_rank_channel, random_unitary_channel
 from procshadow.process_shadows import (
+    ProcessShadow,
     acquire_process_shadow,
     estimate_output_state,
     materialize_choi_shadow,
@@ -29,6 +32,7 @@ from procshadow.process_shadows import (
 from procshadow.qcore import PauliString, random_density_matrix, random_hermitian
 from procshadow.shadow_algebra import apply_process_to_state_shadow, compose_process_shadows
 from procshadow.state_shadows import (
+    SnapshotLabels,
     acquire_shadow,
     materialize_snapshot,
     median_of_means,
@@ -81,6 +85,7 @@ def _channel(n, rng, full_rank):
 @given(n=st.integers(1, 3), ens_in=st.sampled_from(ENSEMBLES),
        ens_out=st.sampled_from(ENSEMBLES), m=st.integers(1, 60),
        full_rank=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=4, ens_in="clifford", ens_out="clifford", m=6, full_rank=False, seed=4)
 def test_process_estimators_match_dense_reference(n, ens_in, ens_out, m,
                                                   full_rank, seed):
     rng = np.random.default_rng(seed)
@@ -195,3 +200,23 @@ def test_five_qubit_pauli_estimators_match_dense_reference(name, value):
     rho = random_density_matrix(5, rng)
     _assert_close(reconstruct_choi(ps).matrix, _ref_choi(ps))
     _assert_close(estimate_output_state(ps, rho), _ref_output_state(ps, rho))
+
+
+def test_five_qubit_estimators_stay_within_memory_bounds():
+    """2e4 random Pauli records at n=5: the Choi mean and the functional
+    values expand each distinct label into 2^n Pauli terms, so memory
+    does not grow with one dense matrix per label."""
+    n, m = 5, 20000
+    rng = np.random.default_rng(7)
+    ps = ProcessShadow._of(SnapshotLabels(rng.integers(0, 6**n, m), n),
+                           SnapshotLabels(rng.integers(0, 6**n, m), n))
+    rho = random_density_matrix(n, rng)
+    for run, bound_mb in ((lambda: reconstruct_choi(ps), 150),
+                          (lambda: single_shot_functional_values(ps, rho, rho), 20)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"

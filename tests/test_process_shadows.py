@@ -4,13 +4,13 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+from dense_reference import choi_mean_from_histogram
 from procshadow.channels import channel_from_spec, named_channel, random_unitary_channel
 from procshadow.process_shadows import (
     ProcessShadow,
     ShadowRecord,
     _simulate_records,
     acquire_process_shadow,
-    choi_mean_from_histogram,
     estimate_channel_functional,
     estimate_output_state,
     exact_pauli_record_distribution,
@@ -33,7 +33,7 @@ from procshadow.qcore import (
     choi_of_channel,
     random_density_matrix,
 )
-from procshadow.state_shadows import key_axes_bits, register_key
+from procshadow.state_shadows import SnapshotLabels, register_key
 
 
 def test_record_validation():
@@ -98,14 +98,13 @@ def test_exact_record_distribution_matches_protocol(spec, n):
     ch = channel_from_spec(spec, n)
     dist = exact_pauli_record_distribution(ch)
     rng = np.random.default_rng(n)
-    pairs = (np.ndindex(6**n, 6**n) if n <= 2
+    pairs = (np.array(list(np.ndindex(6**n, 6**n))) if n <= 2
              else rng.integers(0, 6**n, size=(40, 2)))
-    for kin, kout in pairs:
-        axes_in, bits_in = key_axes_bits(int(kin), n)
-        axes_out, bits_out = key_axes_bits(int(kout), n)
-        psi = prepared_state_vector(PauliFrame(axes_in), bits_in)
+    views = [SnapshotLabels(keys, n).views() for keys in pairs.T]
+    for (kin, kout), (u_in, bits_in), (u_out, bits_out) in zip(pairs, *views):
+        psi = prepared_state_vector(u_in, bits_in)
         rho_out = apply_channel(ch, np.outer(psi, psi.conj()))
-        born = measurement_probabilities(rho_out, PauliFrame(axes_out))[int(bits_out, 2)]
+        born = measurement_probabilities(rho_out, u_out)[int(bits_out, 2)]
         assert dist[kin, kout] == pytest.approx(born / 18**n, abs=1e-12)
 
 

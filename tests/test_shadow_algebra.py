@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import choi_mean_from_histogram, key_matrices, side_matrices
 from procshadow.channels import named_channel, random_unitary_channel
 from procshadow.process_shadows import (
     acquire_process_shadow,
-    choi_mean_from_histogram,
     exact_pauli_record_distribution,
     materialize_choi_shadow,
     reconstruct_choi,
@@ -37,8 +37,8 @@ from procshadow.shadow_algebra import (
 )
 from procshadow.state_shadows import (
     acquire_shadow,
+    TAU1,
     exact_pauli_snapshot_distribution,
-    key_matrices,
     materialize_snapshot,
     qubit_key,
     reconstruct,
@@ -65,15 +65,15 @@ def iter_terms(mode, first, second):
     weight is 2^n times the trace of the contracted product.
     """
     d = 2**first.n_qubits
-    (ixa, ax), (ixb, bx) = first.side_in.matrices(), first.side_out.matrices()
+    (ixa, ax), (ixb, bx) = side_matrices(first.side_in), side_matrices(first.side_out)
     if mode == "apply":
-        i_s, s = second.side.matrices()
+        i_s, s = side_matrices(second.side)
         g = _gram(ax, s)
         for u, v in zip(ixa, ixb):
             for t in i_s:
                 yield d * g[u, t], bx[v]
     else:
-        (iya, ay), (iyb, by) = second.side_in.matrices(), second.side_out.matrices()
+        (iya, ay), (iyb, by) = side_matrices(second.side_in), side_matrices(second.side_out)
         g = _gram(bx, ay)
         for u, v in zip(ixa, ixb):
             for p, q in zip(iya, iyb):
@@ -96,7 +96,7 @@ def test_pair_weight_five_cases():
 
 def test_pair_weight_full_table_vs_dense():
     """All 36 single-qubit weights equal (1/2) Tr[t^T t'] on snapshot matrices."""
-    snaps = key_matrices(np.arange(6), 1)
+    snaps = TAU1
     for mu in AXES:
         for b in (0, 1):
             for mu_p in AXES:
@@ -263,7 +263,7 @@ def test_histogram_only_sum_has_no_terms():
     """A sum built from exact distributions carries means, not sampled terms:
     the uniform record histogram is the completely depolarizing channel."""
     choi = choi_mean_from_histogram(np.full((6, 6), 1 / 36), 1)
-    state = np.einsum("k,kij->ij", np.full(6, 1 / 6), key_matrices(np.arange(6), 1))
+    state = np.einsum("k,kij->ij", np.full(6, 1 / 6), TAU1)
     out = WeightedSnapshotSum("apply", 1, choi, state).materialize()
     assert la.norm(out - np.eye(2) / 2) < 1e-12
 

@@ -19,6 +19,7 @@ from procshadow.state_shadows import (
     PROJ1,
     TAU1,
     ShadowEstimate,
+    SnapshotLabels,
     StateSnapshot,
     acquire_shadow,
     estimate_observable,
@@ -26,13 +27,11 @@ from procshadow.state_shadows import (
     inverse_map_clifford,
     inverse_map_pauli,
     inverse_map_pauli_factorwise,
-    key_axes_bits,
     materialize_snapshot,
     median_of_means,
     qubit_key,
     reconstruct,
     register_key,
-    key_matrices,
     single_shot_expectations,
 )
 
@@ -64,7 +63,7 @@ def test_inverse_map_pauli_factorwise_matches_tensor():
 
 
 def test_snapshot_matrices_frozen():
-    snaps = key_matrices(np.arange(6), 1)
+    snaps = TAU1
     assert snaps.shape == (6, 2, 2)
     # key order: X+, X-, Y+, Y-, Z+, Z-
     assert la.norm(snaps[0] - np.array([[0.5, 1.5], [1.5, 0.5]])) < 1e-12
@@ -94,10 +93,10 @@ def test_key_encoding():
     # qubit 0 is the most significant base-6 digit
     assert register_key("XZ", "01") == 6 * 0 + 5
     assert register_key("ZX", "10") == 6 * 5 + 0
-    assert key_axes_bits(5, 2) == ("XZ", "01")
-    for key in range(36):
-        axes, bits = key_axes_bits(key, 2)
-        assert register_key(axes, bits) == key
+    decoded = SnapshotLabels(np.arange(36), 2).views()
+    assert (decoded[5][0].axes, decoded[5][1]) == ("XZ", "01")
+    for key, (frame, bits) in enumerate(decoded):
+        assert register_key(frame.axes, bits) == key
 
 
 def test_materialize_snapshot_matches_inverse_map(rng):
@@ -129,10 +128,9 @@ def test_exact_pauli_snapshot_distribution_matches_protocol(n):
     rng = np.random.default_rng(n)
     rho = random_density_matrix(n, rng)
     dist = exact_pauli_snapshot_distribution(rho)
-    keys = range(6**n) if n <= 2 else rng.integers(0, 6**n, size=40)
-    for key in keys:
-        axes, bits = key_axes_bits(int(key), n)
-        born = measurement_probabilities(rho, PauliFrame(axes))[int(bits, 2)]
+    keys = np.arange(6**n) if n <= 2 else rng.integers(0, 6**n, size=40)
+    for key, (frame, bits) in zip(keys, SnapshotLabels(keys, n).views()):
+        born = measurement_probabilities(rho, frame)[int(bits, 2)]
         assert dist[key] == pytest.approx(born / 3**n, abs=1e-12)
 
 
@@ -141,7 +139,7 @@ def test_exhaustive_pauli_average_recovers_state(seed):
     """Averaging snapshots over the exact outcome distribution returns rho."""
     rho = random_density_matrix(1, np.random.default_rng(seed))
     dist = exact_pauli_snapshot_distribution(rho)
-    avg = np.einsum("k,kij->ij", dist, key_matrices(np.arange(6), 1))
+    avg = np.einsum("k,kij->ij", dist, TAU1)
     assert la.norm(avg - rho) < 1e-12
 
 
@@ -197,9 +195,30 @@ def test_take_rejects_out_of_range_prefix(rng, m):
 
 def test_empty_clifford_prefix_materializes_no_snapshots(rng):
     est = acquire_shadow(np.diag([1.0, 0.0]), 20, "clifford", rng).take(0)
-    index, mats = est.side.matrices()
-    assert index.shape == (0,) and mats.shape == (0, 2, 2)
+    index, pauli, coef = est.side.pauli_terms()
+    assert index.shape == (0,) and pauli.shape == coef.shape == (2, 0)
     assert single_shot_expectations(est, Z).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_clifford_labels_expand_to_stabilizer_terms(n):
+    """Each distinct Clifford label has 2^n Pauli terms: 1/d on I and
+    +-(d+1)/d on the other stabilizer elements; they rebuild the snapshot."""
+    rng = np.random.default_rng(40 + n)
+    est = acquire_shadow(random_density_matrix(n, rng), 30, "clifford", rng)
+    index, pauli, coef = est.side.pauli_terms()
+    d = 2**n
+    assert pauli.shape == coef.shape == (d, index.max() + 1)
+    snaps = [materialize_snapshot(s) for s in est.snapshots]
+    for i, u in enumerate(index):
+        assert len(set(pauli[:, u])) == d
+        identity = pauli[:, u] == 0
+        assert identity.sum() == 1 and abs(coef[identity, u][0] - 1 / d) < 1e-12
+        assert np.allclose(np.abs(coef[~identity, u]), (d + 1) / d, atol=1e-12, rtol=0)
+        letters = ["".join("IXYZ"[(p >> 2 * (n - 1 - q)) & 3] for q in range(n))
+                   for p in pauli[:, u]]
+        rebuilt = sum(c * PauliString(s).matrix for c, s in zip(coef[:, u], letters))
+        assert np.max(np.abs(rebuilt - snaps[i])) < 1e-12
 
 
 def test_reconstruct_converges():
