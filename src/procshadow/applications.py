@@ -195,7 +195,9 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     d^2 * threshold_fraction, "nonunitary" when it sits below, and
     "inconclusive" when the interval straddles the threshold.  Each
     bootstrap replicate resamples the records with replacement and
-    leaves out the pairs formed by two copies of one record.
+    leaves out the pairs formed by two copies of one record; a replicate
+    that draws one distinct record has no pair left, so the interval is
+    refused when any does.
     """
     if n_bootstrap < 1:
         raise ValueError(f"need at least one bootstrap replicate, got {n_bootstrap}")
@@ -217,6 +219,10 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     for b in range(n_bootstrap):
         counts = np.bincount(rng.integers(0, m, m), minlength=m).astype(float)
         boots[b] = 4**n * u_statistic(counts)
+    no_pair = int(np.isnan(boots).sum())
+    if no_pair:
+        raise ValueError(f"{no_pair} of {n_bootstrap} bootstrap replicates of {m} records "
+                         "drew a single distinct record and have no distinct pair")
     alpha = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(boots, [alpha, 100.0 - alpha])
     threshold = threshold_fraction * 4**n

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, enumerate_clifford_group,
-                        frame_stack, frame_unitaries)
+                        frame_unitaries)
 from .qcore import PauliString, n_qubits_of, operator_norm
 from .state_shadows import inverse_map_clifford, inverse_map_pauli_factorwise
 
@@ -172,7 +172,7 @@ def _second_moment(u: np.ndarray, b_op: np.ndarray) -> np.ndarray:
 
 def _clifford_unitaries() -> np.ndarray:
     """The 24 one-qubit Clifford frame unitaries, as one stack."""
-    return frame_unitaries(*frame_stack(enumerate_clifford_group(1)))
+    return frame_unitaries(CLIFFORD_ENSEMBLE, enumerate_clifford_group(1))
 
 
 def shadow_norm_bruteforce(o: np.ndarray, ensemble: str, *,

@@ -22,7 +22,8 @@ Gottesman).  ``sample_frames`` draws a stack with one generator call per
 Koenig-Smolin level, and ``frame_unitaries`` builds its unitaries: Pauli
 frames as Kronecker products of the 2x2 axis frames, Clifford frames
 from the Paulis of their tableau, each applied as a signed permutation
-of basis indices.  ``to_matrix`` is the same builder on one frame.
+of basis indices.  ``PauliFrame`` and ``CliffordFrame`` objects are
+the per-record views of one row of such a stack.
 """
 
 from __future__ import annotations
@@ -96,43 +97,6 @@ class CliffordFrame:
 
 
 Frame = PauliFrame | CliffordFrame
-
-
-def frame_stack(frames) -> tuple[str, np.ndarray]:
-    """``(ensemble, stack)`` of a non-empty sequence of frames of one kind."""
-    if all(isinstance(f, PauliFrame) for f in frames):
-        axes = "".join(f.axes for f in frames).encode("ascii")
-        digits = (np.frombuffer(axes, dtype=np.uint8) - ord("X")).astype(np.int64)
-        return PAULI_ENSEMBLE, digits.reshape(len(frames), -1)
-    if all(isinstance(f, CliffordFrame) for f in frames):
-        return CLIFFORD_ENSEMBLE, np.array([np.column_stack((f.symplectic, f.signs))
-                                            for f in frames])
-    raise TypeError("a frame stack holds frames of one kind")
-
-
-def clifford_frames(tableaus: np.ndarray) -> list:
-    """``CliffordFrame`` of each (2n, 2n+1) tableau of a stack of bits.
-
-    The frames hold rows of two read-only copies of the stack, and skip
-    the per-frame normalization that ``CliffordFrame`` does.
-    """
-    sym = np.array(tableaus[:, :, :-1], dtype=np.uint8)
-    signs = np.array(tableaus[:, :, -1], dtype=np.uint8)
-    sym.setflags(write=False)
-    signs.setflags(write=False)
-    frames = []
-    for s, p in zip(sym, signs):
-        frame = object.__new__(CliffordFrame)
-        object.__setattr__(frame, "symplectic", s)
-        object.__setattr__(frame, "signs", p)
-        frames.append(frame)
-    return frames
-
-
-def sample_pauli_frame(n: int, rng: np.random.Generator) -> PauliFrame:
-    """Uniform choice of one of X, Y, Z per qubit."""
-    idx = rng.integers(0, 3, size=n)
-    return PauliFrame("".join(AXES[i] for i in idx))
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +227,16 @@ def sample_frames(n: int, ensemble: str, m: int, rng: np.random.Generator) -> np
     return tableaus
 
 
-def sample_clifford(n: int, rng: np.random.Generator) -> CliffordFrame:
-    """Uniformly random Clifford frame (modulo phase) on 1..6 qubits."""
-    return clifford_frames(sample_frames(n, CLIFFORD_ENSEMBLE, 1, rng))[0]
-
-
-def enumerate_clifford_group(n: int = 1):
-    """All Clifford frames modulo phase; exhaustive, so n=1 only (24 elements)."""
+def enumerate_clifford_group(n: int = 1) -> np.ndarray:
+    """Tableau stack of all Clifford frames modulo phase; exhaustive, so
+    n=1 only (24 elements, each symplectic part with its four sign pairs)."""
     if n != 1:
         raise ValueError("exhaustive enumeration is only supported for n=1")
-    sympl = _symplectic_from_levels([(np.repeat([1, 2, 3], 2), np.tile([0, 1], 3))])
-    signs = _bits(np.arange(4), 2)
-    return [CliffordFrame(s, p) for s in sympl for p in signs]
+    tableaus = np.empty((24, 2, 3), dtype=np.uint8)
+    tableaus[:, :, :-1] = np.repeat(
+        _symplectic_from_levels([(np.repeat([1, 2, 3], 2), np.tile([0, 1], 3))]), 4, axis=0)
+    tableaus[:, :, -1] = np.tile(_bits(np.arange(4), 2), (6, 1))
+    return tableaus
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +312,6 @@ def frame_unitaries(ensemble: str, frames: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
-def to_matrix(frame: Frame) -> np.ndarray:
-    """Dense unitary of a frame (canonical phase for tableau frames)."""
-    if not isinstance(frame, (PauliFrame, CliffordFrame)):
-        raise TypeError(f"not a frame: {frame!r}")
-    return frame_unitaries(*frame_stack([frame]))[0]
-
-
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
     d = 2**n
@@ -365,21 +320,3 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     lam = np.diag(r).copy()
     lam /= np.abs(lam)
     return q * lam
-
-
-def measurement_probabilities(rho: np.ndarray, frame: Frame) -> np.ndarray:
-    """Outcome distribution for measuring rho in the given frame."""
-    u = to_matrix(frame)
-    return np.real(np.einsum("bi,ij,bj->b", u, np.asarray(rho, dtype=complex),
-                             u.conj()))
-
-
-def prepared_state_vector(frame: Frame, bits: str) -> np.ndarray:
-    """State U^dag |b> prepared for an input frame and bit string.
-
-    With this convention the prepared state coincides with the projector
-    family measured by the frame, e.g. bit 0 on a Pauli axis prepares the
-    +1 eigenstate of that axis.
-    """
-    u = to_matrix(frame)
-    return u[int(bits, 2), :].conj()

@@ -38,17 +38,13 @@ import numpy as np
 
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
                         frame_unitaries, sample_frames)
-from .qcore import Channel, ChoiMatrix, PauliString, _trace_register, choi_of_channel
-from .state_shadows import (SnapshotLabels, StateSnapshot, _pauli_matrix, _side_values,
-                            _simulate, _snapshot_sum, exact_pauli_snapshot_distribution,
-                            materialize_snapshot, median_of_means, sample_table)
+from .qcore import Channel, ChoiMatrix, _trace_register, choi_of_channel
+from .state_shadows import (SnapshotLabels, StateSnapshot, _pauli_matrix, _pauli_vector,
+                            _side_values, _simulate, _snapshot_sum,
+                            exact_pauli_snapshot_distribution, median_of_means, sample_table)
 
 # largest register whose Pauli/Pauli records are drawn from the 36^n table
 _MAX_TABLE_QUBITS = 4
-
-
-def _ensemble_of(frame: Frame) -> str:
-    return PAULI_ENSEMBLE if isinstance(frame, PauliFrame) else CLIFFORD_ENSEMBLE
 
 
 @dataclass(frozen=True)
@@ -76,11 +72,11 @@ class ShadowRecord:
 
     @property
     def ensemble_in(self) -> str:
-        return _ensemble_of(self.u_in)
+        return PAULI_ENSEMBLE if isinstance(self.u_in, PauliFrame) else CLIFFORD_ENSEMBLE
 
     @property
     def ensemble_out(self) -> str:
-        return _ensemble_of(self.u_out)
+        return PAULI_ENSEMBLE if isinstance(self.u_out, PauliFrame) else CLIFFORD_ENSEMBLE
 
     @property
     def in_snapshot(self) -> StateSnapshot:
@@ -184,13 +180,6 @@ def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: 
         kin, kout = np.divmod(sample_table(table, m, rng), 6**n)
         return ProcessShadow._of(SnapshotLabels(kin, n), SnapshotLabels(kout, n))
     return _simulate_records(ch, m, ensemble_in, ensemble_out, rng)
-
-
-def materialize_choi_shadow(r: ShadowRecord) -> np.ndarray:
-    """Dense trace-1 Choi snapshot of one record."""
-    a_side = materialize_snapshot(r.in_snapshot).T
-    b_side = materialize_snapshot(r.out_snapshot)
-    return np.kron(a_side, b_side)
 
 
 def _choi_sum(ps: ProcessShadow):
@@ -298,28 +287,19 @@ def verify_bin_independence(ch: Channel, samples: int, rng: np.random.Generator,
                             tolerance: float = 1e-9) -> BinIndependenceReport:
     """Check that acquisition statistics cannot depend on the input bin.
 
-    Two facts are verified against the dense Choi matrix: the trace of
-    the Choi state against any prepared input projector equals one for
-    sampled (frame, bits) pairs, and every nontrivial input-register
-    Pauli string has vanishing expectation.  Both fail for Kraus sets
-    that are not trace preserving.
+    Two facts are verified against the input register of the dense Choi
+    matrix, eta_A = Tr_B eta: the trace of the Choi state against any
+    prepared input projector, Tr[P^T eta_A], equals one for sampled
+    (frame, bits) pairs, and every nontrivial input-register Pauli
+    string has vanishing expectation.  Both fail for Kraus sets that are
+    not trace preserving.
     """
-    n = ch.n_qubits
-    eta = choi_of_channel(ch).matrix
-    d = ch.dim
-    max_norm = 0.0
-    for _ in range(samples):
-        bits = int(rng.integers(0, d))
-        u = frame_unitaries(ensemble_in, sample_frames(n, ensemble_in, 1, rng))[0]
-        psi = u[bits].conj()  # the prepared state U^dag|b>
-        proj_t = np.outer(psi, psi.conj()).T
-        val = np.real(np.trace(np.kron(proj_t, np.eye(d)) @ eta))
-        max_norm = max(max_norm, abs(val - 1.0))
-    eta_a = _trace_register(eta, d, d, "B")
-    max_pauli = 0.0
-    strings = PauliString.all_nontrivial(n)
-    for p in strings:
-        val = abs(np.trace(p.matrix @ eta_a))
-        max_pauli = max(max_pauli, float(val))
-    return BinIndependenceReport(samples, float(max_norm), len(strings),
-                                 max_pauli, tolerance)
+    n, d = ch.n_qubits, ch.dim
+    eta_a = _trace_register(choi_of_channel(ch).matrix, d, d, "B")
+    bits = rng.integers(0, d, size=samples)
+    u = frame_unitaries(ensemble_in, sample_frames(n, ensemble_in, samples, rng))
+    psi = u[np.arange(samples), bits].conj()  # the prepared states U^dag|b>
+    norms = np.real(np.einsum("ki,ij,kj->k", psi, eta_a, psi.conj()))
+    paulis = np.abs(_pauli_vector(eta_a[None], n)[0, 1:])
+    return BinIndependenceReport(samples, float(np.abs(norms - 1.0).max(initial=0.0)),
+                                 paulis.size, float(paulis.max()), tolerance)

@@ -150,20 +150,6 @@ class PauliString:
     def matrix(self) -> np.ndarray:
         return tensor(*(PAULI[c] for c in self.letters))
 
-    @staticmethod
-    def all_nontrivial(n: int):
-        """All 4^n - 1 non-identity Pauli strings on n qubits."""
-        letters = "IXYZ"
-        out = []
-        for i in range(4**n):
-            s = ""
-            for _ in range(n):
-                s = letters[i % 4] + s
-                i //= 4
-            if s != "I" * n:
-                out.append(PauliString(s))
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class Channel:

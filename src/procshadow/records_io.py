@@ -17,14 +17,17 @@ every line's constant bytes and maps its digits through byte tables to
 base-6 Pauli keys and outcome bits; a Pauli/Pauli file takes no Python
 object per record.  A Clifford side's texts are deduplicated in
 first-appearance order, matched once each against the canonical form,
-parsed together and validated as one stack, so the labels and
-``frames`` equal those of ``SnapshotLabels.encode``.  Lines may end in
-CRLF.  Any other line (other spacing or key order, escapes, extra
-fields) is decoded as JSON, its known fields are rendered canonically,
-and the result goes through the same reader; blank lines are skipped.  When a
-line still fails, the file is checked again record by record, which
-names the first offending line.  Saving renders each side's distinct
-labels once and joins the lines from the label arrays.
+parsed together and validated as one stack, the side's ``frames``; the
+labels and stack equal those of ``SnapshotLabels.encode``.  Lines may
+end in CRLF.  Any other line (other spacing or key order, escapes,
+extra fields) is decoded as JSON, its known fields are rendered
+canonically, and the result goes through the same reader; blank lines
+are skipped.  When a line still fails, the file is checked again record
+by record, which names the first offending line from the JSON fields
+alone.  Saving renders each side's distinct labels once, from the base-6
+digits or the tableau stack (its rows become integers in one matrix
+product).  No frame object is built from labels to bytes or back: frame
+objects exist only in the ``records`` and ``snapshots`` views.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ import re
 
 import numpy as np
 
-from .ensembles import (AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame,
-                        PauliFrame, clifford_frames, is_symplectic)
-from .process_shadows import ProcessShadow, ShadowRecord
-from .state_shadows import SnapshotLabels, pauli_keys
+from .ensembles import AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, is_symplectic
+from .process_shadows import ProcessShadow
+from .state_shadows import SnapshotLabels, _pauli_strings, pauli_keys
 
 FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
@@ -61,17 +63,6 @@ _ROWS_SEP = b'],"s":['
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
 
-def _frame_to_json(frame):
-    if isinstance(frame, PauliFrame):
-        return {"kind": "pauli", "axes": frame.axes}
-    if isinstance(frame, CliffordFrame):
-        rows = frame.symplectic @ (1 << np.arange(frame.symplectic.shape[1]))
-        return {"kind": "clifford",
-                "s": rows.tolist(),
-                "p": frame.signs.tolist()}
-    raise ValueError(f"cannot serialize frame type {type(frame).__name__}")
-
-
 def _symplectic(rows: np.ndarray, n: int) -> np.ndarray:
     """(k, 2n, 2n) bit matrices of (k, 2n) tableau rows; raises unless
     every one is symplectic."""
@@ -81,16 +72,19 @@ def _symplectic(rows: np.ndarray, n: int) -> np.ndarray:
     return sym
 
 
-def _frame_from_json(obj, n: int):
-    """One decoded frame, checked in this order: row count, rows are
-    integers in [0, 4^n), signs are bits, symplectic form, sign count.
-    JSON ``true`` and ``false`` are not integers here."""
+def _frame_fields(obj, n: int) -> tuple[str, int]:
+    """(ensemble, qubit count) of one decoded frame object; a Clifford
+    frame is checked in this order: row count, rows are integers in
+    [0, 4^n), signs are bits, symplectic form, sign count.  JSON ``true``
+    and ``false`` are not integers here."""
     kind = obj.get("kind")
     if kind == "pauli":
         axes = obj["axes"]
         if not isinstance(axes, str):
             raise ValueError(f"Pauli axes {axes!r} are not a string")
-        return PauliFrame(axes)
+        if not axes or axes.strip(AXES):
+            raise ValueError(f"invalid Pauli axes {axes!r}")
+        return PAULI_ENSEMBLE, len(axes)
     if kind != "clifford":
         raise ValueError(f"unknown frame kind {kind!r}")
     rows, signs = obj["s"], obj["p"]
@@ -100,17 +94,29 @@ def _frame_from_json(obj, n: int):
         raise ValueError(f"tableau rows must be integers in [0, {4**n})")
     if not (set(map(type, signs)) <= {int} and set(signs) <= {0, 1}):
         raise ValueError("sign bits must be 0 or 1")
-    sym = _symplectic(np.array([rows], dtype=np.int64), n)[0]
+    _symplectic(np.array([rows], dtype=np.int64), n)
     if len(signs) != len(rows):
         raise ValueError("sign vector length does not match tableau")
-    return CliffordFrame(sym, signs)
+    return CLIFFORD_ENSEMBLE, n
 
 
 def _rendered(side: SnapshotLabels) -> list:
     """(bits JSON, frame JSON) of every snapshot; each distinct label is
-    rendered once."""
-    index, decoded = side.distinct()
-    table = [(_dump(bits), _dump(_frame_to_json(frame))) for frame, bits in decoded]
+    rendered once, and each distinct tableau once."""
+    uniq, index = np.unique(side.labels, return_inverse=True)
+    n = side.n_qubits
+    if side.frames is None:
+        axes, bits = _pauli_strings(uniq, n)
+        table = [(_dump(bits[i:i + n]), _dump({"kind": PAULI_ENSEMBLE, "axes": axes[i:i + n]}))
+                 for i in range(0, len(axes), n)]
+    else:
+        used, frame_of = np.unique(uniq >> n, return_inverse=True)
+        tableaus = side.frames[used]
+        rows = tableaus[:, :, :-1] @ (1 << np.arange(2 * n))
+        frames = [_dump({"kind": CLIFFORD_ENSEMBLE, "s": r, "p": p})
+                  for r, p in zip(rows.tolist(), tableaus[:, :, -1].tolist())]
+        table = [(_dump(format(k & (2**n - 1), f"0{n}b")), frames[i])
+                 for k, i in zip(uniq.tolist(), frame_of.tolist())]
     return [table[i] for i in index.tolist()]
 
 
@@ -285,10 +291,11 @@ def _encode(tag, frames, outcomes: np.ndarray, n: int) -> SnapshotLabels:
     if values.max() >= np.uint64(4**n):  # the sign bits are 0 or 1
         raise ValueError(f"tableau rows must be integers in [0, {4**n})")
     values = values.astype(np.int64)
-    stack = np.concatenate((_symplectic(values[:, 2 * n:], n), values[:, :2 * n, None]),
-                           axis=2)
+    stack = np.empty((len(texts), 2 * n, 2 * n + 1), dtype=np.uint8)
+    stack[:, :, :-1] = _symplectic(values[:, 2 * n:], n)
+    stack[:, :, -1] = values[:, :2 * n]
     return SnapshotLabels((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
-                          n, tuple(clifford_frames(stack)))
+                          n, stack)
 
 
 def _rerendered(line: bytes) -> bytes:
@@ -340,19 +347,21 @@ def _raise_first_bad_record(body: bytes, header: dict) -> None:
         try:
             obj = json.loads(line.decode())
             b_in = obj["b_in"]
-            u_in = _frame_from_json(obj["u_in"], n)
-            u_out = _frame_from_json(obj["u_out"], n)
+            kind_in, size = _frame_fields(obj["u_in"], n)
+            kind_out, size_out = _frame_fields(obj["u_out"], n)
             b_out = obj["b_out"]
             for bits in (b_in, b_out):
                 if not isinstance(bits, str):
                     raise ValueError("bit strings must be JSON strings, got "
                                      f"{type(bits).__name__}")
-            record = ShadowRecord(b_in, u_in, u_out, b_out)
-            if record.n_qubits != n:
-                raise ValueError(f"record acts on {record.n_qubits} qubits, "
-                                 f"header says {n}")
-            for tag, kind in (("ensemble_in", record.ensemble_in),
-                              ("ensemble_out", record.ensemble_out)):
+            if size_out != size:
+                raise ValueError("input and output frames act on different sizes")
+            for bits in (b_in, b_out):
+                if len(bits) != size or bits.strip("01"):
+                    raise ValueError(f"bit string {bits!r} does not match {size} qubits")
+            if size != n:
+                raise ValueError(f"record acts on {size} qubits, header says {n}")
+            for tag, kind in (("ensemble_in", kind_in), ("ensemble_out", kind_out)):
                 if kind != header.get(tag):
                     raise ValueError(f"{kind} frame does not match the header's "
                                      f"{tag} {header.get(tag)!r}")

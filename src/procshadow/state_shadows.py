@@ -9,7 +9,10 @@ factorizes into one 2x2 ``tau`` matrix per qubit and is labelled by a
 compact key: per qubit ``2*axis + bit`` in {0..5} with axis order X, Y,
 Z, and per register the base-6 digits with qubit 0 most significant.  A
 Clifford snapshot is labelled ``frame_index * 2^n + outcome``, indexing
-the shadow's distinct frames.  ``StateSnapshot`` objects are views.
+the side's stack of distinct tableaus.  Frame objects (``PauliFrame``,
+``CliffordFrame``) exist only in the ``StateSnapshot`` and record views
+that ``SnapshotLabels._decode`` builds; acquisition, estimators and
+record files work on the label arrays and tableau stacks.
 
 Estimators work on Pauli coefficients: a snapshot has 2^n nonzero ones
 (``SnapshotLabels.pauli_terms``), so a trace Tr[snapshot O] is a gather
@@ -34,8 +37,7 @@ import numpy as np
 
 from .qcore import PAULI, check_density_matrix, n_qubits_of, tensor
 from .ensembles import (AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame,
-                        Frame, PauliFrame, clifford_frames, frame_stack,
-                        frame_unitaries, sample_frames)
+                        Frame, PauliFrame, frame_unitaries, sample_frames)
 
 # PROJ1[k] is the measured projector for qubit key k; TAU1[k] = 3 PROJ1[k] - I.
 # Written as exact dyadic literals (building them from the frame matrices
@@ -79,14 +81,16 @@ def pauli_keys(axes: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return (2 * axes + bits) @ 6 ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def outcome_bits(outcomes: np.ndarray, n: int) -> np.ndarray:
-    """(m, n) bits of outcome indices, qubit 0 (most significant) first."""
-    return (np.asarray(outcomes)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 def _digits(keys: np.ndarray, n: int) -> np.ndarray:
     """(k, n) base-6 digits of Pauli keys, qubit 0 first."""
     return (keys[:, None] // 6 ** np.arange(n - 1, -1, -1, dtype=np.int64)) % 6
+
+
+def _pauli_strings(keys: np.ndarray, n: int) -> tuple[str, str]:
+    """(axes, bits): the characters of Pauli keys, n per key, through byte tables."""
+    digits = _digits(keys, n)
+    return (np.frombuffer(b"XXYYZZ", dtype=np.uint8)[digits].tobytes().decode(),
+            np.frombuffer(b"010101", dtype=np.uint8)[digits].tobytes().decode())
 
 
 def _pauli_vector(ops: np.ndarray, n: int) -> np.ndarray:
@@ -131,14 +135,17 @@ class SnapshotLabels:
     """One int64 label per snapshot, for one side of a shadow.
 
     A side holds one frame ensemble.  ``frames`` is None for base-6 Pauli
-    keys, else the tuple of distinct Clifford frames that ``label >> n``
-    indexes.
+    keys, else the read-only (k, 2n, 2n+1) uint8 stack of the distinct
+    tableaus that ``label >> n`` indexes, in order of first appearance.
     """
 
-    def __init__(self, labels, n_qubits: int, frames: tuple | None = None):
+    def __init__(self, labels, n_qubits: int, frames: np.ndarray | None = None):
         self.labels = np.asarray(labels, dtype=np.int64)
         self.labels.setflags(write=False)
         self.n_qubits = n_qubits
+        if frames is not None:
+            frames = np.asarray(frames, dtype=np.uint8)
+            frames.setflags(write=False)
         self.frames = frames
 
     @classmethod
@@ -146,33 +153,36 @@ class SnapshotLabels:
                  outcomes: np.ndarray) -> "SnapshotLabels":
         """Labels of a frame stack (see ``ensembles.sample_frames``) and
         its outcome indices; distinct tableaus are indexed in order of
-        first appearance, as ``encode`` does."""
-        if ensemble == PAULI_ENSEMBLE:
+        first appearance."""
+        if ensemble == PAULI_ENSEMBLE:  # outcome bits with qubit 0 most significant
             n = frames.shape[1]
-            return cls(pauli_keys(frames, outcome_bits(outcomes, n)), n)
+            return cls(pauli_keys(frames, (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1), n)
         n = frames.shape[1] // 2
-        flat = frames.reshape(len(frames), 2 * n * (2 * n + 1))
-        _, first, inverse = np.unique(flat, axis=0, return_index=True,
-                                      return_inverse=True)
+        # one byte string per tableau, which sorts faster than rows of bits
+        packed = np.packbits(frames.reshape(len(frames), 2 * n * (2 * n + 1)), axis=1)
+        _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
+                                      return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        return cls((rank[inverse.reshape(-1)] << n) | outcomes, n,
-                   tuple(clifford_frames(frames[first[order]])))
+        return cls((rank[inverse.reshape(-1)] << n) | outcomes, n, frames[first[order]])
 
     @classmethod
     def encode(cls, frames, outcomes, n: int) -> "SnapshotLabels":
-        """Labels of (frame, outcome bits) pairs of one ensemble, each
-        encoded once; an empty side is a Pauli side."""
+        """Labels of (frame, outcome bits) pairs of one ensemble: the frames
+        become one stack and the bit strings ints, for ``of_stack``; an
+        empty side is a Pauli side."""
         frames = list(frames)
-        if all(isinstance(f, PauliFrame) for f in frames):
-            return cls([register_key(f.axes, b) for f, b in zip(frames, outcomes)], n)
+        outcomes = np.array([int(b, 2) for b in outcomes], dtype=np.int64)
+        if all(isinstance(f, PauliFrame) for f in frames):  # "XYZ" are consecutive bytes
+            axes = np.frombuffer("".join(f.axes for f in frames).encode(), dtype=np.uint8)
+            return cls.of_stack(PAULI_ENSEMBLE, (axes - ord("X")).reshape(len(frames), n),
+                                outcomes)
         if not all(isinstance(f, CliffordFrame) for f in frames):
             raise ValueError("one side of a shadow cannot mix Pauli and Clifford frames")
-        index: dict = {}
-        labels = [(index.setdefault(f, len(index)) << n) | int(b, 2)
-                  for f, b in zip(frames, outcomes)]
-        return cls(labels, n, tuple(index))
+        return cls.of_stack(CLIFFORD_ENSEMBLE, np.concatenate(
+            (np.array([f.symplectic for f in frames]),
+             np.array([f.signs for f in frames])[:, :, None]), axis=2), outcomes)
 
     def __len__(self):
         return self.labels.size
@@ -190,24 +200,27 @@ class SnapshotLabels:
 
     def _decode(self, labels) -> list:
         n = self.n_qubits
-        if self.frames is None:  # digits to characters through byte tables
-            digits = _digits(labels, n)
-            axes = np.frombuffer(b"XXYYZZ", dtype=np.uint8)[digits].tobytes().decode()
-            bits = np.frombuffer(b"010101", dtype=np.uint8)[digits].tobytes().decode()
+        if self.frames is None:
+            axes, bits = _pauli_strings(labels, n)
             return [(PauliFrame(axes[i:i + n]), bits[i:i + n])
                     for i in range(0, len(axes), n)]
-        return [(self.frames[int(k) >> n], format(int(k) & (2**n - 1), f"0{n}b"))
-                for k in labels]
-
-    def distinct(self) -> tuple[np.ndarray, list]:
-        """``(index, decoded)``: (frame, outcome bits) of each distinct label
-        present; snapshot i is ``decoded[index[i]]``."""
-        uniq, inv = np.unique(self.labels, return_inverse=True)
-        return inv, self._decode(uniq)
+        # frames view a read-only copy of the used tableaus, and skip the
+        # per-frame normalization that CliffordFrame does
+        used, index = np.unique(labels >> n, return_inverse=True)
+        tableaus = self.frames[used]
+        tableaus.setflags(write=False)
+        frames = [object.__new__(CliffordFrame) for _ in used]
+        for frame, t in zip(frames, tableaus):
+            object.__setattr__(frame, "symplectic", t[:, :-1])
+            object.__setattr__(frame, "signs", t[:, -1])
+        return [(frames[i], format(k & (2**n - 1), f"0{n}b"))
+                for i, k in zip(index.tolist(), labels.tolist())]
 
     def views(self) -> list:
-        """(frame, outcome bits) of every snapshot, in order."""
-        index, decoded = self.distinct()
+        """(frame, outcome bits) of every snapshot, in order; each distinct
+        label is decoded once."""
+        uniq, index = np.unique(self.labels, return_inverse=True)
+        decoded = self._decode(uniq)
         return [decoded[i] for i in index]
 
     def pauli_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,8 +244,8 @@ class SnapshotLabels:
         step = max(1, 2**18 // d**2)
         for lo in range(0, uniq.size, step):
             chunk = uniq[lo:lo + step]
-            c = np.real(_pauli_vector(frame_snapshots([self.frames[i] for i in chunk >> n],
-                                                      chunk & (d - 1), n), n)) / d
+            c = np.real(_pauli_vector(frame_snapshots(self.frames[chunk >> n],
+                                                      chunk & (d - 1)), n)) / d
             keep = np.abs(c) >= 0.5 / d
             if np.any(keep.sum(axis=1) != d):
                 raise ValueError("a Clifford snapshot does not expand to 2^n Pauli terms")
@@ -303,13 +316,11 @@ def inverse_map_clifford(a: np.ndarray) -> np.ndarray:
     return (d + 1.0) * a - np.trace(a) * np.eye(d)
 
 
-def frame_snapshots(frames: list, outcomes: np.ndarray, n: int) -> np.ndarray:
-    """Materialized snapshots of Clifford (frame, outcome index) pairs: the
-    global inverse map of U^dag|b><b|U, with the frames built in one stack."""
-    d = 2**n
-    if not frames:
-        return np.empty((0, d, d), dtype=complex)
-    u = frame_unitaries(*frame_stack(frames))
+def frame_snapshots(tableaus: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Materialized snapshots of Clifford (tableau, outcome index) pairs, for
+    a stack of tableaus: the global inverse map of U^dag|b><b|U."""
+    d = 2 ** (tableaus.shape[1] // 2)
+    u = frame_unitaries(CLIFFORD_ENSEMBLE, tableaus)
     rows = u[np.arange(len(u)), np.asarray(outcomes, dtype=np.int64)]
     snaps = (d + 1.0) * (rows.conj()[:, :, None] * rows[:, None, :])
     snaps[:, np.arange(d), np.arange(d)] -= (rows.conj() * rows).sum(axis=1)[:, None]
@@ -321,7 +332,8 @@ def materialize_snapshot(s: StateSnapshot) -> np.ndarray:
     if isinstance(s.frame, PauliFrame):
         return tensor(*(TAU1[qubit_key(a, int(b))]
                         for a, b in zip(s.frame.axes, s.outcome)))
-    return frame_snapshots([s.frame], [int(s.outcome, 2)], s.n_qubits)[0]
+    tableau = np.column_stack((s.frame.symplectic, s.frame.signs))
+    return frame_snapshots(tableau[None], [int(s.outcome, 2)])[0]
 
 
 def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:

@@ -6,7 +6,27 @@ aggregation code with the Pauli-coefficient estimators they check.
 
 import numpy as np
 
-from procshadow.state_shadows import TAU1, StateSnapshot, materialize_snapshot
+from procshadow.ensembles import AXES, PauliFrame, frame_unitaries
+from procshadow.state_shadows import TAU1, SnapshotLabels, StateSnapshot, materialize_snapshot
+
+
+def frame_unitary(frame):
+    """Dense unitary of one ``PauliFrame`` or ``CliffordFrame``, built by
+    ``frame_unitaries`` on a stack of that one frame."""
+    if isinstance(frame, PauliFrame):
+        return frame_unitaries("pauli", np.array([[AXES.index(a) for a in frame.axes]]))[0]
+    return frame_unitaries("clifford", np.column_stack((frame.symplectic, frame.signs))[None])[0]
+
+
+def born_probabilities(u, rho):
+    """<b|U rho U^dag|b> for every outcome b: rho measured in the frame U."""
+    return np.real(np.einsum("bi,ij,bj->b", u, np.asarray(rho, dtype=complex), u.conj()))
+
+
+def materialize_choi_shadow(r):
+    """Dense trace-1 Choi snapshot of one record:
+    transpose(snapshot_in) (x) snapshot_out."""
+    return np.kron(materialize_snapshot(r.in_snapshot).T, materialize_snapshot(r.out_snapshot))
 
 
 def key_matrices(keys, n):
@@ -34,7 +54,8 @@ def choi_mean_from_histogram(hist, n):
 def side_matrices(side):
     """``(index, stack)`` for one side of a shadow: ``stack[index[i]]`` is the
     dense snapshot of label i, materialized once per distinct label."""
-    index, decoded = side.distinct()
+    uniq, index = np.unique(side.labels, return_inverse=True)
+    decoded = SnapshotLabels(uniq, side.n_qubits, side.frames).views()
     d = 2**side.n_qubits
     stack = [materialize_snapshot(StateSnapshot(f, b)) for f, b in decoded]
     return index, np.array(stack).reshape(len(stack), d, d)

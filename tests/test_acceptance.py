@@ -24,11 +24,8 @@ from procshadow.complexity import (
     sample_budget,
     verify_moment_bound,
 )
-from procshadow.ensembles import (
-    enumerate_clifford_group,
-    measurement_probabilities,
-    to_matrix,
-)
+from dense_reference import born_probabilities
+from procshadow.ensembles import enumerate_clifford_group, frame_unitaries
 from procshadow.experiments import ExperimentConfig, fit_power_law, run_experiment, write_result_files
 from procshadow.process_shadows import (
     acquire_process_shadow,
@@ -66,7 +63,7 @@ def test_criterion_01_inverse_map_exactness():
     start = time.time()
     worst = 0.0
     snaps = TAU1
-    frames = list(enumerate_clifford_group(1))
+    frames = frame_unitaries("clifford", enumerate_clifford_group(1))
     for seed in range(20):
         rho = random_density_matrix(1, np.random.default_rng(seed))
         # Pauli ensemble: average snapshots over the exact outcome law
@@ -75,9 +72,8 @@ def test_criterion_01_inverse_map_exactness():
         worst = max(worst, la.norm(avg - rho))
         # Clifford ensemble: exhaustive frames x outcomes
         avg = np.zeros((2, 2), dtype=complex)
-        for fr in frames:
-            probs = measurement_probabilities(rho, fr)
-            u = to_matrix(fr)
+        for u in frames:
+            probs = born_probabilities(u, rho)
             for b, pb in zip("01", probs):
                 prepared = u.conj().T @ basis_projector(b) @ u
                 avg += pb * inverse_map_clifford(prepared) / len(frames)

@@ -148,7 +148,7 @@ def test_purity_amplitude_damping_frozen():
 
 def test_purity_is_a_u_statistic(rng):
     """Histogram evaluation equals the explicit sum over unordered record pairs."""
-    from procshadow.process_shadows import materialize_choi_shadow
+    from dense_reference import materialize_choi_shadow
 
     ps = _shadow("hadamard", 60, 15)
     d = 2
@@ -196,6 +196,15 @@ def test_unitarity_verdict_inconclusive_when_starved():
     ps = _shadow("identity", 40, 20)
     v = unitarity_verdict(ps, rng=np.random.default_rng(100))
     assert v.verdict == "inconclusive"
+
+
+def test_unitarity_verdict_refuses_replicates_without_a_pair():
+    """At m=2 about half of the bootstrap replicates draw one record twice,
+    which leaves no distinct pair: an error naming the count, not a NaN
+    interval."""
+    ps = _shadow("hadamard", 2, 1)
+    with pytest.raises(ValueError, match="^107 of 200 bootstrap replicates of 2 records"):
+        unitarity_verdict(ps, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -167,6 +167,14 @@ def test_verify_unitarity_rejects_invalid_settings(tmp_path, capsys, flags, mess
     assert message in captured.err and captured.out == ""
 
 
+def test_verify_unitarity_on_two_records_is_a_configuration_error(tmp_path, capsys):
+    path = _acquire(tmp_path, m=2, seed=1)
+    capsys.readouterr()
+    assert main(["verify-unitarity", "--records", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "bootstrap replicates of 2 records" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("qubits", ["0", "-1"])
 def test_experiment_rejects_empty_register(capsys, qubits):
     code = main(["experiment", "--experiment", "choi-convergence", "--qubits", qubits,

@@ -1,9 +1,9 @@
 """Differential tests: every estimator against the dense per-record reference.
 
 The reference materializes each record's snapshots one at a time with
-``materialize_snapshot`` / ``materialize_choi_shadow`` and contracts the
-dense matrices directly, so it shares no aggregation code with the
-estimators it checks.
+``materialize_snapshot`` / ``dense_reference.materialize_choi_shadow`` and
+contracts the dense matrices directly, so it shares no aggregation code
+with the estimators it checks.
 """
 
 import tracemalloc
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dense_reference import materialize_choi_shadow
 from procshadow.applications import (
     CorrelatorSpec,
     _purity_kernel,
@@ -25,7 +26,6 @@ from procshadow.process_shadows import (
     ProcessShadow,
     acquire_process_shadow,
     estimate_output_state,
-    materialize_choi_shadow,
     reconstruct_choi,
     single_shot_functional_values,
 )

@@ -6,22 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import born_probabilities, frame_unitary
 from procshadow.ensembles import (
-    CliffordFrame,
     PauliFrame,
-    clifford_frames,
     clifford_group_order,
     enumerate_clifford_group,
     frame_unitaries,
     is_symplectic,
-    measurement_probabilities,
-    prepared_state_vector,
-    sample_clifford,
     sample_frames,
     sample_haar_unitary,
-    sample_pauli_frame,
     symplectic_group_order,
-    to_matrix,
 )
 from procshadow.qcore import PauliString, basis_projector, random_density_matrix
 from procshadow.state_shadows import _simulate
@@ -31,10 +25,10 @@ S_DAG = np.diag([1.0, -1j])
 
 
 def test_pauli_frame_matrices():
-    assert la.norm(to_matrix(PauliFrame("X")) - H) < 1e-12
-    assert la.norm(to_matrix(PauliFrame("Y")) - H @ S_DAG) < 1e-12
-    assert la.norm(to_matrix(PauliFrame("Z")) - np.eye(2)) < 1e-12
-    two = to_matrix(PauliFrame("XZ"))
+    assert la.norm(frame_unitary(PauliFrame("X")) - H) < 1e-12
+    assert la.norm(frame_unitary(PauliFrame("Y")) - H @ S_DAG) < 1e-12
+    assert la.norm(frame_unitary(PauliFrame("Z")) - np.eye(2)) < 1e-12
+    two = frame_unitary(PauliFrame("XZ"))
     assert la.norm(two - np.kron(H, np.eye(2))) < 1e-12
 
 
@@ -46,24 +40,25 @@ def test_pauli_frame_rejects_bad_axes():
 def test_pauli_frame_diagonalizes_its_letter():
     # each single-qubit frame rotates its Pauli axis onto Z
     for ax in "XYZ":
-        u = to_matrix(PauliFrame(ax))
+        u = frame_unitary(PauliFrame(ax))
         p = PauliString(ax).matrix
         rotated = u @ p @ u.conj().T
         assert la.norm(rotated - np.diag([1.0, -1.0])) < 1e-12
 
 
 def test_sample_pauli_frame(rng):
-    fr = sample_pauli_frame(3, rng)
-    assert isinstance(fr, PauliFrame)
+    axes = sample_frames(3, "pauli", 1, rng)
+    assert axes.shape == (1, 3)
+    fr = PauliFrame("".join("XYZ"[a] for a in axes[0]))
     assert len(fr.axes) == 3
     assert set(fr.axes) <= set("XYZ")
 
 
 def test_measurement_probabilities_plus_state():
     plus = 0.5 * np.ones((2, 2))
-    px = measurement_probabilities(plus, PauliFrame("X"))
+    px = born_probabilities(frame_unitary(PauliFrame("X")), plus)
     assert px == pytest.approx([1.0, 0.0], abs=1e-12)
-    pz = measurement_probabilities(plus, PauliFrame("Z"))
+    pz = born_probabilities(frame_unitary(PauliFrame("Z")), plus)
     assert pz == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
@@ -71,8 +66,8 @@ def test_measurement_probabilities_plus_state():
 def test_measurement_probabilities_normalized(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(2, rng)
-    for fr in (sample_pauli_frame(2, rng), sample_clifford(2, rng)):
-        p = measurement_probabilities(rho, fr)
+    for ens in ("pauli", "clifford"):
+        p = born_probabilities(frame_unitaries(ens, sample_frames(2, ens, 1, rng))[0], rho)
         assert p.shape == (4,)
         assert np.all(p >= -1e-12)
         assert np.sum(p) == pytest.approx(1.0, abs=1e-9)
@@ -99,12 +94,13 @@ def test_kernel_outcomes_deterministic():
 
 
 def test_prepared_state_vector_convention():
-    """prepared vector w satisfies |w><w| = U^dag |b><b| U."""
+    """The prepared vector w, row b of U conjugated, satisfies
+    |w><w| = U^dag |b><b| U."""
     rng = np.random.default_rng(3)
-    for fr in (PauliFrame("Y"), sample_clifford(1, rng)):
-        u = to_matrix(fr)
+    for ens, stack in (("pauli", np.array([[1]])), ("clifford", sample_frames(1, "clifford", 1, rng))):
+        u = frame_unitaries(ens, stack)[0]
         for b in ("0", "1"):
-            w = prepared_state_vector(fr, b)
+            w = u[int(b, 2)].conj()
             target = u.conj().T @ basis_projector(b) @ u
             assert la.norm(np.outer(w, w.conj()) - target) < 1e-12
 
@@ -117,9 +113,9 @@ def test_group_orders():
 
 
 def test_enumerate_clifford_group_is_the_full_group():
-    frames = list(enumerate_clifford_group(1))
-    assert len(frames) == 24
-    mats = [to_matrix(fr) for fr in frames]
+    frames = enumerate_clifford_group(1)
+    assert frames.shape == (24, 2, 3) and frames.dtype == np.uint8
+    mats = frame_unitaries("clifford", frames)
     # pairwise distinct up to global phase
     for i in range(24):
         for j in range(i + 1, 24):
@@ -130,12 +126,12 @@ def test_enumerate_clifford_group_is_the_full_group():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sampled_clifford_is_unitary_and_symplectic(n, seed):
-    fr = sample_clifford(n, np.random.default_rng(seed))
-    assert isinstance(fr, CliffordFrame)
-    u = to_matrix(fr)
+    tab = sample_frames(n, "clifford", 1, np.random.default_rng(seed))
+    assert tab.shape == (1, 2 * n, 2 * n + 1)
+    u = frame_unitaries("clifford", tab)[0]
     assert la.norm(u @ u.conj().T - np.eye(2**n)) < 1e-10
     # tableau satisfies the symplectic condition over GF(2)
-    m = np.asarray(fr.symplectic) % 2
+    m = tab[0, :, :-1].astype(int)
     j = np.zeros((2 * n, 2 * n), dtype=int)
     j[:n, n:] = np.eye(n, dtype=int)
     j[n:, :n] = np.eye(n, dtype=int)
@@ -148,7 +144,7 @@ def test_clifford_conjugation_sends_paulis_to_paulis(n):
     from itertools import product
 
     rng = np.random.default_rng(11)
-    u = to_matrix(sample_clifford(n, rng))
+    u = frame_unitaries("clifford", sample_frames(n, "clifford", 1, rng))[0]
     d = 2**n
     strings = ["".join(t) for t in product("IXYZ", repeat=n)]
     basis = [PauliString(s).matrix for s in strings]
@@ -163,9 +159,9 @@ def test_clifford_conjugation_sends_paulis_to_paulis(n):
 def test_sampled_cliffords_are_uniform_at_one_qubit(chi_square):
     """Kernel-sampled frames hit each of the 24 enumerated frames equally
     (chi-square on 23 degrees of freedom)."""
-    index = {fr.key(): i for i, fr in enumerate(enumerate_clifford_group(1))}
-    frames = clifford_frames(sample_frames(1, "clifford", 24000, np.random.default_rng(5)))
-    counts = np.bincount([index[fr.key()] for fr in frames], minlength=24)
+    index = {t.tobytes(): i for i, t in enumerate(enumerate_clifford_group(1))}
+    frames = sample_frames(1, "clifford", 24000, np.random.default_rng(5))
+    counts = np.bincount([index[t.tobytes()] for t in frames], minlength=24)
     stat, df = chi_square(counts, np.full(24, 1 / 24))
     assert df == 23
 
@@ -194,13 +190,12 @@ def test_is_symplectic_rejects_broken_tableaus():
 
 @pytest.mark.parametrize("ens,n", [("pauli", 3), ("clifford", 1), ("clifford", 3)])
 def test_frame_unitaries_match_to_matrix(ens, n):
-    """The stacked builder equals to_matrix frame by frame, and is unitary."""
+    """The stacked builder equals the build of each frame on its own, and
+    is unitary."""
     stack = sample_frames(n, ens, 20, np.random.default_rng(n))
     us = frame_unitaries(ens, stack)
-    frames = (clifford_frames(stack) if ens == "clifford"
-              else [PauliFrame("".join("XYZ"[a] for a in row)) for row in stack])
-    for fr, u in zip(frames, us):
-        assert np.array_equal(u, to_matrix(fr))
+    for i, u in enumerate(us):
+        assert np.array_equal(u, frame_unitaries(ens, stack[i:i + 1])[0])
         assert la.norm(u @ u.conj().T - np.eye(2**n)) < 1e-12
 
 
@@ -221,10 +216,10 @@ def test_frame_unitaries_conjugate_generators_to_tableau_rows(n):
 
 
 def test_sample_clifford_deterministic():
-    a = sample_clifford(2, np.random.default_rng(42))
-    b = sample_clifford(2, np.random.default_rng(42))
-    assert np.array_equal(a.symplectic, b.symplectic)
-    assert np.array_equal(a.signs, b.signs)
+    a = sample_frames(2, "clifford", 1, np.random.default_rng(42))
+    b = sample_frames(2, "clifford", 1, np.random.default_rng(42))
+    assert np.array_equal(a[:, :, :-1], b[:, :, :-1])
+    assert np.array_equal(a[:, :, -1], b[:, :, -1])
 
 
 def test_sample_haar_unitary(rng):

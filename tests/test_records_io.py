@@ -9,10 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import frame_unitary
+from procshadow.applications import purity_estimate
 from procshadow.channels import named_channel
 from procshadow.cli import main
-from procshadow.ensembles import CliffordFrame, PauliFrame, sample_clifford, to_matrix
-from procshadow.process_shadows import ProcessShadow, ShadowRecord, acquire_process_shadow, reconstruct_choi
+from procshadow.ensembles import CliffordFrame, PauliFrame, sample_frames
+from procshadow.process_shadows import (
+    ProcessShadow,
+    ShadowRecord,
+    acquire_process_shadow,
+    estimate_output_state,
+    reconstruct_choi,
+)
+from procshadow.qcore import basis_projector
 from procshadow.records_io import load_header, load_records, save_records
 from procshadow.state_shadows import SnapshotLabels
 
@@ -37,8 +46,8 @@ def test_round_trip_preserves_records(tmp_path, ens_in, ens_out):
     assert loaded.n_qubits == ps.n_qubits
     for a, b in zip(ps.records, loaded.records):
         assert a.b_in == b.b_in and a.b_out == b.b_out
-        assert np.array_equal(to_matrix(a.u_in), to_matrix(b.u_in))
-        assert np.array_equal(to_matrix(a.u_out), to_matrix(b.u_out))
+        assert np.array_equal(frame_unitary(a.u_in), frame_unitary(b.u_in))
+        assert np.array_equal(frame_unitary(a.u_out), frame_unitary(b.u_out))
 
 
 def test_round_trip_reconstruction_identical(tmp_path):
@@ -118,7 +127,8 @@ def test_load_reports_qubit_count_mismatch_with_line(tmp_path):
 
 def test_process_shadow_rejects_a_side_that_mixes_ensembles(tmp_path):
     rng = np.random.default_rng(1)
-    clifford = sample_clifford(1, rng)
+    tableau = sample_frames(1, "clifford", 1, rng)[0]
+    clifford = CliffordFrame(tableau[:, :-1], tableau[:, -1])
     recs = [ShadowRecord("0", PauliFrame("X"), PauliFrame("Z"), "1"),
             ShadowRecord("1", clifford, PauliFrame("Y"), "0")]
     with pytest.raises(ValueError, match="cannot mix Pauli and Clifford frames"):
@@ -358,7 +368,7 @@ def test_saved_bytes_match_golden_digest(tmp_path, ens_in, ens_out, n, digest):
     for side, ref_side in ((loaded.side_in, ref.side_in), (loaded.side_out, ref.side_out)):
         assert np.array_equal(side.labels, ref_side.labels)
         assert side.labels.dtype == ref_side.labels.dtype
-        assert side.frames == ref_side.frames
+        assert np.array_equal(side.frames, ref_side.frames)
 
 
 def _same_labels(loaded, ps):
@@ -366,7 +376,7 @@ def _same_labels(loaded, ps):
     for side, ref in ((loaded.side_in, ps.side_in), (loaded.side_out, ps.side_out)):
         assert np.array_equal(side.labels, ref.labels)
         assert side.labels.dtype == ref.labels.dtype
-        assert side.frames == ref.frames
+        assert np.array_equal(side.frames, ref.frames)
 
 
 PAIRS = [("pauli", "pauli"), ("clifford", "clifford"), ("pauli", "clifford"),
@@ -545,4 +555,37 @@ def test_single_byte_edit_loads_like_json_or_names_its_line(tmp_path_factory, pa
         return
     for side, ref in zip((loaded.side_in, loaded.side_out), _reference_labels(path)):
         assert np.array_equal(side.labels, ref.labels)
-        assert side.frames == ref.frames
+        assert np.array_equal(side.frames, ref.frames)
+
+
+@pytest.mark.parametrize("ens_in", ["clifford", "pauli"])
+def test_no_frame_object_outside_the_views(tmp_path, monkeypatch, ens_in):
+    """Acquisition, the estimators and the file round trip work on label
+    arrays and tableau stacks: with the CliffordFrame constructor and the
+    view decoder both refused, they still run, and give the same numbers
+    and bytes as with them."""
+    def refuse(*args):
+        raise AssertionError("a frame object was built")
+
+    ch = named_channel("hadamard", 2)
+    rho = basis_projector("01")
+    path = tmp_path / "r.jsonl"
+
+    def pipeline():
+        ps = acquire_process_shadow(ch, 60, ens_in, "clifford", np.random.default_rng(4))
+        save_records(path, ps, seed=4)
+        loaded = load_records(path)
+        return ps, loaded, [reconstruct_choi(loaded).matrix, estimate_output_state(loaded, rho),
+                            purity_estimate(loaded), path.read_bytes()]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CliffordFrame, "__post_init__", refuse)
+        patch.setattr(SnapshotLabels, "_decode", refuse)
+        ps, loaded, values = pipeline()
+        assert isinstance(loaded.side_out.frames, np.ndarray)
+        with pytest.raises(AssertionError, match="frame object was built"):
+            loaded.records
+    _, _, expected = pipeline()
+    for got, want in zip(values, expected):
+        assert np.array_equal(got, want)
+    assert loaded.records == ps.records

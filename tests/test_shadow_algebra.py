@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_reference import choi_mean_from_histogram, key_matrices, side_matrices
+from dense_reference import (
+    choi_mean_from_histogram,
+    key_matrices,
+    materialize_choi_shadow,
+    side_matrices,
+)
 from procshadow.channels import named_channel, random_unitary_channel
 from procshadow.process_shadows import (
     acquire_process_shadow,
     exact_pauli_record_distribution,
-    materialize_choi_shadow,
     reconstruct_choi,
 )
 from procshadow.qcore import (

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import born_probabilities, frame_unitary
 from procshadow import state_shadows as shad
-from procshadow.ensembles import (
-    PauliFrame,
-    enumerate_clifford_group,
-    measurement_probabilities,
-    prepared_state_vector,
-    to_matrix,
-)
+from procshadow.ensembles import PauliFrame, enumerate_clifford_group, frame_unitaries
 from procshadow.qcore import PauliString, basis_projector, random_density_matrix
 from procshadow.state_shadows import (
     PROJ1,
@@ -80,7 +75,7 @@ def test_projector_matrices_are_prepared_states():
     # and TAU1[k] is its single-qubit inverse-map image 3 PROJ1[k] - I
     for axis in "XYZ":
         for bit in (0, 1):
-            v = prepared_state_vector(PauliFrame(axis), str(bit))
+            v = frame_unitary(PauliFrame(axis))[bit].conj()  # U^dag|b>
             k = qubit_key(axis, bit)
             assert la.norm(PROJ1[k] - np.outer(v, v.conj())) < 1e-15
             assert la.norm(TAU1[k] - (3 * np.outer(v, v.conj()) - np.eye(2))) < 1e-15
@@ -103,7 +98,7 @@ def test_materialize_snapshot_matches_inverse_map(rng):
     rho = random_density_matrix(1, rng)
     for ens, inv in (("pauli", inverse_map_pauli), ("clifford", inverse_map_clifford)):
         s = acquire_shadow(rho, 1, ens, rng).snapshots[0]
-        u = to_matrix(s.frame)
+        u = frame_unitary(s.frame)
         prepared = u.conj().T @ basis_projector(s.outcome) @ u
         assert la.norm(materialize_snapshot(s) - inv(prepared)) < 1e-12
 
@@ -130,7 +125,7 @@ def test_exact_pauli_snapshot_distribution_matches_protocol(n):
     dist = exact_pauli_snapshot_distribution(rho)
     keys = np.arange(6**n) if n <= 2 else rng.integers(0, 6**n, size=40)
     for key, (frame, bits) in zip(keys, SnapshotLabels(keys, n).views()):
-        born = measurement_probabilities(rho, frame)[int(bits, 2)]
+        born = born_probabilities(frame_unitary(frame), rho)[int(bits, 2)]
         assert dist[key] == pytest.approx(born / 3**n, abs=1e-12)
 
 
@@ -147,10 +142,9 @@ def test_exhaustive_pauli_average_recovers_state(seed):
 def test_exhaustive_clifford_average_recovers_state(seed):
     rho = random_density_matrix(1, np.random.default_rng(seed))
     avg = np.zeros((2, 2), dtype=complex)
-    frames = list(enumerate_clifford_group(1))
-    for fr in frames:
-        probs = measurement_probabilities(rho, fr)
-        u = to_matrix(fr)
+    frames = frame_unitaries("clifford", enumerate_clifford_group(1))
+    for u in frames:
+        probs = born_probabilities(u, rho)
         for b, pb in zip("01", probs):
             prepared = u.conj().T @ basis_projector(b) @ u
             avg += pb * inverse_map_clifford(prepared) / len(frames)
@@ -326,10 +320,11 @@ def test_clifford_snapshots_match_exact_born_distribution(chi_square):
     over (frame, bit): 48 cells, chi-square on 47 degrees of freedom."""
     rho = random_density_matrix(1, np.random.default_rng(33))
     group = enumerate_clifford_group(1)
-    exact = np.array([measurement_probabilities(rho, fr) for fr in group]) / 24
+    exact = np.array([born_probabilities(u, rho)
+                      for u in frame_unitaries("clifford", group)]) / 24
     est = acquire_shadow(rho, 48000, "clifford", np.random.default_rng(34))
-    index = {fr.key(): i for i, fr in enumerate(group)}
-    frame = np.array([index[fr.key()] for fr in est.side.frames])
+    index = {t.tobytes(): i for i, t in enumerate(group)}
+    frame = np.array([index[t.tobytes()] for t in est.side.frames])
     labels = est.side.labels
     stat, df = chi_square(np.bincount(2 * frame[labels >> 1] + (labels & 1), minlength=48),
                           exact)
@@ -340,4 +335,4 @@ def test_clifford_acquisition_is_deterministic():
     rho = random_density_matrix(3, np.random.default_rng(35))
     a, b = (acquire_shadow(rho, 200, "clifford", np.random.default_rng(36)) for _ in range(2))
     assert np.array_equal(a.side.labels, b.side.labels)
-    assert a.side.frames == b.side.frames
+    assert np.array_equal(a.side.frames, b.side.frames)
