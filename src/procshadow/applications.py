@@ -105,7 +105,7 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
     m, k = len(ps), len(ss)
     if n_groups < 1 or m // n_groups < 1 or k // n_groups < 1:
         raise ValueError("group count does not fit the sample sizes")
-    terms = ss.side.pauli_terms()
+    terms = ss.pauli_terms()
     gm, gk = m // n_groups, k // n_groups
     means = []
     for g in range(n_groups):
@@ -121,6 +121,9 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
 # ---------------------------------------------------------------------------
 
 MAX_PURITY_QUBITS = 3
+# fewest records a bootstrap verdict takes: a replicate of m records draws a
+# single distinct record with chance m^(1-m), about 1e-9 at m = 10
+MIN_BOOTSTRAP_RECORDS = 10
 
 
 def _purity_kernel(ps: ProcessShadow):
@@ -196,8 +199,9 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     "inconclusive" when the interval straddles the threshold.  Each
     bootstrap replicate resamples the records with replacement and
     leaves out the pairs formed by two copies of one record; a replicate
-    that draws one distinct record has no pair left, so the interval is
-    refused when any does.
+    that draws one distinct record has no pair left, so fewer than
+    MIN_BOOTSTRAP_RECORDS records are refused before any draw, and the
+    interval is refused when a replicate still has no pair.
     """
     if n_bootstrap < 1:
         raise ValueError(f"need at least one bootstrap replicate, got {n_bootstrap}")
@@ -209,10 +213,11 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     if n > MAX_PURITY_QUBITS and not allow_large:
         raise ValueError(
             f"unitarity on {n} qubits needs allow_large=True (cost grows as 4^n)")
-    rng = rng if rng is not None else np.random.default_rng(0)
     m = len(ps)
-    if m < 2:
-        raise ValueError("need at least two records")
+    if m < MIN_BOOTSTRAP_RECORDS:
+        raise ValueError(f"bootstrap replicates of {m} records can draw a single distinct "
+                         f"record; need at least {MIN_BOOTSTRAP_RECORDS} records")
+    rng = rng if rng is not None else np.random.default_rng(0)
     u_statistic = _purity_kernel(ps)
     point = 4**n * u_statistic(np.ones(m))
     boots = np.empty(n_bootstrap)

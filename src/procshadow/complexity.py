@@ -206,26 +206,14 @@ def shadow_norm_bruteforce(o: np.ndarray, ensemble: str, *,
 def _haar_third_moment(b: np.ndarray) -> np.ndarray:
     """d * E_psi psi psi^dag <psi|B|psi>^2 from the permutation formula.
 
-    The third Haar moment is the normalized symmetrizer on three
-    copies; contracting two copies with B and summing the d outcomes
-    gives the exact 3-design value of the enumerated average.
+    The third Haar moment is the normalized symmetrizer on three copies;
+    contracting two copies with B, the six permutations sum to
+    (Tr B)^2 I + Tr(B^2) I + 2 Tr(B) B + 2 B^2, over (d+1)(d+2): the
+    exact 3-design value of the enumerated average.
     """
     d = b.shape[0]
-    eye = np.eye(d)
-    ops = {"1": eye, "b": b}
-    total = np.zeros((d, d), dtype=complex)
-    # sum over the six permutations of {state, B-copy, B-copy}
-    for perm in itertools.permutations(range(3)):
-        p = np.zeros((d**3, d**3), dtype=complex)
-        for idx in itertools.product(range(d), repeat=3):
-            src = idx[perm[0]] * d * d + idx[perm[1]] * d + idx[perm[2]]
-            dst = idx[0] * d * d + idx[1] * d + idx[2]
-            p[dst, src] = 1.0
-        big = p @ np.kron(np.kron(eye, b), b)
-        # partial trace over copies 2 and 3
-        t = big.reshape(d, d, d, d, d, d)
-        total += np.einsum("iabjab->ij", t)
-    return d * total / (d * (d + 1) * (d + 2))
+    tr, b2 = np.trace(b), b @ b
+    return ((tr**2 + np.trace(b2)) * np.eye(d) + 2.0 * tr * b + 2.0 * b2) / ((d + 1) * (d + 2))
 
 
 @dataclass(frozen=True)
@@ -243,8 +231,7 @@ class MomentBoundReport:
                 and self.worst_design_residual <= self.tolerance)
 
 
-def verify_moment_bound(trials: int, rng: np.random.Generator,
-                        tolerance: float = 1e-9) -> MomentBoundReport:
+def verify_moment_bound(trials: int, rng: np.random.Generator) -> MomentBoundReport:
     """Check 2S(O) dominates the enumerated second-moment operator (one qubit).
 
     Also confirms the Clifford group reproduces the Haar third moment
@@ -264,4 +251,4 @@ def verify_moment_bound(trials: int, rng: np.random.Generator,
         enumerated = _second_moment(group, o)
         worst_res = max(worst_res, float(np.abs(enumerated - design).max()))
     return MomentBoundReport(trials=trials, worst_violation=worst_viol,
-                             worst_design_residual=worst_res, tolerance=tolerance)
+                             worst_design_residual=worst_res, tolerance=1e-9)

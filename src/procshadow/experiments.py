@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .applications import (MAX_PURITY_QUBITS, CorrelatorSpec,
+from .applications import (MAX_PURITY_QUBITS, MIN_BOOTSTRAP_RECORDS, CorrelatorSpec,
                            multitime_correlator_exact_input, purity_estimate,
                            unitarity_verdict)
 from .channels import channel_from_spec, random_full_rank_channel, random_unitary_channel
@@ -78,6 +78,9 @@ class ExperimentConfig:
         grid = tuple(int(m) for m in self.grid)
         if len(grid) < 2 or any(m < 2 for m in grid) or list(grid) != sorted(grid):
             raise ConfigError("sample grid must be at least two ascending counts")
+        if self.experiment == "unitarity" and grid[0] < MIN_BOOTSTRAP_RECORDS:
+            raise ConfigError(f"unitarity grid starts at {grid[0]} records; the bootstrap "
+                              f"verdict needs at least {MIN_BOOTSTRAP_RECORDS}")
         object.__setattr__(self, "grid", grid)
         if self.trials < 1:
             raise ConfigError("need at least one trial")

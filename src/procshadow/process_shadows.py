@@ -12,14 +12,14 @@ whose expectation is the *normalized* (trace-1) Choi state of the
 channel; functionals of the unnormalized Choi matrix carry an explicit
 2^n factor, applied inside the estimators.
 
-A ``ProcessShadow`` stores one label array per side (see
-``state_shadows.SnapshotLabels``); ``records`` are views built on
-demand.  Each estimator has one code path for every frame ensemble, on
-the sides' Pauli terms (``SnapshotLabels.pauli_terms``): a functional is
-a gather per side, and ``_choi_sum`` maps per-record weights to the 16^n
-Pauli coefficients of the weighted Choi sum, behind both the sample
-mean and the purity U-statistic.  Two-shadow estimators contract sample
-means, not label pairs.
+A ``ProcessShadow`` is two aligned state shadows, ``side_in`` and
+``side_out`` (see ``state_shadows.ShadowEstimate``); ``records`` are
+views built on demand.  Each estimator has one code path for every
+frame ensemble, on the sides' Pauli terms (``ShadowEstimate.pauli_terms``):
+a functional is a gather per side, and ``_choi_sum`` maps per-record
+weights to the 16^n Pauli coefficients of the weighted Choi sum, behind
+both the sample mean and the purity U-statistic.  Two-shadow estimators
+contract sample means, not label pairs.
 
 Acquisition has two paths.  Pauli/Pauli rounds come from the exact 36^n
 label table (the Pauli state table of the Choi state) up to
@@ -39,7 +39,7 @@ import numpy as np
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
                         frame_unitaries, sample_frames)
 from .qcore import Channel, ChoiMatrix, _trace_register, choi_of_channel
-from .state_shadows import (SnapshotLabels, StateSnapshot, _pauli_matrix, _pauli_vector,
+from .state_shadows import (ShadowEstimate, StateSnapshot, _pauli_matrix, _pauli_vector,
                             _side_values, _simulate, _snapshot_sum,
                             exact_pauli_snapshot_distribution, median_of_means, sample_table)
 
@@ -99,13 +99,13 @@ class ProcessShadow:
             if r.n_qubits != n:
                 raise ValueError("records have mismatched qubit counts")
         self.n_qubits = n
-        self.side_in = SnapshotLabels.encode([r.u_in for r in records],
+        self.side_in = ShadowEstimate.encode([r.u_in for r in records],
                                              [r.b_in for r in records], n)
-        self.side_out = SnapshotLabels.encode([r.u_out for r in records],
+        self.side_out = ShadowEstimate.encode([r.u_out for r in records],
                                               [r.b_out for r in records], n)
 
     @classmethod
-    def _of(cls, side_in: SnapshotLabels, side_out: SnapshotLabels) -> "ProcessShadow":
+    def _of(cls, side_in: ShadowEstimate, side_out: ShadowEstimate) -> "ProcessShadow":
         ps = cls.__new__(cls)
         ps.n_qubits, ps.side_in, ps.side_out = side_in.n_qubits, side_in, side_out
         return ps
@@ -114,8 +114,8 @@ class ProcessShadow:
         return len(self.side_in)
 
     def take(self, m: int) -> "ProcessShadow":
-        """Prefix of the first m records (records are i.i.d.)."""
-        return ProcessShadow._of(self.side_in.prefix(m), self.side_out.prefix(m))
+        """The first m records (records are i.i.d.)."""
+        return ProcessShadow._of(self.side_in.take(m), self.side_out.take(m))
 
     @property
     def records(self) -> tuple:
@@ -158,8 +158,8 @@ def _simulate_records(ch: Channel, m: int, ensemble_in: str, ensemble_out: str,
         return (psi @ stacked).reshape(len(u), rank, d)
 
     frames_out, outcomes = _simulate(n, m, ensemble_out, rng, pushed, rank)
-    return ProcessShadow._of(SnapshotLabels.of_stack(ensemble_in, frames_in, bits),
-                             SnapshotLabels.of_stack(ensemble_out, frames_out, outcomes))
+    return ProcessShadow._of(ShadowEstimate.of_stack(ensemble_in, frames_in, bits),
+                             ShadowEstimate.of_stack(ensemble_out, frames_out, outcomes))
 
 
 def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: str,
@@ -178,7 +178,7 @@ def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: 
             and n <= _MAX_TABLE_QUBITS):
         table = exact_pauli_record_distribution(ch).reshape(-1)
         kin, kout = np.divmod(sample_table(table, m, rng), 6**n)
-        return ProcessShadow._of(SnapshotLabels(kin, n), SnapshotLabels(kout, n))
+        return ProcessShadow._of(ShadowEstimate(kin, n), ShadowEstimate(kout, n))
     return _simulate_records(ch, m, ensemble_in, ensemble_out, rng)
 
 
@@ -234,14 +234,10 @@ def estimate_output_state(ps: ProcessShadow, rho: np.ndarray) -> np.ndarray:
     mean of 2^n Tr[snapshot_in rho] snapshot_out.
     """
     n = ps.n_qubits
-    d = 2**n
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError("input state does not match the record size")
+    weights = np.real(_side_values(ps.side_in, rho))
     if not len(ps):
         raise ValueError("cannot estimate from an empty shadow")
-    weights = np.real(_side_values(ps.side_in, rho))
-    return d * _snapshot_sum(ps.side_out.pauli_terms(), weights, n) / len(ps)
+    return 2**n * _snapshot_sum(ps.side_out.pauli_terms(), weights, n) / len(ps)
 
 
 def single_shot_functional_values(ps: ProcessShadow, rho: np.ndarray,
@@ -251,13 +247,8 @@ def single_shot_functional_values(ps: ProcessShadow, rho: np.ndarray,
     Each record contributes 2^n Re(Tr[snapshot_in rho] Tr[snapshot_out obs]),
     the contraction of its Choi snapshot with 2^n (rho^T (x) obs).
     """
-    n = ps.n_qubits
-    rho = np.asarray(rho, dtype=complex)
-    obs = np.asarray(obs, dtype=complex)
-    d = 2**n
-    if rho.shape != (d, d) or obs.shape != (d, d):
-        raise ValueError("functional arguments do not match the record size")
-    return d * np.real(_side_values(ps.side_in, rho) * _side_values(ps.side_out, obs))
+    values = _side_values(ps.side_in, rho) * _side_values(ps.side_out, obs)
+    return 2**ps.n_qubits * np.real(values)
 
 
 def estimate_channel_functional(ps: ProcessShadow, rho: np.ndarray,
@@ -283,8 +274,7 @@ class BinIndependenceReport:
 
 
 def verify_bin_independence(ch: Channel, samples: int, rng: np.random.Generator,
-                            ensemble_in: str = PAULI_ENSEMBLE,
-                            tolerance: float = 1e-9) -> BinIndependenceReport:
+                            ensemble_in: str = PAULI_ENSEMBLE) -> BinIndependenceReport:
     """Check that acquisition statistics cannot depend on the input bin.
 
     Two facts are verified against the input register of the dense Choi
@@ -302,4 +292,4 @@ def verify_bin_independence(ch: Channel, samples: int, rng: np.random.Generator,
     norms = np.real(np.einsum("ki,ij,kj->k", psi, eta_a, psi.conj()))
     paulis = np.abs(_pauli_vector(eta_a[None], n)[0, 1:])
     return BinIndependenceReport(samples, float(np.abs(norms - 1.0).max(initial=0.0)),
-                                 paulis.size, float(paulis.max()), tolerance)
+                                 paulis.size, float(paulis.max()), 1e-9)

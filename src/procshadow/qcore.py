@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -113,17 +113,16 @@ def is_hermitian(a: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
     return bool(np.allclose(a, a.conj().T, atol=atol, rtol=0))
 
 
-def check_density_matrix(rho: np.ndarray, atol_herm: float = ATOL_ALGEBRA,
-                         atol_eig: float = ATOL_STRUCT) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Validate hermiticity, unit trace and positivity; raises ValueError."""
     rho = np.asarray(rho, dtype=complex)
     n_qubits_of(rho)
-    if not is_hermitian(rho, atol_herm):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise ValueError(f"density matrix has trace {np.trace(rho)}, expected 1")
     lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -atol_eig:
+    if lo < -ATOL_STRUCT:
         raise ValueError(f"density matrix has negative eigenvalue {lo}")
 
 
@@ -157,9 +156,8 @@ class Channel:
 
     kraus: tuple
     n_qubits: int = field(init=False)
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         object.__setattr__(self, "kraus", kraus)
         if not kraus:
@@ -170,10 +168,9 @@ class Channel:
         for k in kraus:
             if k.shape != (d, d):
                 raise ValueError("Kraus operators have mismatched shapes")
-        if validate:
-            s = sum(k.conj().T @ k for k in kraus)
-            if not np.allclose(s, np.eye(d), atol=ATOL_STRUCT, rtol=0):
-                raise ValueError("Kraus operators do not sum to the identity")
+        s = sum(k.conj().T @ k for k in kraus)
+        if not np.allclose(s, np.eye(d), atol=ATOL_STRUCT, rtol=0):
+            raise ValueError("Kraus operators do not sum to the identity")
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,7 @@ base-6 Pauli keys and outcome bits; a Pauli/Pauli file takes no Python
 object per record.  A Clifford side's texts are deduplicated in
 first-appearance order, matched once each against the canonical form,
 parsed together and validated as one stack, the side's ``frames``; the
-labels and stack equal those of ``SnapshotLabels.encode``.  Lines may
+labels and stack equal those of ``ShadowEstimate.encode``.  Lines may
 end in CRLF.  Any other line (other spacing or key order, escapes,
 extra fields) is decoded as JSON, its known fields are rendered
 canonically, and the result goes through the same reader; blank lines
@@ -39,7 +39,7 @@ import numpy as np
 
 from .ensembles import AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, is_symplectic
 from .process_shadows import ProcessShadow
-from .state_shadows import SnapshotLabels, _pauli_strings, pauli_keys
+from .state_shadows import ShadowEstimate, _pauli_strings, pauli_keys
 
 FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
@@ -100,7 +100,7 @@ def _frame_fields(obj, n: int) -> tuple[str, int]:
     return CLIFFORD_ENSEMBLE, n
 
 
-def _rendered(side: SnapshotLabels) -> list:
+def _rendered(side: ShadowEstimate) -> list:
     """(bits JSON, frame JSON) of every snapshot; each distinct label is
     rendered once, and each distinct tableau once."""
     uniq, index = np.unique(side.labels, return_inverse=True)
@@ -281,10 +281,10 @@ def _scan(body: bytes, n: int, tags):
     return starts, newlines, ok, sides
 
 
-def _encode(tag, frames, outcomes: np.ndarray, n: int) -> SnapshotLabels:
-    """Labels of one side of a scanned body, equal to ``SnapshotLabels.encode``."""
+def _encode(tag, frames, outcomes: np.ndarray, n: int) -> ShadowEstimate:
+    """Labels of one side of a scanned body, equal to ``ShadowEstimate.encode``."""
     if tag == PAULI_ENSEMBLE:
-        return SnapshotLabels(pauli_keys(frames, outcomes), n)
+        return ShadowEstimate(pauli_keys(frames, outcomes), n)
     idx, texts = frames
     values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
                            dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
@@ -294,7 +294,7 @@ def _encode(tag, frames, outcomes: np.ndarray, n: int) -> SnapshotLabels:
     stack = np.empty((len(texts), 2 * n, 2 * n + 1), dtype=np.uint8)
     stack[:, :, :-1] = _symplectic(values[:, 2 * n:], n)
     stack[:, :, -1] = values[:, :2 * n]
-    return SnapshotLabels((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
+    return ShadowEstimate((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
                           n, stack)
 
 
@@ -322,7 +322,7 @@ def _normalized(body: bytes, starts, newlines, odd: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def _read_body(body: bytes, header: dict) -> tuple[SnapshotLabels, SnapshotLabels]:
+def _read_body(body: bytes, header: dict) -> tuple[ShadowEstimate, ShadowEstimate]:
     """Both sides' labels; raises without a line number on any bad record."""
     n = header["n_qubits"]
     tags = header.get("ensemble_in"), header.get("ensemble_out")
@@ -333,7 +333,7 @@ def _read_body(body: bytes, header: dict) -> tuple[SnapshotLabels, SnapshotLabel
         if not ok.all():
             raise ValueError("a record line is not canonical")
     if not newlines.size:
-        empty = SnapshotLabels(np.empty(0, dtype=np.int64), n)
+        empty = ShadowEstimate(np.empty(0, dtype=np.int64), n)
         return empty, empty
     return tuple(_encode(tag, frames, outcomes, n) for tag, frames, outcomes in sides)
 

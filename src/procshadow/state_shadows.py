@@ -2,20 +2,21 @@
 
 A snapshot is one (frame, outcome) pair; its materialized form is the
 inverse-map image of the measured projector and averages to the state.
-A shadow stores one int64 label per snapshot (``SnapshotLabels``), and
-all snapshots of a shadow come from one frame ensemble: a side that
-mixes Pauli and Clifford frames is refused.  A random-Pauli snapshot
-factorizes into one 2x2 ``tau`` matrix per qubit and is labelled by a
-compact key: per qubit ``2*axis + bit`` in {0..5} with axis order X, Y,
-Z, and per register the base-6 digits with qubit 0 most significant.  A
+A shadow (``ShadowEstimate``, also one side of a process shadow) stores
+one int64 label per snapshot, and all its snapshots come from one frame
+ensemble: a side that mixes Pauli and Clifford frames is refused.  A
+random-Pauli snapshot factorizes into one 2x2 ``tau`` matrix per qubit
+and is labelled by a compact key: per qubit ``2*axis + bit`` in {0..5}
+with axis order X, Y, Z, and per register the base-6 digits with qubit
+0 most significant.  A
 Clifford snapshot is labelled ``frame_index * 2^n + outcome``, indexing
 the side's stack of distinct tableaus.  Frame objects (``PauliFrame``,
 ``CliffordFrame``) exist only in the ``StateSnapshot`` and record views
-that ``SnapshotLabels._decode`` builds; acquisition, estimators and
+that ``ShadowEstimate._decode`` builds; acquisition, estimators and
 record files work on the label arrays and tableau stacks.
 
 Estimators work on Pauli coefficients: a snapshot has 2^n nonzero ones
-(``SnapshotLabels.pauli_terms``), so a trace Tr[snapshot O] is a gather
+(``ShadowEstimate.pauli_terms``), so a trace Tr[snapshot O] is a gather
 of O's Pauli vector (``_pauli_vector``) and a weighted sum is one
 ``bincount`` into 4^n coefficients, made dense one qubit at a time
 (``_pauli_matrix``).
@@ -131,8 +132,8 @@ class StateSnapshot:
         return self.frame.n_qubits
 
 
-class SnapshotLabels:
-    """One int64 label per snapshot, for one side of a shadow.
+class ShadowEstimate:
+    """One side of a shadow: one int64 label per snapshot of one state.
 
     A side holds one frame ensemble.  ``frames`` is None for base-6 Pauli
     keys, else the read-only (k, 2n, 2n+1) uint8 stack of the distinct
@@ -150,7 +151,7 @@ class SnapshotLabels:
 
     @classmethod
     def of_stack(cls, ensemble: str, frames: np.ndarray,
-                 outcomes: np.ndarray) -> "SnapshotLabels":
+                 outcomes: np.ndarray) -> "ShadowEstimate":
         """Labels of a frame stack (see ``ensembles.sample_frames``) and
         its outcome indices; distinct tableaus are indexed in order of
         first appearance."""
@@ -168,7 +169,7 @@ class SnapshotLabels:
         return cls((rank[inverse.reshape(-1)] << n) | outcomes, n, frames[first[order]])
 
     @classmethod
-    def encode(cls, frames, outcomes, n: int) -> "SnapshotLabels":
+    def encode(cls, frames, outcomes, n: int) -> "ShadowEstimate":
         """Labels of (frame, outcome bits) pairs of one ensemble: the frames
         become one stack and the bit strings ints, for ``of_stack``; an
         empty side is a Pauli side."""
@@ -187,11 +188,11 @@ class SnapshotLabels:
     def __len__(self):
         return self.labels.size
 
-    def prefix(self, m: int) -> "SnapshotLabels":
-        """The first m labels; m must lie in [0, len]."""
+    def take(self, m: int) -> "ShadowEstimate":
+        """The first m snapshots (snapshots are i.i.d.); m must lie in [0, len]."""
         if not 0 <= m <= len(self):
             raise ValueError(f"cannot take {m} of {len(self)} snapshots")
-        return SnapshotLabels(self.labels[:m], self.n_qubits, self.frames)
+        return ShadowEstimate(self.labels[:m], self.n_qubits, self.frames)
 
     @property
     def ensemble(self) -> str:
@@ -222,6 +223,10 @@ class SnapshotLabels:
         uniq, index = np.unique(self.labels, return_inverse=True)
         decoded = self._decode(uniq)
         return [decoded[i] for i in index]
+
+    @property
+    def snapshots(self) -> tuple:
+        return tuple(StateSnapshot(f, b) for f, b in self.views())
 
     def pauli_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(index, pauli, coef)``: label i is the snapshot sum_t coef[t, u]
@@ -254,39 +259,6 @@ class SnapshotLabels:
         return inv, pauli, coef
 
 
-class ShadowEstimate:
-    """A collection of state snapshots acquired from one state."""
-
-    def __init__(self, snapshots, n_qubits: int | None = None):
-        snapshots = tuple(snapshots)
-        if not snapshots and n_qubits is None:
-            raise ValueError("empty shadow needs an explicit qubit count")
-        n = n_qubits if n_qubits is not None else snapshots[0].n_qubits
-        for s in snapshots:
-            if s.n_qubits != n:
-                raise ValueError("snapshots have mismatched qubit counts")
-        self.n_qubits = n
-        self.side = SnapshotLabels.encode([s.frame for s in snapshots],
-                                          [s.outcome for s in snapshots], n)
-
-    @classmethod
-    def _of(cls, side: SnapshotLabels) -> "ShadowEstimate":
-        est = cls.__new__(cls)
-        est.n_qubits, est.side = side.n_qubits, side
-        return est
-
-    def __len__(self):
-        return len(self.side)
-
-    def take(self, m: int) -> "ShadowEstimate":
-        """Prefix of the first m snapshots (snapshots are i.i.d.)."""
-        return ShadowEstimate._of(self.side.prefix(m))
-
-    @property
-    def snapshots(self) -> tuple:
-        return tuple(StateSnapshot(f, b) for f, b in self.side.views())
-
-
 def inverse_map_pauli(a: np.ndarray) -> np.ndarray:
     """Single-qubit inverse measurement map 3 A - Tr(A) I."""
     a = np.asarray(a, dtype=complex)
@@ -295,7 +267,7 @@ def inverse_map_pauli(a: np.ndarray) -> np.ndarray:
     return 3.0 * a - np.trace(a) * np.eye(2)
 
 
-def inverse_map_pauli_factorwise(a: np.ndarray, n: int | None = None) -> np.ndarray:
+def inverse_map_pauli_factorwise(a: np.ndarray) -> np.ndarray:
     """Tensor-factor-wise extension of the single-qubit inverse map.
 
     Acts as ``inverse_map_pauli`` on every qubit of an arbitrary n-qubit
@@ -303,8 +275,7 @@ def inverse_map_pauli_factorwise(a: np.ndarray, n: int | None = None) -> np.ndar
     triples X, Y and Z, so each Pauli coefficient gains 3^weight.
     """
     a = np.asarray(a, dtype=complex)
-    if n is None:
-        n = n_qubits_of(a)
+    n = n_qubits_of(a)
     weight = sum((np.arange(4**n) >> 2 * q) & 3 > 0 for q in range(n))
     return _pauli_matrix(_pauli_vector(a[None], n)[0] * 3.0**weight / 2**n, n)
 
@@ -413,19 +384,23 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     n = n_qubits_of(rho)
     if ensemble == PAULI_ENSEMBLE:
         table = exact_pauli_snapshot_distribution(rho)
-        return ShadowEstimate._of(SnapshotLabels(sample_table(table, m, rng), n))
+        return ShadowEstimate(sample_table(table, m, rng), n)
     lam, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
     keep = lam > 0
     amps = (vecs[:, keep] * np.sqrt(lam[keep])).T
     frames, outcomes = _simulate(n, m, ensemble, rng, lambda sl: amps, len(amps))
-    return ShadowEstimate._of(SnapshotLabels.of_stack(ensemble, frames, outcomes))
+    return ShadowEstimate.of_stack(ensemble, frames, outcomes)
 
 
-def _side_values(side: SnapshotLabels, op: np.ndarray) -> np.ndarray:
+def _side_values(side: ShadowEstimate, op: np.ndarray) -> np.ndarray:
     """Tr[snapshot op] for every label of one side (complex): a gather of
     the Pauli vector of ``op``, one term of every distinct label at a time."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2**side.n_qubits,) * 2:
+        raise ValueError(f"operator of shape {op.shape} does not match the "
+                         f"shadow's n_qubits={side.n_qubits}")
     index, pauli, coef = side.pauli_terms()
-    o = _pauli_vector(np.asarray(op, dtype=complex)[None], side.n_qubits)[0]
+    o = _pauli_vector(op[None], side.n_qubits)[0]
     return sum(c * o[p] for p, c in zip(pauli, coef))[index]
 
 
@@ -441,7 +416,7 @@ def reconstruct(est: ShadowEstimate) -> np.ndarray:
     """Mean of the materialized snapshots (Hermitian, unit trace)."""
     if not len(est):
         raise ValueError("cannot reconstruct from an empty shadow")
-    return _snapshot_sum(est.side.pauli_terms(), None, est.n_qubits) / len(est)
+    return _snapshot_sum(est.pauli_terms(), None, est.n_qubits) / len(est)
 
 
 def median_of_means(values: np.ndarray, n_groups: int) -> float:
@@ -462,13 +437,10 @@ def median_of_means(values: np.ndarray, n_groups: int) -> float:
 
 def single_shot_expectations(est: ShadowEstimate, obs: np.ndarray) -> np.ndarray:
     """Tr(snapshot * obs) per snapshot."""
-    return np.real(_side_values(est.side, obs))
+    return np.real(_side_values(est, obs))
 
 
 def estimate_observable(est: ShadowEstimate, obs: np.ndarray,
                         n_groups: int = 1) -> float:
     """Median-of-means estimate of Tr(rho * obs) from a shadow."""
-    obs = np.asarray(obs, dtype=complex)
-    if obs.shape != (2**est.n_qubits,) * 2:
-        raise ValueError("observable dimension does not match the shadow")
     return median_of_means(single_shot_expectations(est, obs), n_groups)

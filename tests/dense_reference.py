@@ -7,7 +7,7 @@ aggregation code with the Pauli-coefficient estimators they check.
 import numpy as np
 
 from procshadow.ensembles import AXES, PauliFrame, frame_unitaries
-from procshadow.state_shadows import TAU1, SnapshotLabels, StateSnapshot, materialize_snapshot
+from procshadow.state_shadows import TAU1, ShadowEstimate, StateSnapshot, materialize_snapshot
 
 
 def frame_unitary(frame):
@@ -55,7 +55,7 @@ def side_matrices(side):
     """``(index, stack)`` for one side of a shadow: ``stack[index[i]]`` is the
     dense snapshot of label i, materialized once per distinct label."""
     uniq, index = np.unique(side.labels, return_inverse=True)
-    decoded = SnapshotLabels(uniq, side.n_qubits, side.frames).views()
+    decoded = ShadowEstimate(uniq, side.n_qubits, side.frames).views()
     d = 2**side.n_qubits
     stack = [materialize_snapshot(StateSnapshot(f, b)) for f, b in decoded]
     return index, np.array(stack).reshape(len(stack), d, d)

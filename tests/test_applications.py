@@ -198,13 +198,33 @@ def test_unitarity_verdict_inconclusive_when_starved():
     assert v.verdict == "inconclusive"
 
 
+class _RecordZeroDraws:
+    """A generator stub whose index draws all pick record 0."""
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+
 def test_unitarity_verdict_refuses_replicates_without_a_pair():
-    """At m=2 about half of the bootstrap replicates draw one record twice,
-    which leaves no distinct pair: an error naming the count, not a NaN
-    interval."""
-    ps = _shadow("hadamard", 2, 1)
-    with pytest.raises(ValueError, match="^107 of 200 bootstrap replicates of 2 records"):
-        unitarity_verdict(ps, rng=np.random.default_rng(0))
+    """A replicate that draws one record m times leaves no distinct pair:
+    an error naming the count, not a NaN interval."""
+    ps = _shadow("hadamard", 10, 1)
+    with pytest.raises(ValueError, match="^200 of 200 bootstrap replicates of 10 records"):
+        unitarity_verdict(ps, rng=_RecordZeroDraws())
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 9])
+def test_unitarity_verdict_refuses_too_few_records_before_drawing(m):
+    """Below 10 records a replicate without a distinct pair is likely (at
+    m=4 about 1 in 64): the count is refused whatever the seed, and the
+    generator is left untouched."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^bootstrap replicates of {m} records .*"
+                                         "need at least 10 records$"):
+        unitarity_verdict(_shadow("hadamard", m, 1), rng=rng)
+    assert rng.bit_generator.state == state
+    assert unitarity_verdict(_shadow("hadamard", 10, 1), rng=rng).interval
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -221,6 +221,14 @@ def test_exit_code_infeasible_experiment(capsys):
     assert code == 3
 
 
+def test_unitarity_experiment_below_ten_records_is_a_configuration_error(capsys):
+    code = main(["experiment", "--experiment", "unitarity", "--qubits", "1",
+                 "--grid", "4,100", "--trials", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "unitarity grid starts at 4 records" in captured.err and captured.out == ""
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["acquire", "--no-such-flag"])

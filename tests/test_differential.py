@@ -32,7 +32,7 @@ from procshadow.process_shadows import (
 from procshadow.qcore import PauliString, random_density_matrix, random_hermitian
 from procshadow.shadow_algebra import apply_process_to_state_shadow, compose_process_shadows
 from procshadow.state_shadows import (
-    SnapshotLabels,
+    ShadowEstimate,
     acquire_shadow,
     materialize_snapshot,
     median_of_means,
@@ -208,8 +208,8 @@ def test_five_qubit_estimators_stay_within_memory_bounds():
     does not grow with one dense matrix per label."""
     n, m = 5, 20000
     rng = np.random.default_rng(7)
-    ps = ProcessShadow._of(SnapshotLabels(rng.integers(0, 6**n, m), n),
-                           SnapshotLabels(rng.integers(0, 6**n, m), n))
+    ps = ProcessShadow._of(ShadowEstimate(rng.integers(0, 6**n, m), n),
+                           ShadowEstimate(rng.integers(0, 6**n, m), n))
     rho = random_density_matrix(n, rng)
     for run, bound_mb in ((lambda: reconstruct_choi(ps), 150),
                           (lambda: single_shot_functional_values(ps, rho, rho), 20)):

@@ -70,6 +70,10 @@ def test_config_validation():
         ExperimentConfig(experiment="unitarity", grid=(100,))
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="unitarity", trials=0)
+    with pytest.raises(ConfigError, match="starts at 9 records; .* at least 10"):
+        ExperimentConfig(experiment="unitarity", grid=(9, 100))
+    assert ExperimentConfig(experiment="unitarity", grid=(10, 100)).grid == (10, 100)
+    assert ExperimentConfig(experiment="choi-convergence", grid=(2, 4)).grid == (2, 4)
 
 
 @pytest.mark.parametrize("fields,message", [

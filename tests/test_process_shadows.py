@@ -37,7 +37,7 @@ from procshadow.qcore import (
     choi_of_channel,
     random_density_matrix,
 )
-from procshadow.state_shadows import SnapshotLabels, register_key
+from procshadow.state_shadows import ShadowEstimate, register_key
 
 
 def test_record_validation():
@@ -105,7 +105,7 @@ def test_exact_record_distribution_matches_protocol(spec, n):
     rng = np.random.default_rng(n)
     pairs = (np.array(list(np.ndindex(6**n, 6**n))) if n <= 2
              else rng.integers(0, 6**n, size=(40, 2)))
-    views = [SnapshotLabels(keys, n).views() for keys in pairs.T]
+    views = [ShadowEstimate(keys, n).views() for keys in pairs.T]
     for (kin, kout), (u_in, bits_in), (u_out, bits_out) in zip(pairs, *views):
         psi = frame_unitary(u_in)[int(bits_in, 2)].conj()  # U^dag|b>
         rho_out = apply_channel(ch, np.outer(psi, psi.conj()))
@@ -255,6 +255,21 @@ def test_functional_single_shots_mean(rng):
     assert vals.shape == (64,)
     est = estimate_channel_functional(ps, rho, obs)
     assert est == pytest.approx(float(np.mean(vals)), abs=1e-12)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_functional_arguments_on_another_register_are_refused(rng, ensemble):
+    """Each side checks its operator: a mismatched rho or observable is
+    named with its shape and the shadow's qubit count."""
+    ps = acquire_process_shadow(named_channel("identity", 1), 10, ensemble, ensemble, rng)
+    rho, obs = basis_projector("0"), PauliString("Z").matrix
+    message = r"operator of shape \(4, 4\) does not match the shadow's n_qubits=1"
+    for args in ((np.eye(4) / 4, obs), (rho, np.eye(4))):
+        with pytest.raises(ValueError, match=message):
+            single_shot_functional_values(ps, *args)
+    with pytest.raises(ValueError, match=message):
+        estimate_output_state(ps, np.eye(4) / 4)
+    assert single_shot_functional_values(ps, rho, obs).shape == (10,)
 
 
 def test_functional_converges_to_dense_value():

@@ -23,7 +23,7 @@ from procshadow.process_shadows import (
 )
 from procshadow.qcore import basis_projector
 from procshadow.records_io import load_header, load_records, save_records
-from procshadow.state_shadows import SnapshotLabels
+from procshadow.state_shadows import ShadowEstimate
 
 
 def _sample(tmp_path, ens_in="pauli", ens_out="pauli", m=12, seed=0, **kw):
@@ -518,7 +518,7 @@ def _dump_canonical(obj):
 
 def _reference_labels(path):
     """Both sides' labels of a file decoded with json and encoded by
-    ``SnapshotLabels.encode``."""
+    ``ShadowEstimate.encode``."""
     lines = path.read_bytes().split(b"\n")
     n = json.loads(lines[0])["n_qubits"]
     recs = [json.loads(line) for line in lines[1:] if line.strip()]
@@ -529,7 +529,7 @@ def _reference_labels(path):
         rows = np.array(u["s"], dtype=np.int64)
         return CliffordFrame((rows[:, None] >> np.arange(2 * n)) & 1, u["p"])
 
-    return [SnapshotLabels.encode([frame(r[u]) for r in recs], [r[b] for r in recs], n)
+    return [ShadowEstimate.encode([frame(r[u]) for r in recs], [r[b] for r in recs], n)
             for u, b in (("u_in", "b_in"), ("u_out", "b_out"))]
 
 
@@ -580,7 +580,7 @@ def test_no_frame_object_outside_the_views(tmp_path, monkeypatch, ens_in):
 
     with monkeypatch.context() as patch:
         patch.setattr(CliffordFrame, "__post_init__", refuse)
-        patch.setattr(SnapshotLabels, "_decode", refuse)
+        patch.setattr(ShadowEstimate, "_decode", refuse)
         ps, loaded, values = pipeline()
         assert isinstance(loaded.side_out.frames, np.ndarray)
         with pytest.raises(AssertionError, match="frame object was built"):

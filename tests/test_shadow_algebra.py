@@ -71,7 +71,7 @@ def iter_terms(mode, first, second):
     d = 2**first.n_qubits
     (ixa, ax), (ixb, bx) = side_matrices(first.side_in), side_matrices(first.side_out)
     if mode == "apply":
-        i_s, s = side_matrices(second.side)
+        i_s, s = side_matrices(second)
         g = _gram(ax, s)
         for u, v in zip(ixa, ixb):
             for t in i_s:

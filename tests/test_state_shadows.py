@@ -14,7 +14,6 @@ from procshadow.state_shadows import (
     PROJ1,
     TAU1,
     ShadowEstimate,
-    SnapshotLabels,
     StateSnapshot,
     acquire_shadow,
     estimate_observable,
@@ -88,7 +87,7 @@ def test_key_encoding():
     # qubit 0 is the most significant base-6 digit
     assert register_key("XZ", "01") == 6 * 0 + 5
     assert register_key("ZX", "10") == 6 * 5 + 0
-    decoded = SnapshotLabels(np.arange(36), 2).views()
+    decoded = ShadowEstimate(np.arange(36), 2).views()
     assert (decoded[5][0].axes, decoded[5][1]) == ("XZ", "01")
     for key, (frame, bits) in enumerate(decoded):
         assert register_key(frame.axes, bits) == key
@@ -124,7 +123,7 @@ def test_exact_pauli_snapshot_distribution_matches_protocol(n):
     rho = random_density_matrix(n, rng)
     dist = exact_pauli_snapshot_distribution(rho)
     keys = np.arange(6**n) if n <= 2 else rng.integers(0, 6**n, size=40)
-    for key, (frame, bits) in zip(keys, SnapshotLabels(keys, n).views()):
+    for key, (frame, bits) in zip(keys, ShadowEstimate(keys, n).views()):
         born = born_probabilities(frame_unitary(frame), rho)[int(bits, 2)]
         assert dist[key] == pytest.approx(born / 3**n, abs=1e-12)
 
@@ -156,7 +155,7 @@ def test_acquire_shadow_basics(rng):
     est = acquire_shadow(rho, 50, "pauli", rng)
     assert len(est) == 50
     assert est.n_qubits == 2
-    assert est.side.labels.shape == (50,)
+    assert est.labels.shape == (50,)
 
 
 @pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
@@ -169,14 +168,14 @@ def test_acquire_shadow_deterministic():
     rho = np.diag([0.7, 0.3])
     a = acquire_shadow(rho, 10, "pauli", np.random.default_rng(9))
     b = acquire_shadow(rho, 10, "pauli", np.random.default_rng(9))
-    assert np.array_equal(a.side.labels, b.side.labels)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_take_prefix(rng):
     est = acquire_shadow(np.diag([1.0, 0.0]), 20, "pauli", rng)
     head = est.take(5)
     assert len(head) == 5
-    assert np.array_equal(head.side.labels, est.side.labels[:5])
+    assert np.array_equal(head.labels, est.labels[:5])
 
 
 @pytest.mark.parametrize("m", [-1, 21])
@@ -189,7 +188,7 @@ def test_take_rejects_out_of_range_prefix(rng, m):
 
 def test_empty_clifford_prefix_materializes_no_snapshots(rng):
     est = acquire_shadow(np.diag([1.0, 0.0]), 20, "clifford", rng).take(0)
-    index, pauli, coef = est.side.pauli_terms()
+    index, pauli, coef = est.pauli_terms()
     assert index.shape == (0,) and pauli.shape == coef.shape == (2, 0)
     assert single_shot_expectations(est, Z).shape == (0,)
 
@@ -200,7 +199,7 @@ def test_clifford_labels_expand_to_stabilizer_terms(n):
     +-(d+1)/d on the other stabilizer elements; they rebuild the snapshot."""
     rng = np.random.default_rng(40 + n)
     est = acquire_shadow(random_density_matrix(n, rng), 30, "clifford", rng)
-    index, pauli, coef = est.side.pauli_terms()
+    index, pauli, coef = est.pauli_terms()
     d = 2**n
     assert pauli.shape == coef.shape == (d, index.max() + 1)
     snaps = [materialize_snapshot(s) for s in est.snapshots]
@@ -244,6 +243,17 @@ def test_single_shot_expectations_values(rng):
     assert np.mean(vals) == pytest.approx(1.0, abs=0.3)
 
 
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_operator_on_another_register_is_refused(rng, ensemble):
+    """One register check per side: it names the operator's shape and the
+    shadow's qubit count, instead of a failed reshape."""
+    est = acquire_shadow(basis_projector("0"), 10, ensemble, rng)
+    message = r"operator of shape \(4, 4\) does not match the shadow's n_qubits=1"
+    for estimator in (single_shot_expectations, estimate_observable):
+        with pytest.raises(ValueError, match=message):
+            estimator(est, np.eye(4))
+
+
 def test_estimate_observable_matches_single_shot_mean(rng):
     rho = random_density_matrix(1, rng)
     est = acquire_shadow(rho, 31, "pauli", rng)
@@ -277,11 +287,16 @@ def test_median_of_means_rejects_too_many_groups():
 def test_shadow_estimate_rejects_mixed_frames(rng):
     s1 = acquire_shadow(basis_projector("0"), 1, "pauli", rng).snapshots[0]
     s2 = acquire_shadow(basis_projector("0"), 1, "clifford", rng).snapshots[0]
+
+    def encode(snapshots):
+        return ShadowEstimate.encode([s.frame for s in snapshots],
+                                     [s.outcome for s in snapshots], 1)
+
     for snapshots in ([s1, s2], [s2, s1]):
         with pytest.raises(ValueError, match="cannot mix Pauli and Clifford frames"):
-            ShadowEstimate(snapshots)
-    assert ShadowEstimate([s2, s2]).side.ensemble == "clifford"
-    assert ShadowEstimate([], 1).side.ensemble == "pauli"
+            encode(snapshots)
+    assert encode([s2, s2]).ensemble == "clifford"
+    assert encode([]).ensemble == "pauli"
 
 
 def test_snapshot_validation():
@@ -324,8 +339,8 @@ def test_clifford_snapshots_match_exact_born_distribution(chi_square):
                       for u in frame_unitaries("clifford", group)]) / 24
     est = acquire_shadow(rho, 48000, "clifford", np.random.default_rng(34))
     index = {t.tobytes(): i for i, t in enumerate(group)}
-    frame = np.array([index[t.tobytes()] for t in est.side.frames])
-    labels = est.side.labels
+    frame = np.array([index[t.tobytes()] for t in est.frames])
+    labels = est.labels
     stat, df = chi_square(np.bincount(2 * frame[labels >> 1] + (labels & 1), minlength=48),
                           exact)
     assert df == 47
@@ -334,5 +349,5 @@ def test_clifford_snapshots_match_exact_born_distribution(chi_square):
 def test_clifford_acquisition_is_deterministic():
     rho = random_density_matrix(3, np.random.default_rng(35))
     a, b = (acquire_shadow(rho, 200, "clifford", np.random.default_rng(36)) for _ in range(2))
-    assert np.array_equal(a.side.labels, b.side.labels)
-    assert np.array_equal(a.side.frames, b.side.frames)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.frames, b.frames)
