@@ -97,7 +97,8 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
     functional values with the group's state estimate (the mean of its
     snapshots) in place of the input state.  Median-of-means pairs the
     j-th chunk of records with the j-th chunk of snapshots so the group
-    means stay independent.
+    means stay independent.  This is the paper's estimator for a channel
+    applied to a state shadow; no CLI command or experiment calls it.
     """
     n = ps.n_qubits
     if ss.n_qubits != n or op_early.n_qubits != n or op_late.n_qubits != n:
@@ -152,7 +153,6 @@ def _purity_kernel(ps: ProcessShadow):
 
 
 def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
-                    allow_large: bool = False,
                     pair_subsample: int = 20000,
                     rng: np.random.Generator | None = None) -> float:
     """Estimate the unnormalized Choi purity Tr[eta^2].
@@ -160,14 +160,14 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
     Uses the U-statistic over distinct record pairs, which is unbiased
     for Tr[eta_norm^2], then rescales by 4^n; every frame ensemble and
     register size takes the same exact evaluation.  Sample demands grow
-    like 4^n, so registers above MAX_PURITY_QUBITS are refused unless
-    ``allow_large`` is set.  ``pair_subsample`` and ``rng`` are unused
-    and kept for callers that still pass them.
+    like 4^n, so registers above MAX_PURITY_QUBITS are refused.
+    ``pair_subsample`` and ``rng`` are unused and kept for callers that
+    still pass them.
     """
     n = ps.n_qubits
-    if n > MAX_PURITY_QUBITS and not allow_large:
-        raise ValueError(
-            f"purity on {n} qubits needs allow_large=True (cost grows as 4^n)")
+    if n > MAX_PURITY_QUBITS:
+        raise ValueError(f"purity on {n} qubits is refused above the cap of "
+                         f"{MAX_PURITY_QUBITS} (cost grows as 4^n)")
     m = len(ps)
     if n_groups < 1 or m // n_groups < 2:
         raise ValueError("each group needs at least two records")
@@ -190,7 +190,6 @@ class UnitarityVerdict:
 
 def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
                       confidence: float = 0.95, n_bootstrap: int = 200,
-                      allow_large: bool = False,
                       rng: np.random.Generator | None = None) -> UnitarityVerdict:
     """Test Tr[eta^2] = d^2 (unitary channel) against a bootstrap interval.
 
@@ -210,9 +209,9 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     if not 0.0 < threshold_fraction <= 1.0:
         raise ValueError(f"threshold fraction must lie in (0, 1], got {threshold_fraction}")
     n = ps.n_qubits
-    if n > MAX_PURITY_QUBITS and not allow_large:
-        raise ValueError(
-            f"unitarity on {n} qubits needs allow_large=True (cost grows as 4^n)")
+    if n > MAX_PURITY_QUBITS:
+        raise ValueError(f"unitarity on {n} qubits is refused above the cap of "
+                         f"{MAX_PURITY_QUBITS} (cost grows as 4^n)")
     m = len(ps)
     if m < MIN_BOOTSTRAP_RECORDS:
         raise ValueError(f"bootstrap replicates of {m} records can draw a single distinct "

@@ -172,22 +172,21 @@ def _second_moment(u: np.ndarray, b_op: np.ndarray) -> np.ndarray:
 
 def _clifford_unitaries() -> np.ndarray:
     """The 24 one-qubit Clifford frame unitaries, as one stack."""
-    return frame_unitaries(CLIFFORD_ENSEMBLE, enumerate_clifford_group(1))
+    return frame_unitaries(CLIFFORD_ENSEMBLE, enumerate_clifford_group())
 
 
-def shadow_norm_bruteforce(o: np.ndarray, ensemble: str, *,
-                           traceless: bool = False) -> float:
+def shadow_norm_bruteforce(o: np.ndarray, ensemble: str) -> float:
     """Exact squared shadow norm by enumerating the ensemble.
 
     Maximizes the single-shot second moment over all input states; the
     maximum of Tr[sigma X] over density matrices sigma is the top
     eigenvalue of the enumerated second-moment operator X.  Feasible
     for Pauli frames up to two qubits and the one-qubit Clifford group.
+    The library does not call it: it is the exact diagnostic that the
+    ``f_value`` bounds are tested against.
     """
     o = np.asarray(o, dtype=complex)
     n = n_qubits_of(o)
-    if traceless:
-        o = o - np.trace(o) / o.shape[0] * np.eye(o.shape[0])
     if ensemble == PAULI_ENSEMBLE:
         if n > 2:
             raise ValueError("exhaustive Pauli enumeration limited to n <= 2")
@@ -236,6 +235,7 @@ def verify_moment_bound(trials: int, rng: np.random.Generator) -> MomentBoundRep
 
     Also confirms the Clifford group reproduces the Haar third moment
     exactly, which is the design property the bound's proof rests on.
+    A diagnostic: ACCEPTANCE 09 runs it, and no estimator calls it.
     """
     worst_viol = 0.0
     worst_res = 0.0

@@ -192,18 +192,6 @@ def is_symplectic(s: np.ndarray) -> np.ndarray:
     return ((s_omega @ s.swapaxes(-1, -2)) % 2 == omega).all(axis=(-2, -1))
 
 
-def symplectic_group_order(n: int) -> int:
-    order = 1
-    for j in range(1, n + 1):
-        order *= (4**j - 1) * 4**j // 2
-    return order
-
-
-def clifford_group_order(n: int) -> int:
-    """Number of Clifford elements modulo global phase."""
-    return symplectic_group_order(n) * 4**n
-
-
 def sample_frames(n: int, ensemble: str, m: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of m uniformly random frames of one ensemble.
 
@@ -227,11 +215,9 @@ def sample_frames(n: int, ensemble: str, m: int, rng: np.random.Generator) -> np
     return tableaus
 
 
-def enumerate_clifford_group(n: int = 1) -> np.ndarray:
-    """Tableau stack of all Clifford frames modulo phase; exhaustive, so
-    n=1 only (24 elements, each symplectic part with its four sign pairs)."""
-    if n != 1:
-        raise ValueError("exhaustive enumeration is only supported for n=1")
+def enumerate_clifford_group() -> np.ndarray:
+    """Tableau stack of all one-qubit Clifford frames modulo phase (24
+    elements, each symplectic part with its four sign pairs)."""
     tableaus = np.empty((24, 2, 3), dtype=np.uint8)
     tableaus[:, :, :-1] = np.repeat(
         _symplectic_from_levels([(np.repeat([1, 2, 3], 2), np.tile([0, 1], 3))]), 4, axis=0)

@@ -69,6 +69,15 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
+        if not isinstance(self.grid, (list, tuple)):
+            raise ConfigError(f"grid must be a list of sample counts, got {self.grid!r}")
+        tags = ("n_qubits", "trials", "n_groups", "seed", "max_workers")
+        named = [(t, getattr(self, t)) for t in tags] + [("grid entry", m) for m in self.grid]
+        for tag, value in named:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{tag} must be an integer, got {value!r}")
+        if not isinstance(self.channel, str):
+            raise ConfigError(f"channel must be a string, got {self.channel!r}")
         if self.n_qubits < 1:
             raise ConfigError(f"need at least one qubit, got n_qubits={self.n_qubits}")
         for tag in ("ensemble_in", "ensemble_out"):
@@ -97,8 +106,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in d:
             raise ConfigError("config needs an 'experiment' key")
-        if "grid" in d:
-            d = {**d, "grid": tuple(d["grid"])}
         return cls(**d)
 
     @classmethod
@@ -126,7 +133,7 @@ class ConvergenceResult:
     r_squared: tuple
     mean_exponent: float
     std_exponent: float
-    table: list = field(default_factory=list)   # CSV rows
+    table: list                     # CSV rows
     extra: dict = field(default_factory=dict)
 
 
@@ -380,9 +387,6 @@ def write_result_files(result: ConvergenceResult, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = result.table
-    if not rows:
-        rows = [{"m": m, "error": e}
-                for m, e in zip(result.grid, result.errors[0])]
     cols = list(rows[0].keys())
     with open(out / "results.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols)

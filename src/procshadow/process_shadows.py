@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, Frame, PauliFrame,
-                        frame_unitaries, sample_frames)
-from .qcore import Channel, ChoiMatrix, _trace_register, choi_of_channel
+from .ensembles import PAULI_ENSEMBLE, Frame, frame_unitaries, sample_frames
+from .qcore import Channel, ChoiMatrix, choi_of_channel
 from .state_shadows import (ShadowEstimate, StateSnapshot, _pauli_matrix, _pauli_vector,
                             _side_values, _simulate, _snapshot_sum,
                             exact_pauli_snapshot_distribution, median_of_means, sample_table)
@@ -69,14 +68,6 @@ class ShadowRecord:
     @property
     def n_qubits(self) -> int:
         return self.u_in.n_qubits
-
-    @property
-    def ensemble_in(self) -> str:
-        return PAULI_ENSEMBLE if isinstance(self.u_in, PauliFrame) else CLIFFORD_ENSEMBLE
-
-    @property
-    def ensemble_out(self) -> str:
-        return PAULI_ENSEMBLE if isinstance(self.u_out, PauliFrame) else CLIFFORD_ENSEMBLE
 
     @property
     def in_snapshot(self) -> StateSnapshot:
@@ -273,21 +264,22 @@ class BinIndependenceReport:
                 and self.max_pauli_dev <= self.tolerance)
 
 
-def verify_bin_independence(ch: Channel, samples: int, rng: np.random.Generator,
-                            ensemble_in: str = PAULI_ENSEMBLE) -> BinIndependenceReport:
+def verify_bin_independence(ch: Channel, samples: int,
+                            rng: np.random.Generator) -> BinIndependenceReport:
     """Check that acquisition statistics cannot depend on the input bin.
 
     Two facts are verified against the input register of the dense Choi
     matrix, eta_A = Tr_B eta: the trace of the Choi state against any
     prepared input projector, Tr[P^T eta_A], equals one for sampled
-    (frame, bits) pairs, and every nontrivial input-register Pauli
-    string has vanishing expectation.  Both fail for Kraus sets that are
-    not trace preserving.
+    (Pauli frame, bits) pairs, and every nontrivial input-register Pauli
+    string has vanishing expectation.  Both follow from trace
+    preservation, which ``Channel`` checks when it is built, so this is
+    a diagnostic that ACCEPTANCE 08 runs; no estimator calls it.
     """
     n, d = ch.n_qubits, ch.dim
-    eta_a = _trace_register(choi_of_channel(ch).matrix, d, d, "B")
+    eta_a = np.einsum("iaja->ij", choi_of_channel(ch).matrix.reshape(d, d, d, d))
     bits = rng.integers(0, d, size=samples)
-    u = frame_unitaries(ensemble_in, sample_frames(n, ensemble_in, samples, rng))
+    u = frame_unitaries(PAULI_ENSEMBLE, sample_frames(n, PAULI_ENSEMBLE, samples, rng))
     psi = u[np.arange(samples), bits].conj()  # the prepared states U^dag|b>
     norms = np.real(np.einsum("ki,ij,kj->k", psi, eta_a, psi.conj()))
     paulis = np.abs(_pauli_vector(eta_a[None], n)[0, 1:])

@@ -47,13 +47,6 @@ def basis_index(bits: str) -> int:
     return int(bits, 2)
 
 
-def index_bits(i: int, n: int) -> str:
-    """Bit string of length n for basis index i (qubit 0 most significant)."""
-    if not 0 <= i < 2**n:
-        raise ValueError(f"index {i} out of range for {n} qubits")
-    return format(i, f"0{n}b")
-
-
 def basis_state(bits: str) -> np.ndarray:
     v = np.zeros(2 ** len(bits), dtype=complex)
     v[basis_index(bits)] = 1.0
@@ -72,45 +65,14 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return reduce(np.kron, [np.asarray(o, dtype=complex) for o in ops])
 
 
-def _trace_register(a: np.ndarray, dim_a: int, dim_b: int, register: str) -> np.ndarray:
-    """Trace out one register of a bipartite operator with given block dims."""
-    a = np.asarray(a)
-    if a.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(f"shape {a.shape} does not match split {dim_a}x{dim_b}")
-    t = a.reshape(dim_a, dim_b, dim_a, dim_b)
-    if register == "A":
-        return np.einsum("aiaj->ij", t)
-    if register == "B":
-        return np.einsum("iaja->ij", t)
-    raise ValueError(f"register must be 'A' or 'B', got {register!r}")
-
-
-def partial_trace(a: np.ndarray, register: str) -> np.ndarray:
-    """Trace over the named register of an operator on 2n qubits.
-
-    Parameters
-    ----------
-    a : ndarray
-        Operator on an even number of qubits, split evenly into
-        registers A (most significant half) and B.
-    register : str
-        ``"A"`` or ``"B"``; the register that gets traced out.
-    """
-    n2 = n_qubits_of(a)
-    if n2 % 2 != 0:
-        raise ValueError("partial_trace needs an even number of qubits")
-    d = 2 ** (n2 // 2)
-    return _trace_register(a, d, d, register)
-
-
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
-def is_hermitian(a: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return bool(np.allclose(a, a.conj().T, atol=atol, rtol=0))
+    return bool(np.allclose(a, a.conj().T, atol=ATOL_ALGEBRA, rtol=0))
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
@@ -214,35 +176,6 @@ class ChoiMatrix:
     def unnormalized(self) -> np.ndarray:
         return self.matrix * self.dim if self.normalized else self.matrix
 
-    def check(self, atol: float = ATOL_STRUCT) -> None:
-        """Validate hermiticity, positivity, trace and the reduced-state identity.
-
-        Meant for exact Choi matrices; finite-sample estimates will
-        generally fail the positivity check.
-        """
-        eta = self.unnormalized()
-        if not is_hermitian(eta, atol):
-            raise ValueError("Choi matrix is not Hermitian")
-        expected = float(self.dim)
-        if abs(np.trace(eta).real - expected) > atol:
-            raise ValueError(f"Choi trace {np.trace(eta).real}, expected {expected}")
-        lo = float(np.linalg.eigvalsh(eta).min())
-        if lo < -atol:
-            raise ValueError(f"Choi matrix has negative eigenvalue {lo}")
-        red = _trace_register(eta, self.dim, self.dim, "B")
-        if not np.allclose(red, np.eye(self.dim), atol=atol, rtol=0):
-            raise ValueError("partial trace over the output register is not I")
-
-
-def maximally_entangled_projector(n: int) -> np.ndarray:
-    """Unnormalized projector sum_{m,n} |m><n| (x) |m><n| on 2n qubits (trace 2^n)."""
-    d = 2**n
-    v = np.zeros(d * d, dtype=complex)
-    for m in range(d):
-        v[m * d + m] = 1.0
-    return np.outer(v, v.conj())
-
-
 def choi_of_channel(ch: Channel) -> ChoiMatrix:
     """Unnormalized Choi matrix sum_{m,n} |m><n| (x) E(|m><n|)."""
     v = np.array(ch.kraus).transpose(0, 2, 1).reshape(len(ch.kraus), -1)  # v[k, (m, j)] = K_k[j, m]
@@ -262,12 +195,6 @@ def channel_of_choi(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"Choi trace {tr} inconsistent with normalized="
                          f"{choi.normalized} (expected {expected})")
     return np.einsum("ipjq,ij->pq", choi.unnormalized().reshape(d, d, d, d), rho)
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    d = 2**n
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,6 +44,7 @@ def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
     """Contraction weight of two single-qubit snapshot labels.
 
     Equals half the trace of transpose(tau[mu, b]) times tau[mu_p, b_p].
+    No estimator calls it; ACCEPTANCE 06 checks the paper's table with it.
     """
     if mu not in "XYZ" or mu_p not in "XYZ":
         raise ValueError(f"invalid axes {mu!r}, {mu_p!r}")
@@ -138,13 +139,6 @@ class SignStatistics:
 def negative_weight_probability(n: int) -> float:
     """Probability that a product of n uniform pair weights is negative."""
     return 0.5 * (1.0 - (2.0 / 3.0) ** n)
-
-
-def big_weight_pmf(n: int, k: int) -> float:
-    """Probability that exactly k of n weight factors are large (|w| > 1)."""
-    if not 0 <= k <= n:
-        return 0.0
-    return math.comb(n, k) * (1.0 / 3.0) ** k * (2.0 / 3.0) ** (n - k)
 
 
 def weight_sign_statistics(n: int, samples: int,

@@ -259,20 +259,13 @@ class ShadowEstimate:
         return inv, pauli, coef
 
 
-def inverse_map_pauli(a: np.ndarray) -> np.ndarray:
-    """Single-qubit inverse measurement map 3 A - Tr(A) I."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError("inverse_map_pauli acts on single-qubit operators")
-    return 3.0 * a - np.trace(a) * np.eye(2)
-
-
 def inverse_map_pauli_factorwise(a: np.ndarray) -> np.ndarray:
     """Tensor-factor-wise extension of the single-qubit inverse map.
 
-    Acts as ``inverse_map_pauli`` on every qubit of an arbitrary n-qubit
-    operator (not just product operators): per qubit it keeps I and
-    triples X, Y and Z, so each Pauli coefficient gains 3^weight.
+    Acts as the single-qubit inverse map 3 A - Tr(A) I on every qubit of
+    an arbitrary n-qubit operator (not just product operators): per qubit
+    it keeps I and triples X, Y and Z, so each Pauli coefficient gains
+    3^weight.
     """
     a = np.asarray(a, dtype=complex)
     n = n_qubits_of(a)

@@ -59,3 +59,18 @@ def side_matrices(side):
     d = 2**side.n_qubits
     stack = [materialize_snapshot(StateSnapshot(f, b)) for f, b in decoded]
     return index, np.array(stack).reshape(len(stack), d, d)
+
+
+def random_hermitian(n, rng):
+    """(G + G^dag) / 2 for a complex Gaussian matrix G on n qubits."""
+    d = 2**n
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
+
+
+def inverse_map_pauli(a):
+    """Single-qubit inverse measurement map 3 A - Tr(A) I."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (2, 2):
+        raise ValueError("inverse_map_pauli acts on single-qubit operators")
+    return 3.0 * a - np.trace(a) * np.eye(2)

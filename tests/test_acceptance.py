@@ -63,7 +63,7 @@ def test_criterion_01_inverse_map_exactness():
     start = time.time()
     worst = 0.0
     snaps = TAU1
-    frames = frame_unitaries("clifford", enumerate_clifford_group(1))
+    frames = frame_unitaries("clifford", enumerate_clifford_group())
     for seed in range(20):
         rho = random_density_matrix(1, np.random.default_rng(seed))
         # Pauli ensemble: average snapshots over the exact outcome law

@@ -164,12 +164,12 @@ def test_purity_is_a_u_statistic(rng):
 
 
 def test_purity_large_register_needs_opt_in():
+    """There is no opt-in: above the cap both quadratic estimators refuse."""
     ps = _shadow("identity", 30, 16, n=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="purity on 4 qubits is refused above the cap of 3"):
         purity_estimate(ps)
-    est = purity_estimate(ps, allow_large=True, pair_subsample=200,
-                          rng=np.random.default_rng(0))
-    assert np.isfinite(est)
+    with pytest.raises(ValueError, match="unitarity on 4 qubits is refused above the cap of 3"):
+        unitarity_verdict(ps)
 
 
 def test_unitarity_verdict_unitary():

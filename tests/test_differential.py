@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dense_reference import materialize_choi_shadow
+from dense_reference import materialize_choi_shadow, random_hermitian
 from procshadow.applications import (
     CorrelatorSpec,
     _purity_kernel,
@@ -29,7 +29,7 @@ from procshadow.process_shadows import (
     reconstruct_choi,
     single_shot_functional_values,
 )
-from procshadow.qcore import PauliString, random_density_matrix, random_hermitian
+from procshadow.qcore import PauliString, random_density_matrix
 from procshadow.shadow_algebra import apply_process_to_state_shadow, compose_process_shadows
 from procshadow.state_shadows import (
     ShadowEstimate,

@@ -87,6 +87,26 @@ def test_config_rejects_bad_register_or_ensemble(fields, message):
         ExperimentConfig(experiment="choi-convergence", **fields)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"n_qubits": 1.5}, "n_qubits must be an integer"),
+    ({"n_groups": 2.0}, "n_groups must be an integer"),
+    ({"max_workers": "2"}, "max_workers must be an integer"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"grid": [2.7, 4]}, "grid entry must be an integer, got 2.7"),
+    ({"grid": ["2", "4"]}, "grid entry must be an integer"),
+    ({"grid": "24"}, "grid must be a list of sample counts, got '24'"),
+    ({"grid": None}, "grid must be a list"),
+    ({"channel": 5}, "channel must be a string, got 5"),
+])
+def test_config_refuses_fields_of_the_wrong_type(fields, message):
+    """A JSON config whose field has the wrong type is a configuration error,
+    not a traceback, a truncated grid or a string split into counts."""
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict({"experiment": "choi-convergence", **fields})
+
+
 def test_config_dict_round_trip():
     cfg = ExperimentConfig(experiment="choi-convergence", **SMALL)
     again = ExperimentConfig.from_dict(cfg.to_dict())

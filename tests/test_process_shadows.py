@@ -44,7 +44,7 @@ def test_record_validation():
     with pytest.raises(ValueError):
         ShadowRecord("00", PauliFrame("X"), PauliFrame("X"), "0")
     r = ShadowRecord("0", PauliFrame("X"), PauliFrame("Z"), "1")
-    assert r.ensemble_in == "pauli"
+    assert isinstance(r.u_in, PauliFrame)
     assert r.n_qubits == 1
 
 
@@ -60,7 +60,7 @@ def test_acquire_record_fields(rng):
     ch = named_channel("identity", 2)
     r = acquire_process_shadow(ch, 1, "pauli", "clifford", rng).records[0]
     assert len(r.b_in) == 2 and len(r.b_out) == 2
-    assert r.ensemble_in == "pauli" and r.ensemble_out == "clifford"
+    assert isinstance(r.u_in, PauliFrame) and isinstance(r.u_out, CliffordFrame)
 
 
 def test_choi_shadow_has_unit_trace(rng):
@@ -177,7 +177,7 @@ def test_clifford_records_match_exact_born_distribution(chi_square):
     (input frame, input bit, output frame, output bit): 2304 cells, of
     which amplitude damping leaves some empty; chi-square on the others."""
     ch = named_channel("amplitude-damping", 1, 0.3)
-    group = enumerate_clifford_group(1)
+    group = enumerate_clifford_group()
     us = frame_unitaries("clifford", group)
     exact = np.empty((24, 2, 24, 2))
     for i, u_in in enumerate(us):

@@ -17,14 +17,10 @@ from procshadow.qcore import (
     channel_of_choi,
     check_density_matrix,
     choi_of_channel,
-    index_bits,
     is_hermitian,
-    maximally_entangled_projector,
     n_qubits_of,
     operator_norm,
-    partial_trace,
     random_density_matrix,
-    random_hermitian,
     tensor,
 )
 
@@ -36,7 +32,7 @@ Z = np.diag([1.0, -1]).astype(complex)
 def test_basis_index_round_trip():
     for n in (1, 2, 3):
         for i in range(2**n):
-            bits = index_bits(i, n)
+            bits = format(i, f"0{n}b")
             assert len(bits) == n
             assert basis_index(bits) == i
 
@@ -45,7 +41,6 @@ def test_basis_index_convention():
     # leftmost character is the most significant qubit
     assert basis_index("10") == 2
     assert basis_index("01") == 1
-    assert index_bits(2, 2) == "10"
 
 
 def test_basis_state_and_projector():
@@ -94,22 +89,6 @@ def test_pauli_strings_orthogonal():
             assert val == pytest.approx(4.0 if a == b else 0.0, abs=1e-12)
 
 
-def test_partial_trace():
-    rho_a = np.array([[0.25, 0.1], [0.1, 0.75]])
-    rho_b = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
-    joint = np.kron(rho_a, rho_b)
-    # register A is the most significant half
-    assert la.norm(partial_trace(joint, "B") - rho_a) < 1e-12
-    assert la.norm(partial_trace(joint, "A") - rho_b) < 1e-12
-
-
-def test_partial_trace_rejects_bad_input():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), "Q")
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(8), "A")  # odd qubit count
-
-
 def test_operator_norm():
     assert operator_norm(Z) == pytest.approx(1.0)
     assert operator_norm(3 * np.eye(2)) == pytest.approx(3.0)
@@ -137,12 +116,6 @@ def test_check_density_matrix_rejects():
         check_density_matrix(np.diag([1.5, -0.5]))
 
 
-def test_random_hermitian(rng):
-    h = random_hermitian(2, rng)
-    assert h.shape == (4, 4)
-    assert is_hermitian(h)
-
-
 def test_channel_validation():
     Channel((np.eye(2),))  # identity is fine
     with pytest.raises(ValueError):
@@ -164,21 +137,13 @@ def test_apply_channel_amplitude_damping():
     assert out[1, 1] == pytest.approx(0.7)
 
 
-def test_maximally_entangled_projector():
-    # unnormalized: sum_{mn} |mm><nn|, trace d
-    phi = maximally_entangled_projector(1)
-    assert np.trace(phi) == pytest.approx(2.0)
-    vec = np.zeros(4)
-    vec[0] = vec[3] = 1.0
-    assert la.norm(phi - np.outer(vec, vec)) < 1e-12
-
-
 def test_choi_of_identity():
     ch = Channel((np.eye(2),))
     choi = choi_of_channel(ch)
     assert choi.n_qubits == 1
     assert np.trace(choi.matrix) == pytest.approx(2.0)  # unnormalized trace = d
-    assert la.norm(choi.matrix - maximally_entangled_projector(1)) < 1e-12
+    phi = np.array([1.0, 0, 0, 1.0])  # sum_m |mm>, so the Choi matrix is |phi><phi|
+    assert la.norm(choi.matrix - np.outer(phi, phi)) < 1e-12
 
 
 def test_choi_of_hadamard_frozen():
@@ -208,12 +173,6 @@ def test_choi_round_trip(seed, n):
     direct = apply_channel(ch, rho)
     via_choi = channel_of_choi(choi, rho)
     assert la.norm(direct - via_choi) < 1e-10
-
-
-def test_choi_check_flags_non_cptp():
-    bad = ChoiMatrix(np.diag([1.0, 1.0, 1.0, -1.0]), 1)
-    with pytest.raises(ValueError):
-        bad.check()
 
 
 def test_choi_normalized_flag():

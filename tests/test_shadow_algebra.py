@@ -26,14 +26,12 @@ from procshadow.qcore import (
     basis_projector,
     channel_of_choi,
     choi_of_channel,
-    partial_trace,
     random_density_matrix,
 )
 from procshadow.shadow_algebra import (
     WEIGHT_SUPPORT,
     WeightedSnapshotSum,
     apply_process_to_state_shadow,
-    big_weight_pmf,
     compose_process_shadows,
     negative_weight_probability,
     pair_weight,
@@ -134,15 +132,6 @@ def test_negative_weight_probability_binomial_oracle():
     assert negative_weight_probability(3) == pytest.approx(19 / 54, abs=1e-15)
 
 
-def test_big_weight_pmf():
-    for n in (1, 2, 5):
-        total = sum(big_weight_pmf(n, k) for k in range(n + 1))
-        assert total == pytest.approx(1.0, abs=1e-12)
-    # one site: the weight is "big" (|w| = 5/2 or 2) iff the axes match
-    assert big_weight_pmf(1, 1) == pytest.approx(1 / 3)
-    assert big_weight_pmf(2, 0) == pytest.approx(4 / 9)
-
-
 def test_sign_statistics_exact_fields():
     rng = np.random.default_rng(0)
     stats = weight_sign_statistics(4, 2000, rng)
@@ -241,7 +230,8 @@ def test_apply_single_pair_matches_dense_contraction(rng):
     streamed = weight * snap
     zeta = materialize_choi_shadow(ps.records[0])
     sigma = materialize_snapshot(ss.snapshots[0])
-    dense = 2.0 * partial_trace(np.kron(sigma.T, np.eye(2)) @ zeta, "A")
+    joint = (np.kron(sigma.T, np.eye(2)) @ zeta).reshape(2, 2, 2, 2)
+    dense = 2.0 * np.einsum("aiaj->ij", joint)  # traces out the input register
     assert la.norm(streamed - dense) < 1e-12
     assert la.norm(apply_process_to_state_shadow(ps, ss).materialize() - dense) < 1e-12
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_reference import born_probabilities, frame_unitary
+from dense_reference import born_probabilities, frame_unitary, inverse_map_pauli
 from procshadow import state_shadows as shad
 from procshadow.ensembles import PauliFrame, enumerate_clifford_group, frame_unitaries
 from procshadow.qcore import PauliString, basis_projector, random_density_matrix
@@ -19,7 +19,6 @@ from procshadow.state_shadows import (
     estimate_observable,
     exact_pauli_snapshot_distribution,
     inverse_map_clifford,
-    inverse_map_pauli,
     inverse_map_pauli_factorwise,
     materialize_snapshot,
     median_of_means,
@@ -141,7 +140,7 @@ def test_exhaustive_pauli_average_recovers_state(seed):
 def test_exhaustive_clifford_average_recovers_state(seed):
     rho = random_density_matrix(1, np.random.default_rng(seed))
     avg = np.zeros((2, 2), dtype=complex)
-    frames = frame_unitaries("clifford", enumerate_clifford_group(1))
+    frames = frame_unitaries("clifford", enumerate_clifford_group())
     for u in frames:
         probs = born_probabilities(u, rho)
         for b, pb in zip("01", probs):
@@ -334,7 +333,7 @@ def test_clifford_snapshots_match_exact_born_distribution(chi_square):
     """Clifford state snapshots of a mixed qubit state against the exact law
     over (frame, bit): 48 cells, chi-square on 47 degrees of freedom."""
     rho = random_density_matrix(1, np.random.default_rng(33))
-    group = enumerate_clifford_group(1)
+    group = enumerate_clifford_group()
     exact = np.array([born_probabilities(u, rho)
                       for u in frame_unitaries("clifford", group)]) / 24
     est = acquire_shadow(rho, 48000, "clifford", np.random.default_rng(34))
