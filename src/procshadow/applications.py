@@ -185,11 +185,10 @@ class UnitarityVerdict:
     purity: float
     interval: tuple[float, float]
     threshold: float
-    confidence: float
 
 
 def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
-                      confidence: float = 0.95, n_bootstrap: int = 200,
+                      n_bootstrap: int = 200,
                       rng: np.random.Generator | None = None) -> UnitarityVerdict:
     """Test Tr[eta^2] = d^2 (unitary channel) against a bootstrap interval.
 
@@ -204,8 +203,6 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     """
     if n_bootstrap < 1:
         raise ValueError(f"need at least one bootstrap replicate, got {n_bootstrap}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if not 0.0 < threshold_fraction <= 1.0:
         raise ValueError(f"threshold fraction must lie in (0, 1], got {threshold_fraction}")
     n = ps.n_qubits
@@ -227,7 +224,7 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     if no_pair:
         raise ValueError(f"{no_pair} of {n_bootstrap} bootstrap replicates of {m} records "
                          "drew a single distinct record and have no distinct pair")
-    alpha = 100.0 * (1.0 - confidence) / 2.0
+    alpha = 100.0 * (1.0 - 0.95) / 2.0
     lo, hi = np.percentile(boots, [alpha, 100.0 - alpha])
     threshold = threshold_fraction * 4**n
     if lo > threshold:
@@ -238,4 +235,4 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
         verdict = "inconclusive"
     return UnitarityVerdict(verdict=verdict, purity=point,
                             interval=(float(lo), float(hi)),
-                            threshold=threshold, confidence=confidence)
+                            threshold=threshold)

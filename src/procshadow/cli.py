@@ -5,6 +5,12 @@ save records, reconstruct a Choi matrix, estimate transition
 probabilities, compose two record sets, test unitarity, size a sample
 budget, and run the convergence experiments.
 
+``--config file.json`` holds one JSON object of flag values for the
+chosen subcommand: each key names a flag's destination (``-`` or
+``_``), each value is read as its text would be read on the command
+line (a list joined with commas, a switch given as a JSON boolean), and
+flags typed on the command line win.
+
 Exit codes: 0 success, 2 configuration error, 3 infeasible size.
 """
 
@@ -37,26 +43,34 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--records", default=None,
                    help="record file path (input or output per subcommand)")
     p.add_argument("--config", default=None,
-                   help="JSON file supplying defaults for omitted flags")
+                   help="JSON object of flag values; flags typed here win")
+    p.set_defaults(parser=p)
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the --config JSON object."""
-    if not args.config:
-        return args
+def _config_argv(parser: argparse.ArgumentParser, path) -> list[str]:
+    """The --config JSON object as command-line text for ``parser``."""
     try:
-        data = json.loads(Path(args.config).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    argv = []
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"config key {key!r} matches no flag")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    return args
+        flag = action.option_strings[-1]
+        items = value if isinstance(value, list) else [value]
+        if action.nargs == 0 and isinstance(value, bool):
+            argv += [flag] if value else []
+        elif action.nargs != 0 and all(isinstance(v, (str, int, float))
+                                       and not isinstance(v, bool) for v in items):
+            argv.append(f"{flag}={','.join(map(str, items))}")
+        else:
+            raise ConfigError(f"config key {key!r} cannot take {json.dumps(value)}")
+    return argv
 
 
 def _require(args, *names) -> None:
@@ -71,7 +85,7 @@ def _rng(args) -> np.random.Generator:
 
 def _cmd_acquire(args) -> int:
     _require(args, "channel", "qubits", "m", "records")
-    n, m = int(args.qubits), int(args.m)
+    n, m = args.qubits, args.m
     if n > MAX_CLI_QUBITS:
         raise InfeasibleError(f"{n} qubits exceeds the simulator cap "
                               f"({MAX_CLI_QUBITS})")
@@ -155,8 +169,8 @@ def _cmd_budget(args) -> int:
     _require(args, "epsilon", "delta", "qubits", "observables")
     observables = tuple(PauliString(s.strip())
                         for s in args.observables.split(","))
-    q = ComplexityQuery(epsilon=float(args.epsilon), delta=float(args.delta),
-                        n_qubits=int(args.qubits), observables=observables,
+    q = ComplexityQuery(epsilon=args.epsilon, delta=args.delta,
+                        n_qubits=args.qubits, observables=observables,
                         ensemble_in=args.ensemble_in, ensemble_out=args.ensemble_out)
     if args.state_supports:
         # each entry is the support count of a pure input state; the
@@ -178,29 +192,11 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
-    else:
-        _require(args, "experiment")
-        fields = {"experiment": args.experiment}
-        if args.qubits is not None:
-            fields["n_qubits"] = int(args.qubits)
-        if args.channel is not None:
-            fields["channel"] = args.channel
-        if args.grid is not None:
-            fields["grid"] = tuple(int(s) for s in args.grid.split(","))
-        if args.trials is not None:
-            fields["trials"] = int(args.trials)
-        if args.groups is not None:
-            fields["n_groups"] = int(args.groups)
-        if args.seed is not None:
-            fields["seed"] = args.seed
-        cfg = ExperimentConfig.from_dict(fields)
+    _require(args, "experiment")
+    fields = {f: getattr(args, f) for f in ExperimentConfig.__dataclass_fields__}
+    if args.grid is not None:
+        fields["grid"] = tuple(int(s) for s in args.grid.split(","))
+    cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
     result = run_experiment(cfg)
     if args.out:
         write_result_files(result, args.out, gnuplot=args.gnuplot)
@@ -281,13 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a convergence experiment")
     p.add_argument("--experiment", default=None,
-                   help="experiment name (or give --config)")
-    p.add_argument("--qubits", type=int, default=None)
+                   help="experiment name (required, here or in --config)")
+    p.add_argument("--qubits", dest="n_qubits", type=int, default=None)
     p.add_argument("--channel", default=None)
+    p.add_argument("--ensemble-in", default=None, choices=["pauli", "clifford"])
+    p.add_argument("--ensemble-out", default=None, choices=["pauli", "clifford"])
     p.add_argument("--grid", default=None,
                    help="comma-separated sample counts")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--groups", type=int, default=None)
+    p.add_argument("--groups", dest="n_groups", type=int, default=None)
+    p.add_argument("--max-workers", type=int, default=None)
     p.add_argument("--out", default=None, help="directory for result files")
     p.add_argument("--gnuplot", action="store_true",
                    help="also write space-separated results.dat")
@@ -298,12 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        if args.func is not _cmd_experiment:
-            # the experiment subcommand reads --config itself (full
-            # experiment description, not flag defaults)
-            args = _apply_config(args)
+        if args.config:
+            # the config's text goes first, so flags typed here win
+            args = parser.parse_args([argv[0], *_config_argv(args.parser, args.config),
+                                      *argv[1:]])
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -98,26 +98,6 @@ class ExperimentConfig:
         if self.max_workers < 1:
             raise ConfigError("need at least one worker")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "experiment" not in d:
-            raise ConfigError("config needs an 'experiment' key")
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        return cls.from_dict(data)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["grid"] = list(self.grid)
@@ -368,8 +348,6 @@ def run_experiment(cfg: ExperimentConfig,
             sfits = [_safe_fit(cfg.grid, row) for row in shadow_errs]
             extra["shadow_input_errors"] = shadow_errs
             extra["shadow_input_exponents"] = tuple(b for b, _ in sfits)
-        if cfg.experiment == "composed-correlator":
-            extra["mean_errors"] = errors.mean(axis=0)
         result = ConvergenceResult(
             config=cfg, grid=cfg.grid, errors=errors, exponents=exps,
             r_squared=r2s,

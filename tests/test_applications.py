@@ -230,8 +230,8 @@ def test_unitarity_verdict_refuses_too_few_records_before_drawing(m):
 @pytest.mark.parametrize("kwargs,message", [
     ({"n_bootstrap": 0}, "at least one bootstrap replicate, got 0"),
     ({"n_bootstrap": -5}, "at least one bootstrap replicate, got -5"),
-    ({"confidence": 0.0}, r"confidence must lie in \(0, 1\), got 0.0"),
-    ({"confidence": 1.0}, r"confidence must lie in \(0, 1\), got 1.0"),
+    # a NaN threshold compares false both ways and would read every interval as inconclusive
+    ({"threshold_fraction": float("nan")}, r"threshold fraction must lie in \(0, 1\], got nan"),
     ({"threshold_fraction": -1.0}, r"threshold fraction must lie in \(0, 1\], got -1.0"),
     ({"threshold_fraction": 0.0}, r"threshold fraction must lie in \(0, 1\], got 0.0"),
     ({"threshold_fraction": 1.5}, r"threshold fraction must lie in \(0, 1\], got 1.5"),
@@ -241,12 +241,6 @@ def test_unitarity_verdict_rejects_invalid_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):
         unitarity_verdict(ps, **kwargs)
     assert unitarity_verdict(ps, threshold_fraction=1.0, n_bootstrap=1).threshold == 4.0
-
-
-def test_unitarity_confidence_recorded():
-    ps = _shadow("identity", 500, 21)
-    v = unitarity_verdict(ps, confidence=0.9, rng=np.random.default_rng(0))
-    assert v.confidence == 0.9
 
 
 @pytest.mark.parametrize("m", [200, 1000])

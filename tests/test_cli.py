@@ -251,3 +251,79 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code = main(["acquire", "--config", str(cfg), "--qubits", "1", "--m", "5",
                  "--records", str(tmp_path / "r.jsonl")])
     assert code == 2
+
+
+def _exit_code(argv):
+    """main's return value, or the exit code of argparse's usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+ACQUIRE = ["acquire", "--channel", "hadamard", "--seed", "2", "--records", "{out}/r.jsonl"]
+BUDGET = ["budget", "--epsilon", "0.1", "--delta", "0.1", "--qubits", "1", "--observables", "Z"]
+CLIFFORD = {"ensemble_in": "clifford", "ensemble-out": "clifford"}
+CLIFFORD_FLAGS = ["--ensemble-in", "clifford", "--ensemble-out", "clifford"]
+
+
+@pytest.mark.parametrize("argv,config,flags,code", [
+    ([*ACQUIRE, "--qubits", "1", "--m", "20"], CLIFFORD, CLIFFORD_FLAGS, 0),
+    (BUDGET, CLIFFORD, CLIFFORD_FLAGS, 0),
+    (["verify-unitarity", "--records", "{rec}"], {"threshold_fraction": 0.5},
+     ["--threshold-fraction", "0.5"], 0),
+    (["verify-unitarity", "--records", "{rec}"], {"bootstrap": 2.5}, ["--bootstrap", "2.5"], 2),
+    (["estimate", "--records", "{rec}", "--initial", "0", "--final", "1"], {"groups": 5},
+     ["--groups", "5"], 0),
+    ([*ACQUIRE, "--qubits", "1"], {"m": 2.9}, ["--m", "2.9"], 2),
+    ([*ACQUIRE, "--m", "20"], {"qubits": True}, ["--qubits", "true"], 2),
+    (["experiment", "--trials", "3", "--qubits", "2", "--grid", "5,7", "--out", "{out}"],
+     {"experiment": "choi-convergence", "n_qubits": 1, "grid": [50, 200], "trials": 1},
+     ["--experiment", "choi-convergence"], 0),
+], ids=["acquire-ensembles", "budget-ensembles", "threshold-fraction", "bootstrap-float",
+        "groups", "m-float", "qubits-bool", "experiment-flags-win"])
+def test_config_value_acts_like_its_flag(tmp_path, capsys, argv, config, flags, code):
+    """A --config value gives what the same text gives as a flag (exit code,
+    printed lines, written files), and flags typed on the command line win."""
+    rec = _acquire(tmp_path, m=200)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    runs = []
+    for name, extra in (("config", ["--config", str(cfg)]), ("flags", flags)):
+        out = tmp_path / name
+        out.mkdir()
+        capsys.readouterr()
+        rc = _exit_code([a.format(rec=rec, out=out) for a in argv] + extra)
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        runs.append((rc, printed, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"experiment": "unitarity", "shots": 5}, "config key 'shots' matches no flag"),
+    ({"config": "other.json"}, "config key 'config' matches no flag"),
+    ({"trials": None}, "config key 'trials' cannot take null"),
+    ({"channel": {"name": "identity"}}, "config key 'channel' cannot take {\"name\""),
+    ({"grid": [[5, 7]]}, "config key 'grid' cannot take [[5, 7]]"),
+    ({"trials": True}, "config key 'trials' cannot take true"),
+    ({"gnuplot": "yes"}, "config key 'gnuplot' cannot take \"yes\""),
+])
+def test_config_rejects_values_no_flag_takes(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "choi-convergence", **config}))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_manifest_config_reruns_the_experiment(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["experiment", "--experiment", "correlator-convergence", "--qubits", "1",
+                 "--ensemble-in", "clifford", "--grid", "20,80", "--trials", "2",
+                 "--groups", "2", "--seed", "6", "--gnuplot", "--out", str(first)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+    assert main(["experiment", "--config", str(cfg), "--out", str(again)]) == 0
+    for name in ("results.csv", "manifest.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()

@@ -104,26 +104,13 @@ def test_config_refuses_fields_of_the_wrong_type(fields, message):
     """A JSON config whose field has the wrong type is a configuration error,
     not a traceback, a truncated grid or a string split into counts."""
     with pytest.raises(ConfigError, match=message):
-        ExperimentConfig.from_dict({"experiment": "choi-convergence", **fields})
+        ExperimentConfig(experiment="choi-convergence", **fields)
 
 
 def test_config_dict_round_trip():
     cfg = ExperimentConfig(experiment="choi-convergence", **SMALL)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    again = ExperimentConfig(**cfg.to_dict())
     assert again == cfg
-
-
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"experiment": "unitarity", "shots": 5})
-
-
-def test_config_from_json(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "unitarity", "n_qubits": 1, "seed": 3}))
-    cfg = ExperimentConfig.from_json(path)
-    assert cfg.experiment == "unitarity"
-    assert cfg.seed == 3
 
 
 def test_choi_convergence_runs():

@@ -1,10 +1,12 @@
-"""Every public module-level name in ``src/procshadow`` has a caller outside
-the tests.
+"""Every public module-level name in ``src/procshadow``, and every option
+of its public functions and methods, has a caller outside the tests.
 
 A name counts as used when ``src/``, ``scripts/`` or ``perfbench/*.py``
 mentions it as a name, an attribute or an import (its own definition
-aside).  The allowlist holds the names kept for the tests' sake, each
-with its reason; it must not go stale either.
+aside).  An option (a parameter with a default) counts as used when a
+call there to a function or method of that name passes it by keyword or
+by position.  The allowlists hold what is kept for the tests' sake, each
+with its reason; they must not go stale either.
 """
 
 import ast
@@ -19,6 +21,12 @@ ALLOWED = {
     "pair_weight": "ACCEPTANCE 06 checks the paper's five-case weight table through it",
     "multitime_correlator_shadow_input": "the paper's estimator for a channel applied "
                                          "to a state shadow",
+}
+
+ALLOWED_OPTIONS = {
+    ("estimate_observable", "n_groups"): "the paper's median-of-means estimator",
+    ("multitime_correlator_shadow_input", "n_groups"): "the paper's median-of-means "
+                                                       "estimator",
 }
 
 
@@ -46,12 +54,54 @@ def _mentioned_names(tree: ast.Module) -> set:
     return found
 
 
+def _options(tree: ast.Module) -> list:
+    """(function, option, positional index or None) of each public function's
+    and public method's parameters that have a default."""
+    found = []
+    functions = [(node, False) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            functions += [(node, True) for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for fn, method in functions:
+        if fn.name.startswith("_"):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        positional = [*fn.args.posonlyargs, *fn.args.args][1 if method and not static else 0:]
+        first = len(positional) - len(fn.args.defaults)
+        found += [(fn.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+        found += [(fn.name, arg.arg, None)
+                  for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def _passes(call: ast.Call, option: str, index) -> bool:
+    if any(kw.arg in (option, None) for kw in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return index is not None and (starred or len(call.args) > index)
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+SOURCES = list((ROOT / "src" / "procshadow").glob("*.py"))
+USERS = [*SOURCES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+
 def _names_without_caller() -> set:
-    sources = list((ROOT / "src" / "procshadow").glob("*.py"))
-    users = [*sources, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    public = set().union(*(_public_names(ast.parse(f.read_text())) for f in sources))
-    used = set().union(*(_mentioned_names(ast.parse(f.read_text())) for f in users))
+    public = set().union(*(_public_names(ast.parse(f.read_text())) for f in SOURCES))
+    used = set().union(*(_mentioned_names(ast.parse(f.read_text())) for f in USERS))
     return public - used
+
+
+def _options_without_caller() -> set:
+    options = [o for f in SOURCES for o in _options(ast.parse(f.read_text()))]
+    calls = [node for f in USERS for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.Call)]
+    return {(fn, option) for fn, option, index in options
+            if not any(_callee(c) == fn and _passes(c, option, index) for c in calls)}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -60,3 +110,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not extra, f"no caller outside the tests: {sorted(extra)}"
     stale = set(ALLOWED) - unused
     assert not stale, f"allowlisted but called, or gone: {sorted(stale)}"
+
+
+def test_every_option_has_a_caller_outside_the_tests():
+    unused = _options_without_caller()
+    extra = unused - set(ALLOWED_OPTIONS)
+    assert not extra, f"no caller outside the tests sets: {sorted(extra)}"
+    stale = set(ALLOWED_OPTIONS) - unused
+    assert not stale, f"allowlisted but set, or gone: {sorted(stale)}"
