@@ -19,7 +19,8 @@ import numpy as np
 from .process_shadows import (ProcessShadow, _choi_sum, estimate_channel_functional,
                               single_shot_functional_values)
 from .qcore import PauliString, basis_projector, n_qubits_of
-from .state_shadows import ShadowEstimate, _snapshot_sum, median_of_means
+from .state_shadows import (ShadowEstimate, _count, _pauli_matrix, _snapshot_sum,
+                            median_of_means)
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +105,14 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
     if ss.n_qubits != n or op_early.n_qubits != n or op_late.n_qubits != n:
         raise ValueError("operand register sizes disagree")
     m, k = len(ps), len(ss)
-    if n_groups < 1 or m // n_groups < 1 or k // n_groups < 1:
+    if _count(n_groups, "n_groups") < 1 or m // n_groups < 1 or k // n_groups < 1:
         raise ValueError("group count does not fit the sample sizes")
     terms = ss.pauli_terms()
     gm, gk = m // n_groups, k // n_groups
     means = []
     for g in range(n_groups):
         in_group = (np.arange(k) // gk == g) / gk
-        early = _snapshot_sum(terms, in_group, n) @ op_early.matrix  # group mean . op_early
+        early = _pauli_matrix(_snapshot_sum(terms, in_group, n), n) @ op_early.matrix
         values = single_shot_functional_values(ps, early, op_late.matrix)
         means.append(values[g * gm:(g + 1) * gm].mean())
     return float(np.median(means))
@@ -134,20 +135,20 @@ def _purity_kernel(ps: ProcessShadow):
     With S = sum_j c_j zeta_j, the ordered pairs sum to Tr[S^2], 4^n times
     the squared norm of S's Pauli coefficients.  Two copies of one record
     are not a distinct pair, so the terms c_j^2 Tr[a_j^2] Tr[b_j^2] of the
-    (sum_j c_j)^2 ordered pairs are left out; NaN when none is left.
+    (sum_j c_j)^2 ordered pairs are left out (NaN when none is left); the
+    trace is 5^n per Pauli side and d^2 + d - 1 per Clifford side.
     """
-    n = ps.n_qubits
+    n, d = ps.n_qubits, 2**ps.n_qubits
     choi_sum = _choi_sum(ps)
-    tr_sq = [2**n * np.sum(coef**2, axis=0)[index]  # Tr[x^2] per record
-             for index, _, coef in (ps.side_in.pauli_terms(), ps.side_out.pauli_terms())]
-    self_overlap = tr_sq[0] * tr_sq[1]
+    self_overlap = float(np.prod([5**n if side.frames is None else d * d + d - 1
+                                  for side in (ps.side_in, ps.side_out)]))
 
     def u_statistic(counts: np.ndarray) -> float:
         s = choi_sum(counts)
         full = 4**n * float(s @ s)
-        same = float(np.sum(counts**2 * self_overlap))
-        pairs = float(counts.sum()**2 - np.sum(counts**2))
-        return (full - same) / pairs if pairs else float("nan")
+        square = counts @ counts
+        pairs = float(counts.sum()**2 - square)
+        return (full - float(square) * self_overlap) / pairs if pairs else float("nan")
 
     return u_statistic
 
@@ -169,11 +170,11 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
         raise ValueError(f"purity on {n} qubits is refused above the cap of "
                          f"{MAX_PURITY_QUBITS} (cost grows as 4^n)")
     m = len(ps)
-    if n_groups < 1 or m // n_groups < 2:
+    if _count(n_groups, "n_groups") < 1 or m // n_groups < 2:
         raise ValueError("each group needs at least two records")
     u_statistic = _purity_kernel(ps)
     group = np.arange(m) // (m // n_groups)  # records past the last group are dropped
-    means = [u_statistic((group == g).astype(float)) for g in range(n_groups)]
+    means = [u_statistic((group == g).astype(np.int64)) for g in range(n_groups)]
     return 4**n * float(np.median(means))
 
 
@@ -201,7 +202,7 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
     MIN_BOOTSTRAP_RECORDS records are refused before any draw, and the
     interval is refused when a replicate still has no pair.
     """
-    if n_bootstrap < 1:
+    if _count(n_bootstrap, "n_bootstrap") < 1:
         raise ValueError(f"need at least one bootstrap replicate, got {n_bootstrap}")
     if not 0.0 < threshold_fraction <= 1.0:
         raise ValueError(f"threshold fraction must lie in (0, 1], got {threshold_fraction}")
@@ -215,11 +216,10 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
                          f"record; need at least {MIN_BOOTSTRAP_RECORDS} records")
     rng = rng if rng is not None else np.random.default_rng(0)
     u_statistic = _purity_kernel(ps)
-    point = 4**n * u_statistic(np.ones(m))
+    point = 4**n * u_statistic(np.ones(m, dtype=np.int64))
     boots = np.empty(n_bootstrap)
     for b in range(n_bootstrap):
-        counts = np.bincount(rng.integers(0, m, m), minlength=m).astype(float)
-        boots[b] = 4**n * u_statistic(counts)
+        boots[b] = 4**n * u_statistic(np.bincount(rng.integers(0, m, m), minlength=m))
     no_pair = int(np.isnan(boots).sum())
     if no_pair:
         raise ValueError(f"{no_pair} of {n_bootstrap} bootstrap replicates of {m} records "

@@ -30,21 +30,23 @@ from .complexity import ComplexityQuery, sample_budget
 from .experiments import (MAX_RECORDS, ConfigError, ExperimentConfig,
                           InfeasibleError, run_experiment, write_result_files)
 from .process_shadows import acquire_process_shadow, reconstruct_choi
-from .qcore import PauliString, basis_projector, choi_of_channel, operator_norm
+from .qcore import Channel, PauliString, basis_projector, choi_of_channel, operator_norm
 from .records_io import load_header, load_records, save_records
 from .shadow_algebra import compose_process_shadows
 
 MAX_CLI_QUBITS = 6
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed for any randomness")
-    p.add_argument("--records", default=None,
-                   help="record file path (input or output per subcommand)")
+def _add_common(p: argparse.ArgumentParser, func, *, seed: bool, records: bool) -> None:
+    """The handler and --config, plus --seed and --records if the handler reads them."""
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="master seed for any randomness")
+    if records:
+        p.add_argument("--records", default=None,
+                       help="record file path (input or output per subcommand)")
     p.add_argument("--config", default=None,
                    help="JSON object of flag values; flags typed here win")
-    p.set_defaults(parser=p)
+    p.set_defaults(parser=p, func=func)
 
 
 def _config_argv(parser: argparse.ArgumentParser, path) -> list[str]:
@@ -139,13 +141,9 @@ def _cmd_compose(args) -> int:
             spec_x, spec_y = [s.strip() for s in args.compare_channels.split(",")]
         except ValueError as exc:
             raise ConfigError("--compare-channels wants 'specX,specY'") from exc
-        n = ps_x.n_qubits
-        from .qcore import Channel
-        cx = channel_from_spec(spec_x, n)
-        cy = channel_from_spec(spec_y, n)
-        comp = Channel(kraus=tuple(ky @ kx for ky in cy.kraus
-                                   for kx in cx.kraus))
-        exact = choi_of_channel(comp).matrix / 2**n
+        cx, cy = (channel_from_spec(spec, ps_x.n_qubits) for spec in (spec_x, spec_y))
+        comp = Channel(kraus=tuple(ky @ kx for ky in cy.kraus for kx in cx.kraus))
+        exact = choi_of_channel(comp).matrix / 2**ps_x.n_qubits
         print(f"operator_norm_error = {operator_norm(mean - exact):.6f}")
     if args.output:
         np.save(args.output, mean)
@@ -227,23 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["pauli", "clifford"])
     p.add_argument("--ensemble-out", default="pauli",
                    choices=["pauli", "clifford"])
-    _add_common(p)
-    p.set_defaults(func=_cmd_acquire)
+    _add_common(p, _cmd_acquire, seed=True, records=True)
 
     p = sub.add_parser("reconstruct", help="average records into a Choi matrix")
     p.add_argument("--output", default=None, help="write .npy matrix here")
     p.add_argument("--compare-channel", default=None,
                    help="channel spec to compare against")
-    _add_common(p)
-    p.set_defaults(func=_cmd_reconstruct)
+    _add_common(p, _cmd_reconstruct, seed=False, records=True)
 
     p = sub.add_parser("estimate", help="transition probability from records")
     p.add_argument("--initial", default=None, help="input bit string")
     p.add_argument("--final", default=None, help="output bit string")
     p.add_argument("--groups", type=int, default=1,
                    help="median-of-means group count")
-    _add_common(p)
-    p.set_defaults(func=_cmd_estimate)
+    _add_common(p, _cmd_estimate, seed=False, records=True)
 
     p = sub.add_parser("compose", help="compose two record sets")
     p.add_argument("--records2", default=None,
@@ -251,14 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write .npy matrix here")
     p.add_argument("--compare-channels", default=None,
                    help="dense reference, written as 'specX,specY'")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compose)
+    _add_common(p, _cmd_compose, seed=False, records=True)
 
     p = sub.add_parser("verify-unitarity", help="bootstrap unitarity verdict")
     p.add_argument("--threshold-fraction", type=float, default=0.95)
     p.add_argument("--bootstrap", type=int, default=200)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_unitarity)
+    _add_common(p, _cmd_verify_unitarity, seed=True, records=True)
 
     p = sub.add_parser("budget", help="sample-complexity calculator")
     p.add_argument("--epsilon", type=float, default=None)
@@ -272,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["pauli", "clifford"])
     p.add_argument("--ensemble-out", default="pauli",
                    choices=["pauli", "clifford"])
-    _add_common(p)
-    p.set_defaults(func=_cmd_budget)
+    _add_common(p, _cmd_budget, seed=False, records=False)
 
     p = sub.add_parser("experiment", help="run a convergence experiment")
     p.add_argument("--experiment", default=None,
@@ -290,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for result files")
     p.add_argument("--gnuplot", action="store_true",
                    help="also write space-separated results.dat")
-    _add_common(p)
-    p.set_defaults(func=_cmd_experiment)
+    _add_common(p, _cmd_experiment, seed=True, records=False)
     return parser
 
 

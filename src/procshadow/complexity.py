@@ -146,10 +146,7 @@ def sample_budget(q: ComplexityQuery) -> ComplexityAnswer:
         op, sup = _normalize_op(entry)
         mat = op.matrix if isinstance(op, PauliString) else op
         shift = mat - np.trace(mat) / d * np.eye(d)
-        if isinstance(op, PauliString):
-            sup_s = op.support if op.support else 0
-        else:
-            sup_s = sup
+        sup_s = op.support if isinstance(op, PauliString) else sup
         shifted.append(f_value(shift, q.ensemble_out, sup_s))
     table = np.asarray(f_out)[None, :]
     n_raw = _ceil(34.0 / q.epsilon**2 * max(f_out))

@@ -47,7 +47,7 @@ AXIS_FRAME = {"X": _HADAMARD, "Y": _HADAMARD @ _S_DAG, "Z": ID2}
 MAX_CLIFFORD_QUBITS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliFrame:
     """Product of single-qubit basis rotations, one axis per qubit."""
 
@@ -62,7 +62,7 @@ class PauliFrame:
         return len(self.axes)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CliffordFrame:
     """Clifford unitary as a signed binary symplectic tableau."""
 

@@ -38,15 +38,16 @@ import numpy as np
 
 from .ensembles import PAULI_ENSEMBLE, Frame, frame_unitaries, sample_frames
 from .qcore import Channel, ChoiMatrix, choi_of_channel
-from .state_shadows import (ShadowEstimate, StateSnapshot, _pauli_matrix, _pauli_vector,
-                            _side_values, _simulate, _snapshot_sum,
-                            exact_pauli_snapshot_distribution, median_of_means, sample_table)
+from .state_shadows import (ShadowEstimate, StateSnapshot, _count, _pauli_matrix,
+                            _pauli_vector, _side_values, _simulate, _snapshot_sum,
+                            _unchecked, _y_sign, exact_pauli_snapshot_distribution,
+                            median_of_means, sample_table)
 
 # largest register whose Pauli/Pauli records are drawn from the 36^n table
 _MAX_TABLE_QUBITS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShadowRecord:
     """One acquisition round: input preparation and output measurement."""
 
@@ -110,9 +111,10 @@ class ProcessShadow:
 
     @property
     def records(self) -> tuple:
-        return tuple(ShadowRecord(b_in, u_in, u_out, b_out)
-                     for (u_in, b_in), (u_out, b_out)
-                     in zip(self.side_in.views(), self.side_out.views()))
+        """Views of the labels, which were valid when encoded: no checks run."""
+        pairs = zip(self.side_in.views(), self.side_out.views())
+        return tuple(_unchecked(ShadowRecord, [(b_in, u_in, u_out, b_out)
+                                               for (u_in, b_in), (u_out, b_out) in pairs]))
 
 
 def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
@@ -162,7 +164,7 @@ def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: 
     from the exact table in one vectorized draw; every other case runs
     the batched simulation.
     """
-    if m < 0:
+    if _count(m, "m") < 0:
         raise ValueError(f"record count must be non-negative, got {m}")
     n = ch.n_qubits
     if (ensemble_in == PAULI_ENSEMBLE and ensemble_out == PAULI_ENSEMBLE
@@ -180,9 +182,8 @@ def _choi_sum(ps: ProcessShadow):
     n = ps.n_qubits
     ia, pauli_a, coef_a = ps.side_in.pauli_terms()
     ib, pauli_b, coef_b = ps.side_out.pauli_terms()
-    odd_y = sum((pauli_a >> 2 * q) & 3 == 2 for q in range(n)) % 2
     # one row per distinct label, so that a pair's terms are gathered as rows
-    pauli_a, coef_a = pauli_a.T.copy(), np.where(odd_y, -coef_a, coef_a).T.copy()
+    pauli_a, coef_a = pauli_a.T.copy(), (coef_a * _y_sign(pauli_a, n)).T.copy()
     pauli_b, coef_b = pauli_b.T.copy(), coef_b.T.copy()
     pairs, inverse = np.unique(ia * len(pauli_b) + ib, return_inverse=True)
     pa, pb = np.divmod(pairs, len(pauli_b))
@@ -228,7 +229,8 @@ def estimate_output_state(ps: ProcessShadow, rho: np.ndarray) -> np.ndarray:
     weights = np.real(_side_values(ps.side_in, rho))
     if not len(ps):
         raise ValueError("cannot estimate from an empty shadow")
-    return 2**n * _snapshot_sum(ps.side_out.pauli_terms(), weights, n) / len(ps)
+    total = _snapshot_sum(ps.side_out.pauli_terms(), weights, n)
+    return 2**n * _pauli_matrix(total, n) / len(ps)
 
 
 def single_shot_functional_values(ps: ProcessShadow, rho: np.ndarray,

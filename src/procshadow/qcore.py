@@ -182,21 +182,6 @@ def choi_of_channel(ch: Channel) -> ChoiMatrix:
     return ChoiMatrix(v.T @ v.conj(), ch.n_qubits, normalized=False)
 
 
-def channel_of_choi(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
-    """Recover the channel output Tr_A[(rho^T (x) I) eta] from a Choi matrix."""
-    d = choi.dim
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError(f"input shape {rho.shape} does not match Choi on "
-                         f"{choi.n_qubits} qubits")
-    tr = float(np.trace(choi.matrix).real)
-    expected = 1.0 if choi.normalized else float(d)
-    if abs(tr - expected) > 1e-6:
-        raise ValueError(f"Choi trace {tr} inconsistent with normalized="
-                         f"{choi.normalized} (expected {expected})")
-    return np.einsum("ipjq,ij->pq", choi.unnormalized().reshape(d, d, d, d), rho)
-
-
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random state from the Hilbert-Schmidt ensemble (normalized G G^dag)."""
     d = 2**n

@@ -18,10 +18,14 @@ transpose built into the pair-weight table and the stored one cancel:
 the contraction weight of two snapshots is the plain (untransposed)
 trace of their product.  The overall scale is 2^n per contracted
 register on top of the per-qubit traces.  The mean over all pairs is
-bilinear, so it is computed once, as the contraction of the two sample
-means, for every frame ensemble: ``qcore.channel_of_choi`` of the Choi
-mean, d Tr_in[(rho^T (x) I) eta], for apply, and d times the link
-product of the two Choi means for compose.  No per-pair term is formed.
+bilinear, so it is computed once, from the two sample means, for every
+frame ensemble, with no per-pair term and no dense Choi matrix.  Write
+the normalized Choi mean as sum_ab A[a, b] sigma_a (x) sigma_b, and let
+s_a = (-1)^{#Y} (sigma_a^T = s_a sigma_a).  Then d^2 s_a A[a, b] =
+Tr[sigma_b E(sigma_a)] / d is the channel's Pauli transfer matrix (Chow
+et al., PRL 109, 060501, 2012): applying it to a state sum_a v[a] sigma_a
+is the vector product d^2 (v * s) @ A, and Y after X is the real
+(4^n, 4^n) matrix product d^2 (A_X * s) @ A_Y.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process_shadows import ProcessShadow, reconstruct_choi
-from .qcore import ChoiMatrix, channel_of_choi
-from .state_shadows import ShadowEstimate, reconstruct
+from .process_shadows import ProcessShadow, _choi_sum
+from .state_shadows import ShadowEstimate, _pauli_matrix, _snapshot_sum, _y_sign
 
 #: the five weight values, with multiplicity, seen by a uniformly random
 #: pair of single-qubit snapshot labels
@@ -60,11 +63,11 @@ def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
 class WeightedSnapshotSum:
     """Signed-weighted mean of the per-pair snapshot products of two shadows.
 
-    The mean over all pairs is bilinear, so only the two sample means are
-    kept: a normalized Choi matrix and a state (``apply``) or two
-    normalized Choi matrices (``compose``).  ``materialize`` contracts
-    them into the channel output state or the normalized Choi matrix of
-    the composition.
+    Holds the Pauli coefficients of the two sample means: ``left`` is the
+    (4^n, 4^n) A of a Choi mean, ``right`` the 4^n v of a state mean
+    (``apply``) or a second A (``compose``).  ``materialize`` multiplies
+    them as transfer matrices (see the module docstring) into the output
+    state or the normalized Choi matrix of the composition.
     """
 
     def __init__(self, mode: str, n_qubits: int, left: np.ndarray, right: np.ndarray):
@@ -72,19 +75,25 @@ class WeightedSnapshotSum:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.n_qubits = n_qubits  # register size of the contracted objects
-        self._left = left
-        self._right = right
+        self._left, self._right = left, right
 
     def materialize(self) -> np.ndarray:
         """Weighted mean of all terms, as a dense matrix."""
-        n, x, y = self.n_qubits, self._left, self._right
+        n = self.n_qubits
+        sign = 4**n * _y_sign(np.arange(4**n), n)  # d^2 s; the power of 2 scales exactly
         if self.mode == "apply":
-            return channel_of_choi(ChoiMatrix(x, n, normalized=True), y)
-        d = 2**n
-        # link product sum_pq X[i,p,j,q] Y[p,o,q,r] as one (d^2, d^2) matrix product
-        def realign(z):  # rows (i, p), columns (j, q) -> rows (i, j), columns (p, q)
-            return z.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        return d * realign(realign(x) @ realign(y))
+            return _pauli_matrix((self._right * sign) @ self._left, n)
+        return _pauli_matrix(((self._left * sign) @ self._right).reshape(-1), 2 * n)
+
+
+def _mean(shadow) -> np.ndarray:
+    """The Pauli coefficients of a shadow's sample mean: a (4^n, 4^n) matrix
+    for a process shadow (input index first), a 4^n vector for a state."""
+    if not len(shadow):
+        raise ValueError("cannot reconstruct from an empty shadow")
+    if isinstance(shadow, ShadowEstimate):
+        return _snapshot_sum(shadow.pauli_terms(), None, shadow.n_qubits) / len(shadow)
+    return (_choi_sum(shadow)(np.ones(len(shadow))) / len(shadow)).reshape(4**shadow.n_qubits, -1)
 
 
 def apply_process_to_state_shadow(ps: ProcessShadow,
@@ -97,8 +106,7 @@ def apply_process_to_state_shadow(ps: ProcessShadow,
     """
     if ps.n_qubits != ss.n_qubits:
         raise ValueError("qubit counts differ")
-    return WeightedSnapshotSum("apply", ps.n_qubits, reconstruct_choi(ps).matrix,
-                               reconstruct(ss))
+    return WeightedSnapshotSum("apply", ps.n_qubits, _mean(ps), _mean(ss))
 
 
 def compose_process_shadows(ps_x: ProcessShadow,
@@ -112,8 +120,7 @@ def compose_process_shadows(ps_x: ProcessShadow,
     """
     if ps_x.n_qubits != ps_y.n_qubits:
         raise ValueError("qubit counts differ")
-    return WeightedSnapshotSum("compose", ps_x.n_qubits, reconstruct_choi(ps_x).matrix,
-                               reconstruct_choi(ps_y).matrix)
+    return WeightedSnapshotSum("compose", ps_x.n_qubits, _mean(ps_x), _mean(ps_y))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,11 @@ def _pauli_vector(ops: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(k, 4**n)
 
 
+def _y_sign(index: np.ndarray, n: int) -> np.ndarray:
+    """(-1)^{#Y} of base-4 Pauli indices, the sign that sigma^T = +-sigma takes."""
+    return 1 - 2 * (sum((index >> 2 * q) & 3 == 2 for q in range(n)) % 2)
+
+
 def _pauli_matrix(t: np.ndarray, n: int) -> np.ndarray:
     """sum_s t[s] sigma_s as a dense 2^n x 2^n matrix, expanded one qubit
     at a time (the inverse of ``_pauli_vector`` up to a factor 2^n)."""
@@ -112,6 +117,22 @@ def _pauli_matrix(t: np.ndarray, n: int) -> np.ndarray:
         t = t.reshape(4, -1).T @ _SIGMA
     t = t.reshape((2,) * (2 * n))
     return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(2**n, 2**n)
+
+
+def _count(value, name: str):
+    """``value``, or a ValueError that names ``name`` if it is no integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _unchecked(cls, rows: list) -> list:
+    """``[cls(*row) for row in rows]`` without ``__post_init__``; field by field is faster."""
+    objs = [object.__new__(cls) for _ in rows]
+    for name, column in zip(cls.__dataclass_fields__, zip(*rows)):
+        for obj, value in zip(objs, column):
+            object.__setattr__(obj, name, value)
+    return objs
 
 
 @dataclass(frozen=True)
@@ -190,7 +211,7 @@ class ShadowEstimate:
 
     def take(self, m: int) -> "ShadowEstimate":
         """The first m snapshots (snapshots are i.i.d.); m must lie in [0, len]."""
-        if not 0 <= m <= len(self):
+        if not 0 <= _count(m, "m") <= len(self):
             raise ValueError(f"cannot take {m} of {len(self)} snapshots")
         return ShadowEstimate(self.labels[:m], self.n_qubits, self.frames)
 
@@ -203,17 +224,13 @@ class ShadowEstimate:
         n = self.n_qubits
         if self.frames is None:
             axes, bits = _pauli_strings(labels, n)
-            return [(PauliFrame(axes[i:i + n]), bits[i:i + n])
-                    for i in range(0, len(axes), n)]
-        # frames view a read-only copy of the used tableaus, and skip the
-        # per-frame normalization that CliffordFrame does
+            frames = _unchecked(PauliFrame, [(axes[i:i + n],) for i in range(0, len(axes), n)])
+            return list(zip(frames, [bits[i:i + n] for i in range(0, len(bits), n)]))
+        # frames view a read-only copy of the used tableaus
         used, index = np.unique(labels >> n, return_inverse=True)
         tableaus = self.frames[used]
         tableaus.setflags(write=False)
-        frames = [object.__new__(CliffordFrame) for _ in used]
-        for frame, t in zip(frames, tableaus):
-            object.__setattr__(frame, "symplectic", t[:, :-1])
-            object.__setattr__(frame, "signs", t[:, -1])
+        frames = _unchecked(CliffordFrame, [(t[:, :-1], t[:, -1]) for t in tableaus])
         return [(frames[i], format(k & (2**n - 1), f"0{n}b"))
                 for i, k in zip(index.tolist(), labels.tolist())]
 
@@ -372,7 +389,7 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     batched simulation on the eigen-decomposition of rho.
     """
     check_density_matrix(rho)
-    if m < 0:
+    if _count(m, "m") < 0:
         raise ValueError(f"record count must be non-negative, got {m}")
     n = n_qubits_of(rho)
     if ensemble == PAULI_ENSEMBLE:
@@ -398,18 +415,19 @@ def _side_values(side: ShadowEstimate, op: np.ndarray) -> np.ndarray:
 
 
 def _snapshot_sum(terms: tuple, weights: np.ndarray, n: int) -> np.ndarray:
-    """sum_i weights[i] snapshot_i over one side's labels, given its
-    ``pauli_terms``: one bincount into 4^n Pauli coefficients, made dense."""
+    """The 4^n Pauli coefficients of sum_i weights[i] snapshot_i over one
+    side's labels, given its ``pauli_terms``: one bincount."""
     index, pauli, coef = terms
     w = np.bincount(index, weights, pauli.shape[1])
-    return _pauli_matrix(np.bincount(pauli.reshape(-1), (coef * w).reshape(-1), 4**n), n)
+    return np.bincount(pauli.reshape(-1), (coef * w).reshape(-1), 4**n)
 
 
 def reconstruct(est: ShadowEstimate) -> np.ndarray:
     """Mean of the materialized snapshots (Hermitian, unit trace)."""
     if not len(est):
         raise ValueError("cannot reconstruct from an empty shadow")
-    return _snapshot_sum(est.pauli_terms(), None, est.n_qubits) / len(est)
+    return _pauli_matrix(_snapshot_sum(est.pauli_terms(), None, est.n_qubits),
+                         est.n_qubits) / len(est)
 
 
 def median_of_means(values: np.ndarray, n_groups: int) -> float:
@@ -419,7 +437,7 @@ def median_of_means(values: np.ndarray, n_groups: int) -> float:
     even group count takes the average of the two central means.
     """
     values = np.asarray(values, dtype=float)
-    if n_groups < 1:
+    if _count(n_groups, "n_groups") < 1:
         raise ValueError("need at least one group")
     size = values.size // n_groups
     if size < 1:

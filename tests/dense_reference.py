@@ -7,6 +7,7 @@ aggregation code with the Pauli-coefficient estimators they check.
 import numpy as np
 
 from procshadow.ensembles import AXES, PauliFrame, frame_unitaries
+from procshadow.qcore import ChoiMatrix
 from procshadow.state_shadows import TAU1, ShadowEstimate, StateSnapshot, materialize_snapshot
 
 
@@ -59,6 +60,22 @@ def side_matrices(side):
     d = 2**side.n_qubits
     stack = [materialize_snapshot(StateSnapshot(f, b)) for f, b in decoded]
     return index, np.array(stack).reshape(len(stack), d, d)
+
+
+def channel_of_choi(choi: ChoiMatrix, rho):
+    """The channel output Tr_A[(rho^T (x) I) eta] of a Choi matrix: the
+    Choi isomorphism that the estimators are checked against."""
+    d = choi.dim
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (d, d):
+        raise ValueError(f"input shape {rho.shape} does not match Choi on "
+                         f"{choi.n_qubits} qubits")
+    tr = float(np.trace(choi.matrix).real)
+    expected = 1.0 if choi.normalized else float(d)
+    if abs(tr - expected) > 1e-6:
+        raise ValueError(f"Choi trace {tr} inconsistent with normalized="
+                         f"{choi.normalized} (expected {expected})")
+    return np.einsum("ipjq,ij->pq", choi.unnormalized().reshape(d, d, d, d), rho)
 
 
 def random_hermitian(n, rng):

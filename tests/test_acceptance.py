@@ -24,7 +24,7 @@ from procshadow.complexity import (
     sample_budget,
     verify_moment_bound,
 )
-from dense_reference import born_probabilities
+from dense_reference import born_probabilities, channel_of_choi
 from procshadow.ensembles import enumerate_clifford_group, frame_unitaries
 from procshadow.experiments import ExperimentConfig, fit_power_law, run_experiment, write_result_files
 from procshadow.process_shadows import (
@@ -35,7 +35,6 @@ from procshadow.qcore import (
     PauliString,
     apply_channel,
     basis_projector,
-    channel_of_choi,
     choi_of_channel,
     operator_norm,
     random_density_matrix,

@@ -18,7 +18,7 @@ from procshadow.process_shadows import (
     single_shot_functional_values,
 )
 from procshadow.qcore import PauliString
-from procshadow.state_shadows import acquire_shadow
+from procshadow.state_shadows import acquire_shadow, median_of_means
 
 PLUS = 0.5 * np.ones((2, 2))
 
@@ -279,3 +279,23 @@ def test_unitarity_bootstrap_interval_is_pinned(n, ens_in, ens_out, name, value,
     v = unitarity_verdict(ps, n_bootstrap=100, rng=np.random.default_rng(22))
     assert abs(v.purity - purity) < 1e-12
     assert np.max(np.abs(np.array(v.interval) - interval)) < 1e-12
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda ps, ss, v: acquire_process_shadow(named_channel("hadamard", 1), v, "pauli",
+                                              "pauli", np.random.default_rng(0)), "m"),
+    (lambda ps, ss, v: acquire_shadow(PLUS, v, "pauli", np.random.default_rng(0)), "m"),
+    (lambda ps, ss, v: ps.take(v), "m"),
+    (lambda ps, ss, v: ss.take(v), "m"),
+    (lambda ps, ss, v: median_of_means(np.ones(10), v), "n_groups"),
+    (lambda ps, ss, v: purity_estimate(ps, v), "n_groups"),
+    (lambda ps, ss, v: unitarity_verdict(ps, n_bootstrap=v), "n_bootstrap"),
+], ids=["acquire_process_shadow", "acquire_shadow", "ProcessShadow.take",
+        "ShadowEstimate.take", "median_of_means", "purity_estimate", "unitarity_verdict"])
+def test_counts_are_integers(call, name):
+    """A numpy integer is a count; a float is a ValueError that names the argument."""
+    ps = _shadow("hadamard", 40, 0)
+    ss = acquire_shadow(PLUS, 40, "pauli", np.random.default_rng(1))
+    call(ps, ss, np.int64(2))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+        call(ps, ss, 2.5)

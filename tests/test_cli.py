@@ -300,6 +300,30 @@ def test_config_value_acts_like_its_flag(tmp_path, capsys, argv, config, flags, 
     assert runs[0][0] == code
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["experiment", "--experiment", "sign-statistics", "--grid", "10,20", "--trials", "1"],
+     "records", "nowhere.jsonl"),
+    (BUDGET, "records", "nowhere.jsonl"),
+    (BUDGET, "seed", 5),
+    (["reconstruct", "--records", "{rec}"], "seed", 5),
+    (["estimate", "--records", "{rec}", "--initial", "0", "--final", "1"], "seed", 5),
+    (["compose", "--records", "{rec}", "--records2", "{rec}"], "seed", 5),
+], ids=["experiment-records", "budget-records", "budget-seed", "reconstruct-seed",
+        "estimate-seed", "compose-seed"])
+def test_flags_the_subcommand_does_not_read_exit_two(tmp_path, capsys, argv, flag, value):
+    """--seed and --records exist only on the subcommands that read them:
+    typed or as a --config key, an unread one is a usage error."""
+    rec = _acquire(tmp_path, m=20)
+    argv = [a.format(rec=rec) for a in argv]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    assert _exit_code(argv + [f"--{flag}", str(value)]) == 2
+    capsys.readouterr()
+    assert _exit_code(argv + ["--config", str(cfg)]) == 2
+    assert f"config key '{flag}' matches no flag" in capsys.readouterr().err
+    assert _exit_code(argv) == 0
+
+
 @pytest.mark.parametrize("config,message", [
     ({"experiment": "unitarity", "shots": 5}, "config key 'shots' matches no flag"),
     ({"config": "other.json"}, "config key 'config' matches no flag"),

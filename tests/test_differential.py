@@ -76,9 +76,11 @@ def _random_pauli(n, rng):
 
 
 def _channel(n, rng, full_rank):
-    # the full-rank construction stops at two qubits
+    # the full-rank construction stops at two qubits, the Haar unitary at four
     if full_rank and n <= 2:
         return random_full_rank_channel(n, rng)
+    if n > 4:
+        return named_channel("amplitude-damping", n, 0.3)
     return random_unitary_channel(n, rng)
 
 
@@ -123,11 +125,17 @@ def test_state_estimators_match_dense_reference(n, ensemble, m, seed):
 @given(n=st.integers(1, 3), m=st.integers(1, 30), k=st.integers(1, 30),
        ens=st.tuples(*[st.sampled_from(ENSEMBLES)] * 5), seed=st.integers(0, 2**32 - 1))
 @example(n=4, m=8, k=8, ens=("pauli",) * 5, seed=4)
+@example(n=4, m=6, k=5, ens=("clifford", "pauli", "pauli", "clifford", "clifford"), seed=6)
+@example(n=4, m=5, k=6, ens=("pauli", "clifford", "clifford", "clifford", "pauli"), seed=7)
+@example(n=4, m=5, k=5, ens=("clifford",) * 5, seed=8)
+@example(n=5, m=3, k=4, ens=("pauli",) * 5, seed=9)
 def test_shadow_algebra_matches_dense_reference(n, m, k, ens, seed):
+    """Apply and compose against the per-pair dense sums; the fixed examples
+    cover the transfer-matrix products at n=4 for every pair of ensembles
+    on the first process shadow, and a Pauli/Pauli compose at n=5."""
     rng = np.random.default_rng(seed)
     d = 2**n
-    ps_x = acquire_process_shadow(random_unitary_channel(n, rng), m,
-                                  ens[0], ens[1], rng)
+    ps_x = acquire_process_shadow(_channel(n, rng, False), m, ens[0], ens[1], rng)
     ps_y = acquire_process_shadow(_channel(n, rng, True), k, ens[2], ens[3], rng)
     ss = acquire_shadow(random_density_matrix(n, rng), k, ens[4], rng)
     ax, bx = _dense_sides(ps_x)

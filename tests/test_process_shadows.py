@@ -326,3 +326,28 @@ def test_process_shadow_rejects_mixed_sizes(rng):
     r2 = acquire_process_shadow(named_channel("identity", 2), 1, "pauli", "pauli", rng)
     with pytest.raises(ValueError):
         ProcessShadow(r1.records + r2.records)
+
+
+@pytest.mark.parametrize("ensembles", [("pauli", "pauli"), ("clifford", "pauli"),
+                                       ("pauli", "clifford"), ("clifford", "clifford")])
+def test_record_views_equal_validated_records(rng, ensembles):
+    """The views skip the constructors' checks, and equal records built
+    through them; encoding the views gives back the same labels."""
+    ps = acquire_process_shadow(random_unitary_channel(2, rng), 40, *ensembles, rng)
+
+    def checked(frame):
+        if isinstance(frame, PauliFrame):
+            return PauliFrame(frame.axes)
+        return CliffordFrame(frame.symplectic.copy(), frame.signs.copy())
+
+    views = ps.records
+    assert views == tuple(ShadowRecord(r.b_in, checked(r.u_in), checked(r.u_out), r.b_out)
+                          for r in views)
+    for side in (ps.side_in, ps.side_out):
+        assert [(checked(f), b) for f, b in side.views()] == side.views()
+    again = ProcessShadow(views, 2)
+    for got, want in ((again.side_in, ps.side_in), (again.side_out, ps.side_out)):
+        assert np.array_equal(got.labels, want.labels)
+        assert (got.frames is None) == (want.frames is None)
+        if want.frames is not None:
+            assert np.array_equal(got.frames, want.frames)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import channel_of_choi
 from procshadow.qcore import (
     Channel,
     ChoiMatrix,
@@ -14,7 +15,6 @@ from procshadow.qcore import (
     basis_index,
     basis_projector,
     basis_state,
-    channel_of_choi,
     check_density_matrix,
     choi_of_channel,
     is_hermitian,

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_reference import (
+    channel_of_choi,
     choi_mean_from_histogram,
     key_matrices,
     materialize_choi_shadow,
@@ -24,7 +25,6 @@ from procshadow.qcore import (
     Channel,
     apply_channel,
     basis_projector,
-    channel_of_choi,
     choi_of_channel,
     random_density_matrix,
 )
@@ -40,6 +40,7 @@ from procshadow.shadow_algebra import (
 from procshadow.state_shadows import (
     acquire_shadow,
     TAU1,
+    _pauli_vector,
     exact_pauli_snapshot_distribution,
     materialize_snapshot,
     qubit_key,
@@ -80,6 +81,16 @@ def iter_terms(mode, first, second):
         for u, v in zip(ixa, ixb):
             for p, q in zip(iya, iyb):
                 yield d * g[v, p], np.kron(ax[u].T, by[q])
+
+
+def _coefficients(a, n):
+    """Real c with a = sum_s c[s] sigma_s for a dense Hermitian operator on n
+    qubits; a Choi matrix (n = 2 n') reshapes to the (4^n', 4^n') operand."""
+    return np.real(_pauli_vector(np.asarray(a)[None], n)[0]) / 2**n
+
+
+def _choi_operand(choi, n):
+    return _coefficients(choi, 2 * n).reshape(4**n, 4**n)
 
 
 def _term_mean(mode, first, second):
@@ -173,7 +184,7 @@ def test_exact_apply_sum_recovers_channel_action(seed, n):
     choi = choi_mean_from_histogram(exact_pauli_record_distribution(ch), n)
     state = np.einsum("k,kij->ij", exact_pauli_snapshot_distribution(rho),
                       key_matrices(np.arange(6**n), n))
-    wss = WeightedSnapshotSum("apply", n, choi, state)
+    wss = WeightedSnapshotSum("apply", n, _choi_operand(choi, n), _coefficients(state, n))
     assert la.norm(wss.materialize() - apply_channel(ch, rho)) < 1e-10
 
 
@@ -188,8 +199,8 @@ def test_exact_compose_sum_recovers_composition(seed):
     wss = WeightedSnapshotSum(
         "compose",
         1,
-        choi_mean_from_histogram(exact_pauli_record_distribution(ch_x), 1),
-        choi_mean_from_histogram(exact_pauli_record_distribution(ch_y), 1),
+        _choi_operand(choi_mean_from_histogram(exact_pauli_record_distribution(ch_x), 1), 1),
+        _choi_operand(choi_mean_from_histogram(exact_pauli_record_distribution(ch_y), 1), 1),
     )
     target = choi_of_channel(composed).matrix / 2
     assert la.norm(wss.materialize() - target) < 1e-10
@@ -258,17 +269,21 @@ def test_histogram_only_sum_has_no_terms():
     the uniform record histogram is the completely depolarizing channel."""
     choi = choi_mean_from_histogram(np.full((6, 6), 1 / 36), 1)
     state = np.einsum("k,kij->ij", np.full(6, 1 / 6), TAU1)
-    out = WeightedSnapshotSum("apply", 1, choi, state).materialize()
+    out = WeightedSnapshotSum("apply", 1, _choi_operand(choi, 1),
+                              _coefficients(state, 1)).materialize()
     assert la.norm(out - np.eye(2) / 2) < 1e-12
 
 
 @pytest.mark.parametrize("ens_in,ens_out", ENSEMBLE_PAIRS)
 def test_apply_is_channel_of_choi_of_the_means(rng, ens_in, ens_out):
+    """The transfer-matrix product agrees with the Choi isomorphism applied to
+    the two dense means, up to summation order."""
     ch = random_unitary_channel(2, rng)
     ps = acquire_process_shadow(ch, 40, ens_in, ens_out, rng)
     ss = acquire_shadow(random_density_matrix(2, rng), 30, ens_in, rng)
     out = apply_process_to_state_shadow(ps, ss).materialize()
-    assert np.array_equal(out, channel_of_choi(reconstruct_choi(ps), reconstruct(ss)))
+    dense = channel_of_choi(reconstruct_choi(ps), reconstruct(ss))
+    assert np.max(np.abs(out - dense)) < 1e-12
 
 
 def test_compose_rejects_mismatched_sizes(rng):
