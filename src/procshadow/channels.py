@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .ensembles import sample_haar_unitary
-from .qcore import PAULI, Channel, tensor
+from .qcore import MAX_QUBITS, PAULI, Channel, InfeasibleError, check_register, tensor
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -47,8 +47,7 @@ def named_channel(name: str, n: int, value: float | None = None) -> Channel:
     ``pauli-x`` and ``hadamard`` act on qubit 0 (identity elsewhere);
     the parametric families act independently on every qubit.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    check_register(n)
     if value is not None and name not in _PARAMETRIC:
         raise ValueError(f"{name} does not take a parameter value")
     if name == "identity":
@@ -66,8 +65,7 @@ def named_channel(name: str, n: int, value: float | None = None) -> Channel:
 
 def random_unitary_channel(n: int, rng: np.random.Generator) -> Channel:
     """Channel with a single Haar-random Kraus operator."""
-    if n > 4:
-        raise ValueError("random unitary channels limited to n <= 4")
+    check_register(n)  # before the 2^n x 2^n Ginibre draw
     return Channel(kraus=(sample_haar_unitary(n, rng),))
 
 
@@ -79,14 +77,20 @@ def random_full_rank_channel(n_sys: int, rng: np.random.Generator) -> Channel:
     |0>, and reads one Kraus operator per ancilla outcome:
     K_j = (<j|_anc (x) I) U (|0>_anc (x) I).
     """
-    if n_sys > 2:
-        raise ValueError("full-rank construction limited to n_sys <= 2")
+    if 3 * n_sys > MAX_QUBITS:
+        raise InfeasibleError(f"a full-rank channel on {n_sys} qubits dilates to "
+                              f"{3 * n_sys}, beyond the register cap ({MAX_QUBITS})")
     d_sys = 2**n_sys
     d_anc = 4**n_sys
     u = sample_haar_unitary(3 * n_sys, rng)
     block = u[:, :d_sys]  # ancilla-first ordering puts anc=0 in the leading columns
     kraus = tuple(block[j * d_sys:(j + 1) * d_sys, :] for j in range(d_anc))
     return Channel(kraus=kraus)
+
+
+def compose_channels(x: Channel, y: Channel) -> Channel:
+    """The channel y after x: Kraus operators K_y K_x, with x's index fastest."""
+    return Channel(kraus=tuple(ky @ kx for ky in y.kraus for kx in x.kraus))
 
 
 def channel_from_spec(spec: str, n: int) -> Channel:

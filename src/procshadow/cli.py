@@ -25,16 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .applications import transition_probability, unitarity_verdict
-from .channels import channel_from_spec
+from .channels import channel_from_spec, compose_channels
 from .complexity import ComplexityQuery, sample_budget
 from .experiments import (MAX_RECORDS, ConfigError, ExperimentConfig,
                           InfeasibleError, run_experiment, write_result_files)
 from .process_shadows import acquire_process_shadow, reconstruct_choi
-from .qcore import Channel, PauliString, basis_projector, choi_of_channel, operator_norm
+from .qcore import PauliString, basis_projector, choi_of_channel, operator_norm
 from .records_io import load_header, load_records, save_records
 from .shadow_algebra import compose_process_shadows
-
-MAX_CLI_QUBITS = 6
 
 
 def _add_common(p: argparse.ArgumentParser, func, *, seed: bool, records: bool) -> None:
@@ -88,9 +86,6 @@ def _rng(args) -> np.random.Generator:
 def _cmd_acquire(args) -> int:
     _require(args, "channel", "qubits", "m", "records")
     n, m = args.qubits, args.m
-    if n > MAX_CLI_QUBITS:
-        raise InfeasibleError(f"{n} qubits exceeds the simulator cap "
-                              f"({MAX_CLI_QUBITS})")
     if m > MAX_RECORDS:
         raise InfeasibleError(f"{m} records exceeds the cap ({MAX_RECORDS})")
     ch = channel_from_spec(args.channel, n)
@@ -142,8 +137,7 @@ def _cmd_compose(args) -> int:
         except ValueError as exc:
             raise ConfigError("--compare-channels wants 'specX,specY'") from exc
         cx, cy = (channel_from_spec(spec, ps_x.n_qubits) for spec in (spec_x, spec_y))
-        comp = Channel(kraus=tuple(ky @ kx for ky in cy.kraus for kx in cx.kraus))
-        exact = choi_of_channel(comp).matrix / 2**ps_x.n_qubits
+        exact = choi_of_channel(compose_channels(cx, cy)).matrix / 2**ps_x.n_qubits
         print(f"operator_norm_error = {operator_norm(mean - exact):.6f}")
     if args.output:
         np.save(args.output, mean)

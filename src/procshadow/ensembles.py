@@ -44,8 +44,6 @@ _S_DAG = np.array([[1, 0], [0, -1j]], dtype=complex)
 # with b=0 mapped to the +1 eigenstate.
 AXIS_FRAME = {"X": _HADAMARD, "Y": _HADAMARD @ _S_DAG, "Z": ID2}
 
-MAX_CLIFFORD_QUBITS = 6
-
 
 @dataclass(frozen=True, slots=True)
 class PauliFrame:
@@ -202,8 +200,6 @@ def sample_frames(n: int, ensemble: str, m: int, rng: np.random.Generator) -> np
         return rng.integers(0, 3, size=(m, n))
     if ensemble != CLIFFORD_ENSEMBLE:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    if not 1 <= n <= MAX_CLIFFORD_QUBITS:
-        raise ValueError(f"n={n} outside the supported range 1..{MAX_CLIFFORD_QUBITS}")
     levels = []
     for j in range(1, n + 1):
         k, bits = np.divmod(rng.integers(0, (4**j - 1) * 2 ** (2 * j - 1), size=m),

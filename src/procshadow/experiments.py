@@ -22,11 +22,12 @@ from . import __version__
 from .applications import (MAX_PURITY_QUBITS, MIN_BOOTSTRAP_RECORDS, CorrelatorSpec,
                            multitime_correlator_exact_input, purity_estimate,
                            unitarity_verdict)
-from .channels import channel_from_spec, random_full_rank_channel, random_unitary_channel
+from .channels import (channel_from_spec, compose_channels, random_full_rank_channel,
+                       random_unitary_channel)
 from .process_shadows import (acquire_process_shadow, estimate_output_state,
                               reconstruct_choi)
-from .qcore import (Channel, PauliString, apply_channel, choi_of_channel,
-                    operator_norm, random_density_matrix)
+from .qcore import (Channel, InfeasibleError, PauliString, apply_channel,
+                    check_register, choi_of_channel, operator_norm, random_density_matrix)
 from .shadow_algebra import (apply_process_to_state_shadow,
                              compose_process_shadows, weight_sign_statistics)
 from .state_shadows import acquire_shadow
@@ -34,10 +35,6 @@ from .state_shadows import acquire_shadow
 
 class ConfigError(ValueError):
     """The requested run is malformed (unknown name, bad grid, ...)."""
-
-
-class InfeasibleError(RuntimeError):
-    """The requested run is structurally too large for dense simulation."""
 
 
 DEFAULT_GRID = (100, 300, 1000, 3000, 10_000, 30_000, 100_000)
@@ -149,9 +146,8 @@ def _safe_fit(ms, errs) -> tuple[float, float]:
 
 
 def _check_feasible(cfg: ExperimentConfig) -> None:
-    if cfg.n_qubits > 4:
-        raise InfeasibleError(
-            f"{cfg.n_qubits} qubits exceeds the dense-simulation budget (max 4)")
+    # before _trial_channel, which reads any error of a channel spec as a ConfigError
+    check_register(cfg.n_qubits)
     if cfg.grid[-1] > MAX_RECORDS:
         raise InfeasibleError(
             f"grid asks for {cfg.grid[-1]} records (cap {MAX_RECORDS})")
@@ -234,8 +230,7 @@ def _trial_composed(cfg: ExperimentConfig, seed_seq) -> dict:
     rng = np.random.default_rng(seed_seq)
     ch_x = _trial_channel(cfg, rng)
     ch_y = _trial_channel(cfg, rng)
-    composed = Channel(kraus=tuple(ky @ kx for ky in ch_y.kraus
-                                   for kx in ch_x.kraus))
+    composed = compose_channels(ch_x, ch_y)
     rho, op = _correlator_fixture(cfg.n_qubits)
     exact = float(np.real(np.trace(
         apply_channel(composed, rho @ op.matrix) @ op.matrix)))

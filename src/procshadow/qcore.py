@@ -21,6 +21,23 @@ import numpy as np
 ATOL_STRUCT = 1e-9
 ATOL_ALGEBRA = 1e-10
 
+# The widest register the dense simulation takes: at n=7 a Choi mean would
+# hold 16^7 float64 coefficients (2.1 GB) and a 4.3 GB complex matrix.
+MAX_QUBITS = 6
+
+
+class InfeasibleError(ValueError):
+    """A register or record count beyond a dense-simulation cap; the CLI exits 3."""
+
+
+def check_register(n: int) -> None:
+    """Refuse an empty register, or one wider than ``MAX_QUBITS``."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if n > MAX_QUBITS:
+        raise InfeasibleError(f"{n} qubits exceeds the register cap ({MAX_QUBITS})")
+
+
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -125,6 +142,7 @@ class Channel:
         if not kraus:
             raise ValueError("channel needs at least one Kraus operator")
         n = n_qubits_of(kraus[0])
+        check_register(n)
         object.__setattr__(self, "n_qubits", n)
         d = 2**n
         for k in kraus:

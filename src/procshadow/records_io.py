@@ -39,14 +39,11 @@ import numpy as np
 
 from .ensembles import AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, is_symplectic
 from .process_shadows import ProcessShadow
+from .qcore import MAX_QUBITS
 from .state_shadows import ShadowEstimate, _pauli_strings, pauli_keys
 
 FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
-# the widest register an int64 Pauli key holds: 6**24 <= 2**63 < 6**25
-_MAX_PAULI_KEY_QUBITS = 24
-# the widest register whose 2n-bit tableau rows fit in an int64
-_MAX_CLIFFORD_QUBITS = 31
 
 # Byte -> digit lookup tables for a line's digits; -1 marks an invalid byte.
 _AXIS_DIGIT = np.full(256, -1, dtype=np.int8)
@@ -164,14 +161,8 @@ def _parse_header(first: bytes) -> dict:
         if type(value) is not int or value < least:
             raise ValueError(f"line 1: {key} must be an integer >= {least}, "
                              f"got {value!r}")
-    tags = header.get("ensemble_in"), header.get("ensemble_out")
-    n = header["n_qubits"]
-    if PAULI_ENSEMBLE in tags and n > _MAX_PAULI_KEY_QUBITS:
-        raise ValueError(f"line 1: Pauli records on {n} qubits exceed "
-                         f"the {_MAX_PAULI_KEY_QUBITS} that int64 keys hold")
-    if CLIFFORD_ENSEMBLE in tags and n > _MAX_CLIFFORD_QUBITS:
-        raise ValueError(f"line 1: Clifford records on {n} qubits exceed "
-                         f"the {_MAX_CLIFFORD_QUBITS} that int64 tableau rows hold")
+    if header["n_qubits"] > MAX_QUBITS:
+        raise ValueError(f"line 1: {header['n_qubits']} qubits exceed the cap ({MAX_QUBITS})")
     return header
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PAULI, check_density_matrix, n_qubits_of, tensor
+from .qcore import PAULI, check_density_matrix, check_register, n_qubits_of, tensor
 from .ensembles import (AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, CliffordFrame,
                         Frame, PauliFrame, frame_unitaries, sample_frames)
 
@@ -385,13 +385,14 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     """Acquire m i.i.d. snapshots of a state.
 
     The Pauli ensemble is sampled from the exact 6^n-entry distribution
-    of (frame, outcome) at every size; the Clifford ensemble runs the
+    of (frame, outcome), n <= MAX_QUBITS; the Clifford ensemble runs the
     batched simulation on the eigen-decomposition of rho.
     """
+    n = n_qubits_of(rho)
+    check_register(n)
     check_density_matrix(rho)
     if _count(m, "m") < 0:
         raise ValueError(f"record count must be non-negative, got {m}")
-    n = n_qubits_of(rho)
     if ensemble == PAULI_ENSEMBLE:
         table = exact_pauli_snapshot_distribution(rho)
         return ShadowEstimate(sample_table(table, m, rng), n)

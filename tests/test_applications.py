@@ -243,6 +243,16 @@ def test_unitarity_verdict_rejects_invalid_settings(kwargs, message):
     assert unitarity_verdict(ps, threshold_fraction=1.0, n_bootstrap=1).threshold == 4.0
 
 
+def _covered(name, value, purity, m, n=1, ens="pauli") -> int:
+    """How many of 60 seeded runs have a 95% interval that covers ``purity``."""
+    covered = 0
+    for seed in range(60):
+        ps = _shadow(name, m, seed, n=n, value=value, ens=ens)
+        lo, hi = unitarity_verdict(ps, rng=np.random.default_rng(seed)).interval
+        covered += lo <= purity <= hi
+    return covered
+
+
 @pytest.mark.parametrize("m", [200, 1000])
 @pytest.mark.parametrize("name,value,purity", [
     ("identity", None, 4.0),
@@ -255,12 +265,14 @@ def test_unitarity_interval_coverage(name, value, purity, m):
     one record must not count as distinct pairs, or the replicates sit
     about 94/m above the point estimate and the interval misses.
     """
-    covered = 0
-    for seed in range(60):
-        ps = _shadow(name, m, seed, value=value)
-        lo, hi = unitarity_verdict(ps, rng=np.random.default_rng(seed)).interval
-        covered += lo <= purity <= hi
-    assert covered >= 52
+    assert _covered(name, value, purity, m) >= 52
+
+
+@pytest.mark.parametrize("ens", ["pauli", "clifford"])
+def test_unitarity_interval_coverage_at_two_qubits(ens):
+    """The same 52-of-60 coverage for a two-qubit unitary (Choi purity 16),
+    with Pauli or Clifford frames on both sides."""
+    assert _covered("hadamard", None, 16.0, 400, n=2, ens=ens) >= 52
 
 
 @pytest.mark.parametrize("n,ens_in,ens_out,name,value,purity,interval", [

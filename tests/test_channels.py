@@ -4,6 +4,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+from procshadow import channels
 from procshadow.channels import (
     channel_from_spec,
     named_channel,
@@ -12,6 +13,8 @@ from procshadow.channels import (
 )
 from procshadow.ensembles import sample_haar_unitary
 from procshadow.qcore import (
+    Channel,
+    InfeasibleError,
     apply_channel,
     basis_projector,
     choi_of_channel,
@@ -93,7 +96,7 @@ def test_random_unitary_channel(rng):
     b = random_unitary_channel(1, np.random.default_rng(3))
     assert np.array_equal(a.kraus[0], b.kraus[0])
     with pytest.raises(ValueError):
-        random_unitary_channel(5, rng)
+        random_unitary_channel(7, rng)
 
 
 def test_random_unitary_matches_haar_sampler():
@@ -117,8 +120,24 @@ def test_random_full_rank_two_qubits(rng):
     assert len(ch.kraus) == 16
     eigs = la.eigvalsh(choi_of_channel(ch).matrix)
     assert np.min(eigs) > 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleError, match="dilates to 9"):
         random_full_rank_channel(3, rng)
+
+
+def test_register_cap_refuses_before_building(monkeypatch):
+    """depolarizing at n=7 would build 4^7 Kraus operators of 128 x 128 (2.1 GB),
+    and a Haar unitary a 2^n x 2^n Ginibre matrix."""
+    def fail(*_):
+        raise AssertionError("the Kraus operators were built")
+
+    monkeypatch.setattr(channels, "_tensor_power_kraus", fail)
+    monkeypatch.setattr(channels, "sample_haar_unitary", fail)
+    with pytest.raises(InfeasibleError, match="7 qubits exceeds the register cap"):
+        named_channel("depolarizing", 7, 0.3)
+    with pytest.raises(InfeasibleError, match="7 qubits exceeds the register cap"):
+        random_unitary_channel(7, np.random.default_rng(0))
+    with pytest.raises(InfeasibleError, match="7 qubits exceeds the register cap"):
+        Channel(kraus=(np.eye(128),))
 
 
 def test_random_full_rank_deterministic():

@@ -221,6 +221,16 @@ def test_exit_code_infeasible_experiment(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--experiment", "choi-convergence", "--qubits", "5",
+     "--channel", "amplitude-damping:0.3", "--grid", "100,300", "--trials", "1"],
+    ["acquire", "--channel", "random-unitary:7", "--qubits", "5", "--m", "50",
+     "--records", "{tmp}/r.jsonl"],
+], ids=["experiment", "acquire-random-unitary"])
+def test_five_qubits_are_within_the_register_cap(tmp_path, argv):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+
+
 def test_unitarity_experiment_below_ten_records_is_a_configuration_error(capsys):
     code = main(["experiment", "--experiment", "unitarity", "--qubits", "1",
                  "--grid", "4,100", "--trials", "1"])

@@ -206,7 +206,7 @@ def test_parallel_matches_sequential():
 
 def test_infeasible_configurations():
     with pytest.raises(InfeasibleError):
-        run_experiment(ExperimentConfig(experiment="choi-convergence", n_qubits=6,
+        run_experiment(ExperimentConfig(experiment="choi-convergence", n_qubits=7,
                                         grid=(50, 100), trials=1))
     with pytest.raises(InfeasibleError):
         run_experiment(ExperimentConfig(experiment="unitarity", n_qubits=4,

@@ -484,16 +484,33 @@ def test_clifford_header_beyond_int64_rows_is_a_line_1_error(tmp_path):
     head["n_qubits"] = 32
     lines[0] = json.dumps(head)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="^line 1: Clifford records on 32 qubits"):
+    with pytest.raises(ValueError, match="^line 1: 32 qubits exceed the cap"):
         load_records(path)
     with pytest.raises(ValueError, match="^line 1: "):
         load_header(path)
     assert main(["reconstruct", "--records", str(path)]) == 2
-    head["n_qubits"] = 31
+    head["n_qubits"] = 6
     lines[0] = json.dumps(head)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="^line 2: bad record .*row count"):
         load_records(path)
+
+
+def test_header_beyond_the_register_cap_is_a_line_1_error(tmp_path):
+    """A well-formed 7-qubit file (one-qubit records padded with six Z-axis
+    qubits) is refused at its header: reconstructing it would allocate 16^7
+    coefficients and a 2^14 x 2^14 matrix."""
+    _, path = _sample(tmp_path, m=5)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines[0]["n_qubits"] = 7
+    for rec in lines[1:]:
+        rec["b_in"], rec["b_out"] = rec["b_in"] + "0" * 6, rec["b_out"] + "0" * 6
+        rec["u_in"]["axes"] += "Z" * 6
+        rec["u_out"]["axes"] += "Z" * 6
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(ValueError, match="^line 1: 7 qubits exceed the cap"):
+        load_records(path)
+    assert main(["reconstruct", "--records", str(path)]) == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

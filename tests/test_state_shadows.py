@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dense_reference import born_probabilities, frame_unitary, inverse_map_pauli
 from procshadow import state_shadows as shad
 from procshadow.ensembles import PauliFrame, enumerate_clifford_group, frame_unitaries
-from procshadow.qcore import PauliString, basis_projector, random_density_matrix
+from procshadow.qcore import InfeasibleError, PauliString, basis_projector, random_density_matrix
 from procshadow.state_shadows import (
     PROJ1,
     TAU1,
@@ -161,6 +161,12 @@ def test_acquire_shadow_basics(rng):
 def test_acquire_shadow_rejects_negative_count(rng, ensemble):
     with pytest.raises(ValueError, match="record count must be non-negative, got -5"):
         acquire_shadow(np.diag([1.0, 0.0]), -5, ensemble, rng)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_acquire_shadow_refuses_a_register_beyond_the_cap(rng, ensemble):
+    with pytest.raises(InfeasibleError, match="7 qubits exceeds the register cap"):
+        acquire_shadow(np.eye(128) / 128, 10, ensemble, rng)
 
 
 def test_acquire_shadow_deterministic():
