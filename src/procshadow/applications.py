@@ -99,7 +99,7 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
     snapshots) in place of the input state.  Median-of-means pairs the
     j-th chunk of records with the j-th chunk of snapshots so the group
     means stay independent.  This is the paper's estimator for a channel
-    applied to a state shadow; no CLI command or experiment calls it.
+    applied to a state shadow; `correlator-convergence` reports its error.
     """
     n = ps.n_qubits
     if ss.n_qubits != n or op_early.n_qubits != n or op_late.n_qubits != n:

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import __version__
 from .applications import (MAX_PURITY_QUBITS, MIN_BOOTSTRAP_RECORDS, CorrelatorSpec,
-                           multitime_correlator_exact_input, purity_estimate,
+                           multitime_correlator_exact_input,
+                           multitime_correlator_shadow_input, purity_estimate,
                            unitarity_verdict)
 from .channels import (channel_from_spec, compose_channels, random_full_rank_channel,
                        random_unitary_channel)
-from .process_shadows import (acquire_process_shadow, estimate_output_state,
-                              reconstruct_choi)
+from .process_shadows import (ProcessShadow, acquire_process_shadow,
+                              estimate_output_state, reconstruct_choi)
 from .qcore import (Channel, InfeasibleError, PauliString, apply_channel,
                     check_register, choi_of_channel, operator_norm, random_density_matrix)
 from .shadow_algebra import (apply_process_to_state_shadow,
@@ -146,7 +147,6 @@ def _safe_fit(ms, errs) -> tuple[float, float]:
 
 
 def _check_feasible(cfg: ExperimentConfig) -> None:
-    # before _trial_channel, which reads any error of a channel spec as a ConfigError
     check_register(cfg.n_qubits)
     if cfg.grid[-1] > MAX_RECORDS:
         raise InfeasibleError(
@@ -165,8 +165,14 @@ def _trial_channel(cfg: ExperimentConfig, rng: np.random.Generator) -> Channel:
         return random_full_rank_channel(cfg.n_qubits, rng)
     try:
         return channel_from_spec(cfg.channel, cfg.n_qubits)
+    except InfeasibleError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _acquire(ch: Channel, cfg: ExperimentConfig, rng) -> ProcessShadow:
+    return acquire_process_shadow(ch, cfg.grid[-1], cfg.ensemble_in, cfg.ensemble_out, rng)
 
 
 def _correlator_fixture(n: int):
@@ -180,18 +186,19 @@ def _correlator_fixture(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Per-trial workers (module level so process pools can pickle them).
+# Per-trial workers (module level so process pools can pickle them).  Each
+# returns its results.csv columns in file order: a list holds one value per
+# grid entry, a scalar one value for the whole trial.
 # ---------------------------------------------------------------------------
 
 def _trial_choi(cfg: ExperimentConfig, seed_seq) -> dict:
     rng = np.random.default_rng(seed_seq)
     ch = _trial_channel(cfg, rng)
     exact = choi_of_channel(ch).matrix
-    ps = acquire_process_shadow(ch, cfg.grid[-1], cfg.ensemble_in,
-                                cfg.ensemble_out, rng)
+    ps = _acquire(ch, cfg, rng)
     errs = [operator_norm(reconstruct_choi(ps.take(m)).unnormalized() - exact)
             for m in cfg.grid]
-    return {"errors": errs}
+    return {"error": errs}
 
 
 def _trial_output_state(cfg: ExperimentConfig, seed_seq) -> dict:
@@ -199,8 +206,7 @@ def _trial_output_state(cfg: ExperimentConfig, seed_seq) -> dict:
     ch = _trial_channel(cfg, rng)
     rho = random_density_matrix(cfg.n_qubits, rng)
     exact = apply_channel(ch, rho)
-    ps = acquire_process_shadow(ch, cfg.grid[-1], cfg.ensemble_in,
-                                cfg.ensemble_out, rng)
+    ps = _acquire(ch, cfg, rng)
     ss = acquire_shadow(rho, cfg.grid[-1], cfg.ensemble_in, rng)
     errs, errs_shadow = [], []
     for m in cfg.grid:
@@ -208,7 +214,7 @@ def _trial_output_state(cfg: ExperimentConfig, seed_seq) -> dict:
         errs.append(operator_norm(estimate_output_state(pm, rho) - exact))
         est = apply_process_to_state_shadow(pm, ss.take(m)).materialize()
         errs_shadow.append(operator_norm(est - exact))
-    return {"errors": errs, "errors_shadow": errs_shadow}
+    return {"error": errs, "error_shadow_input": errs_shadow}
 
 
 def _trial_correlator(cfg: ExperimentConfig, seed_seq) -> dict:
@@ -218,12 +224,15 @@ def _trial_correlator(cfg: ExperimentConfig, seed_seq) -> dict:
     spec = CorrelatorSpec(rho, op, op)
     exact = float(np.real(np.trace(
         apply_channel(ch, rho @ op.matrix) @ op.matrix)))
-    ps = acquire_process_shadow(ch, cfg.grid[-1], cfg.ensemble_in,
-                                cfg.ensemble_out, rng)
-    errs = [abs(multitime_correlator_exact_input(ps.take(m), spec,
-                                                 cfg.n_groups) - exact)
-            for m in cfg.grid]
-    return {"errors": errs, "exact": exact}
+    ps = _acquire(ch, cfg, rng)
+    ss = acquire_shadow(rho, cfg.grid[-1], cfg.ensemble_in, rng)
+    errs, errs_shadow = [], []
+    for m in cfg.grid:
+        pm = ps.take(m)
+        errs.append(abs(multitime_correlator_exact_input(pm, spec, cfg.n_groups) - exact))
+        est = multitime_correlator_shadow_input(pm, ss.take(m), op, op, cfg.n_groups)
+        errs_shadow.append(abs(est - exact))
+    return {"error": errs, "error_shadow_input": errs_shadow, "exact": exact}
 
 
 def _trial_composed(cfg: ExperimentConfig, seed_seq) -> dict:
@@ -236,16 +245,14 @@ def _trial_composed(cfg: ExperimentConfig, seed_seq) -> dict:
         apply_channel(composed, rho @ op.matrix) @ op.matrix)))
     d = 2**cfg.n_qubits
     probe = np.kron((rho @ op.matrix).T, op.matrix)
-    ps_x = acquire_process_shadow(ch_x, cfg.grid[-1], cfg.ensemble_in,
-                                  cfg.ensemble_out, rng)
-    ps_y = acquire_process_shadow(ch_y, cfg.grid[-1], cfg.ensemble_in,
-                                  cfg.ensemble_out, rng)
+    ps_x = _acquire(ch_x, cfg, rng)
+    ps_y = _acquire(ch_y, cfg, rng)
     errs = []
     for m in cfg.grid:
         mean = compose_process_shadows(ps_x.take(m), ps_y.take(m)).materialize()
         est = d * float(np.real(np.trace(mean @ probe)))
         errs.append(abs(est - exact))
-    return {"errors": errs, "exact": exact}
+    return {"error": errs, "exact": exact}
 
 
 def _trial_unitarity(cfg: ExperimentConfig, seed_seq) -> dict:
@@ -253,8 +260,7 @@ def _trial_unitarity(cfg: ExperimentConfig, seed_seq) -> dict:
     ch = _trial_channel(cfg, rng)
     eta = choi_of_channel(ch).matrix
     exact = float(np.real(np.trace(eta @ eta)))
-    ps = acquire_process_shadow(ch, cfg.grid[-1], cfg.ensemble_in,
-                                cfg.ensemble_out, rng)
+    ps = _acquire(ch, cfg, rng)
     errs, purities, verdicts = [], [], []
     for m in cfg.grid:
         pm = ps.take(m)
@@ -263,8 +269,7 @@ def _trial_unitarity(cfg: ExperimentConfig, seed_seq) -> dict:
                               rng=np.random.default_rng(seed_seq.spawn(1)[0]))
         verdicts.append(v.verdict)
         errs.append(abs(purities[-1] - exact))
-    return {"errors": errs, "purities": purities, "verdicts": verdicts,
-            "exact": exact}
+    return {"error": errs, "purity": purities, "verdict": verdicts, "exact": exact}
 
 
 _TRIAL_WORKERS = {
@@ -315,31 +320,23 @@ def run_experiment(cfg: ExperimentConfig,
     else:
         worker = _TRIAL_WORKERS[cfg.experiment]
         seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-        if cfg.max_workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(cfg.max_workers) as ex:
+        workers = min(cfg.max_workers, cfg.trials)
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(workers) as ex:
                 outs = list(ex.map(worker, [cfg] * cfg.trials, seqs))
         else:
             outs = [worker(cfg, s) for s in seqs]
-        errors = np.array([o["errors"] for o in outs])
+        table = [{"trial": t, "m": m,
+                  **{k: v[i] if isinstance(v, list) else v for k, v in o.items()}}
+                 for t, o in enumerate(outs) for i, m in enumerate(cfg.grid)]
+        errors = np.array([o["error"] for o in outs])
         fits = [_safe_fit(cfg.grid, row) for row in errors]
         exps = tuple(b for b, _ in fits)
         r2s = tuple(r for _, r in fits)
         finite = [b for b in exps if not math.isnan(b)]
-        table = []
-        for t, o in enumerate(outs):
-            for i, m in enumerate(cfg.grid):
-                row = {"trial": t, "m": m, "error": o["errors"][i]}
-                if "errors_shadow" in o:
-                    row["error_shadow_input"] = o["errors_shadow"][i]
-                if "purities" in o:
-                    row["purity"] = o["purities"][i]
-                    row["verdict"] = o["verdicts"][i]
-                if "exact" in o:
-                    row["exact"] = o["exact"]
-                table.append(row)
         extra = {}
-        if cfg.experiment == "output-state-convergence":
-            shadow_errs = np.array([o["errors_shadow"] for o in outs])
+        if "error_shadow_input" in outs[0]:
+            shadow_errs = np.array([o["error_shadow_input"] for o in outs])
             sfits = [_safe_fit(cfg.grid, row) for row in shadow_errs]
             extra["shadow_input_errors"] = shadow_errs
             extra["shadow_input_exponents"] = tuple(b for b, _ in sfits)

@@ -216,9 +216,15 @@ def test_exit_code_infeasible(tmp_path, capsys):
 
 
 def test_exit_code_infeasible_experiment(capsys):
-    code = main(["experiment", "--experiment", "unitarity", "--qubits", "4",
-                 "--grid", "50,100", "--trials", "1"])
-    assert code == 3
+    # unitarity past its purity cap; a random full-rank channel on 3 qubits,
+    # which dilates past the register cap, named by a seeded spec or redrawn
+    for argv in (["--experiment", "unitarity", "--qubits", "4"],
+                 ["--experiment", "choi-convergence", "--qubits", "3",
+                  "--channel", "random-full-rank:7"],
+                 ["--experiment", "choi-convergence", "--qubits", "3",
+                  "--channel", "random-full-rank"]):
+        code = main(["experiment", *argv, "--grid", "50,100", "--trials", "1"])
+        assert code == 3, argv
 
 
 @pytest.mark.parametrize("argv", [

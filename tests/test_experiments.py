@@ -1,5 +1,6 @@
 """Experiment harness: convergence studies, power-law fits, result files."""
 
+import concurrent.futures
 import json
 import math
 
@@ -144,6 +145,15 @@ def test_correlator_experiment_runs():
     cfg = ExperimentConfig(experiment="correlator-convergence", **SMALL)
     res = run_experiment(cfg)
     assert res.errors.shape == (2, 3)
+    assert np.asarray(res.extra["shadow_input_errors"]).shape == res.errors.shape
+    assert len(res.extra["shadow_input_exponents"]) == 2
+
+
+def test_correlator_shadow_input_errors_shrink_with_m():
+    cfg = ExperimentConfig(experiment="correlator-convergence", n_qubits=1,
+                           grid=(100, 10000), trials=3, seed=2)
+    mean = run_experiment(cfg).extra["shadow_input_errors"].mean(axis=0)
+    assert mean[-1] < mean[0]
 
 
 def test_composed_experiment_runs():
@@ -204,6 +214,29 @@ def test_parallel_matches_sequential():
     assert np.array_equal(seq.errors, par.errors)
 
 
+@pytest.mark.parametrize("trials, built", [(2, [2]), (1, [])])
+def test_worker_pool_never_outnumbers_the_trials(monkeypatch, trials, built):
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    run_experiment(ExperimentConfig(experiment="choi-convergence", n_qubits=1,
+                                    grid=(20, 40), trials=trials, max_workers=64))
+    assert sizes == built
+
+
 def test_infeasible_configurations():
     with pytest.raises(InfeasibleError):
         run_experiment(ExperimentConfig(experiment="choi-convergence", n_qubits=7,
@@ -226,6 +259,19 @@ def test_write_result_files(tmp_path):
     assert manifest["config"]["experiment"] == "choi-convergence"
     assert "exponents" in manifest
     assert (tmp_path / "results.dat").exists()
+
+
+@pytest.mark.parametrize("experiment, header", [
+    ("choi-convergence", "trial,m,error"),
+    ("output-state-convergence", "trial,m,error,error_shadow_input"),
+    ("correlator-convergence", "trial,m,error,error_shadow_input,exact"),
+    ("composed-correlator", "trial,m,error,exact"),
+    ("unitarity", "trial,m,error,purity,verdict,exact"),
+])
+def test_results_csv_header(tmp_path, experiment, header):
+    run_experiment(ExperimentConfig(experiment=experiment, n_qubits=1, grid=(20, 60),
+                                    trials=1, seed=3), out_dir=tmp_path)
+    assert (tmp_path / "results.csv").read_text().splitlines()[0] == header
 
 
 def test_result_files_byte_deterministic(tmp_path):

@@ -19,14 +19,10 @@ ALLOWED = {
     "verify_moment_bound": "the second-moment diagnostic that ACCEPTANCE 09 runs",
     "shadow_norm_bruteforce": "the exact shadow norm that the f bounds are tested against",
     "pair_weight": "ACCEPTANCE 06 checks the paper's five-case weight table through it",
-    "multitime_correlator_shadow_input": "the paper's estimator for a channel applied "
-                                         "to a state shadow",
 }
 
 ALLOWED_OPTIONS = {
     ("estimate_observable", "n_groups"): "the paper's median-of-means estimator",
-    ("multitime_correlator_shadow_input", "n_groups"): "the paper's median-of-means "
-                                                       "estimator",
 }
 
 
