@@ -53,8 +53,10 @@ def f_value(op, ensemble: str, support: int | None = None) -> float:
             raise ValueError(f"support {support} outside [0, {n}]")
         return float(4**support) * operator_norm(mat) ** 2
     if ensemble == CLIFFORD_ENSEMBLE:
-        mat = op.matrix if isinstance(op, PauliString) else np.asarray(op, dtype=complex)
-        return operator_norm(s_operator(mat))
+        if isinstance(op, PauliString):  # s_operator is 2(d+2) I, or 2(2d^2+3d+2) I for I
+            d = 2**op.n_qubits
+            return float(2 * (d + 2) if op.support else 2 * (2 * d**2 + 3 * d + 2))
+        return operator_norm(s_operator(np.asarray(op, dtype=complex)))
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
@@ -126,7 +128,7 @@ def sample_budget(q: ComplexityQuery) -> ComplexityAnswer:
     N = ceil(34/eps^2 * 4^n * max_l,j f_in(rho_l) f_out(O_j)).  State
     mode (no input states): same K with L = 1 and
     N = ceil(34/eps^2 * max_j f(O_j)), reported both for the raw
-    observables and for their traceless shifts.
+    observables and for their traceless shifts; PauliStrings need no matrix.
     """
     m_obs = len(q.observables)
     l_states = max(1, len(q.input_states))
@@ -144,10 +146,10 @@ def sample_budget(q: ComplexityQuery) -> ComplexityAnswer:
     shifted = []
     for entry in q.observables:
         op, sup = _normalize_op(entry)
-        mat = op.matrix if isinstance(op, PauliString) else op
-        shift = mat - np.trace(mat) / d * np.eye(d)
-        sup_s = op.support if isinstance(op, PauliString) else sup
-        shifted.append(f_value(shift, q.ensemble_out, sup_s))
+        if isinstance(op, PauliString):  # traceless, or the all-I string, whose shift is 0
+            shifted.append(f_value(op, q.ensemble_out) if op.support else 0.0)
+        else:
+            shifted.append(f_value(op - np.trace(op) / d * np.eye(d), q.ensemble_out, sup))
     table = np.asarray(f_out)[None, :]
     n_raw = _ceil(34.0 / q.epsilon**2 * max(f_out))
     n_shift = _ceil(34.0 / q.epsilon**2 * max(shifted)) if max(shifted) > 0 else 1

@@ -21,9 +21,9 @@ weights to the 16^n Pauli coefficients of the weighted Choi sum, behind
 both the sample mean and the purity U-statistic.  Two-shadow estimators
 contract sample means, not label pairs.
 
-Acquisition has two paths.  Pauli/Pauli rounds come from the exact 36^n
-label table (the Pauli state table of the Choi state) up to
-``_MAX_TABLE_QUBITS`` qubits.  Every other case is one batched
+Acquisition has two paths.  Pauli/Pauli rounds up to ``_MAX_TABLE_QUBITS``
+qubits draw their keys from the Pauli coefficients of the input-transposed
+Choi state (``state_shadows._draw_pauli_keys``).  Every other case is one batched
 simulation, ``_simulate_records``: it draws the input bits and a stack
 of input frames, pushes the prepared vectors through the Kraus
 operators as one contraction, and measures the results in a stack of
@@ -38,12 +38,11 @@ import numpy as np
 
 from .ensembles import PAULI_ENSEMBLE, Frame, frame_unitaries, sample_frames
 from .qcore import Channel, ChoiMatrix, choi_of_channel
-from .state_shadows import (ShadowEstimate, StateSnapshot, _count, _pauli_matrix,
-                            _pauli_vector, _side_values, _simulate, _snapshot_sum,
-                            _unchecked, _y_sign, exact_pauli_snapshot_distribution,
-                            median_of_means, sample_table)
+from .state_shadows import (ShadowEstimate, StateSnapshot, _count, _draw_pauli_keys,
+                            _pauli_matrix, _pauli_vector, _side_values, _simulate,
+                            _snapshot_sum, _unchecked, _y_sign, median_of_means)
 
-# largest register whose Pauli/Pauli records are drawn from the 36^n table
+# largest register whose Pauli/Pauli records come from the 16^n Choi coefficients
 _MAX_TABLE_QUBITS = 4
 
 
@@ -117,20 +116,6 @@ class ProcessShadow:
                                                for (u_in, b_in), (u_out, b_out) in pairs]))
 
 
-def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
-    """Joint probability of raw (input, output) keys for Pauli/Pauli rounds.
-
-    Entry [kin, kout] is Tr[P_kout E(P_kin)] / 18^n: preparation weight
-    1/6^n, output-frame weight 1/3^n, Born probability.  As Tr[Q E(P)] =
-    Tr[(P^T (x) Q) J] for the Choi matrix J, this is the Pauli snapshot
-    table of the state J / 2^n with its input register transposed.
-    """
-    n, d = ch.n_qubits, ch.dim
-    j = choi_of_channel(ch).matrix.reshape(d, d, d, d).transpose(2, 1, 0, 3)
-    table = exact_pauli_snapshot_distribution(j.reshape(d * d, d * d) / d)
-    return table.reshape(6**n, 6**n)
-
-
 def _simulate_records(ch: Channel, m: int, ensemble_in: str, ensemble_out: str,
                       rng: np.random.Generator) -> ProcessShadow:
     """m simulated acquisition rounds, in batches.
@@ -159,18 +144,19 @@ def acquire_process_shadow(ch: Channel, m: int, ensemble_in: str, ensemble_out: 
                            rng: np.random.Generator) -> ProcessShadow:
     """Acquire m i.i.d. records.
 
-    Pauli/Pauli rounds up to ``_MAX_TABLE_QUBITS`` qubits have a finite
-    joint distribution over (frame, outcome) labels, so they are sampled
-    from the exact table in one vectorized draw; every other case runs
-    the batched simulation.
+    Pauli/Pauli rounds up to ``_MAX_TABLE_QUBITS`` qubits draw keys with
+    law Tr[P_kout E(P_kin)] / 18^n, which as Tr[Q E(P)] = Tr[(P^T (x) Q) J]
+    is the Pauli snapshot table of J / 2^n with its input register
+    transposed; every other case runs the batched simulation.
     """
     if _count(m, "m") < 0:
         raise ValueError(f"record count must be non-negative, got {m}")
-    n = ch.n_qubits
+    n, d = ch.n_qubits, ch.dim
     if (ensemble_in == PAULI_ENSEMBLE and ensemble_out == PAULI_ENSEMBLE
             and n <= _MAX_TABLE_QUBITS):
-        table = exact_pauli_record_distribution(ch).reshape(-1)
-        kin, kout = np.divmod(sample_table(table, m, rng), 6**n)
+        j = choi_of_channel(ch).matrix.reshape(d, d, d, d).transpose(2, 1, 0, 3)
+        coeffs = np.real(_pauli_vector(j.reshape(1, d * d, d * d) / d, 2 * n))[0]
+        kin, kout = np.divmod(_draw_pauli_keys(coeffs, 2 * n, m, rng), 6**n)
         return ProcessShadow._of(ShadowEstimate(kin, n), ShadowEstimate(kout, n))
     return _simulate_records(ch, m, ensemble_in, ensemble_out, rng)
 

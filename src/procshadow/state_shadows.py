@@ -21,9 +21,9 @@ of O's Pauli vector (``_pauli_vector``) and a weighted sum is one
 ``bincount`` into 4^n coefficients, made dense one qubit at a time
 (``_pauli_matrix``).
 
-Acquisition has two paths.  Pauli snapshots are drawn from the exact
-6^n label table at every register size, computed one qubit at a time
-from ``PROJ1``.  Clifford snapshots come from the batched simulation
+Acquisition has two paths.  Pauli snapshots (and Pauli/Pauli records) are
+drawn from the Pauli coefficients one qubit at a time, by
+``_draw_pauli_keys``.  Clifford snapshots come from the batched simulation
 ``_simulate``, which ``process_shadows`` shares: it samples a stack of
 frames, builds their unitaries, takes the Born rows of the measured
 states in those frames and draws every outcome by an inverse CDF, in
@@ -317,39 +317,51 @@ def materialize_snapshot(s: StateSnapshot) -> np.ndarray:
     return frame_snapshots(tableau[None], [int(s.outcome, 2)])[0]
 
 
-def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:
-    """Exact probability of each snapshot key under random-Pauli acquisition.
-
-    Contracts one qubit at a time: to the 4^n real Pauli coefficients
-    Tr[sigma_s rho], then through ``_PROJ1_PAULI``, one slice per key of
-    the last qubit so that no temporary comes near the table's size.
-    """
-    n = n_qubits_of(rho)
-    coeffs = np.real(_pauli_vector(np.asarray(rho)[None], n)).reshape(-1, 4)
-    probs = np.empty((6 ** (n - 1), 6))
-    for k in range(6):
-        t = coeffs @ _PROJ1_PAULI[k]
-        for _ in range(n - 1):
-            t = t.reshape(4, -1).T @ _PROJ1_PAULI.T
-        probs[:, k] = t.reshape(-1)
-    np.clip(probs, 0.0, None, out=probs)
-    return np.divide(probs, 3**n, out=probs).reshape(-1)
-
-
-def sample_table(p: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m indices drawn with probabilities proportional to ``p``.
-
-    Gives the draws, and leaves the generator in the state, of
-    ``rng.choice(p.size, size=m, p=p / p.sum())``, without its copy of
-    the table: ``p`` is normalized and then overwritten with its CDF.
-    """
+def _draw_pauli_keys(coeffs: np.ndarray, n: int, m: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """m base-6 keys from the Pauli table of the n-qubit state with real Pauli
+    coefficients ``coeffs``, by inverse CDF: a q-qubit key prefix has probability
+    (its digits' ``_PROJ1_PAULI`` rows . the coefficients that are I elsewhere)
+    / 3^q.  The draws of one ``rng.random(m)`` in a prefix table are those of
+    ``rng.choice`` when it is whole (n <= 6 or 6^n <= m); below it the sorted
+    uniforms descend one qubit at a time, contracting drawn children only."""
+    t = coeffs.reshape(-1, 1)  # (4^undrawn qubits, 6^prefix), prefix digits last
+    depth = 0
+    # a level of at most 2^16 coefficients costs less to build than the descent
+    while depth < n and (6 ** (depth + 1) <= m or t.size * 6 // 4 <= 2**16):
+        t = t.reshape(4, -1).T @ _PROJ1_PAULI.T
+        depth += 1
+    t = t.reshape(4 ** (n - depth), 6**depth)
+    p = np.clip(t[0], 0.0, None) / 3**depth
     total = p.sum()
-    if not (np.isfinite(total) and total > 0) or p.min() < 0:
-        raise ValueError("table weights must be non-negative with a positive finite sum")
-    p /= total
-    cdf = np.cumsum(p, out=p)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(m), side="right")
+    if not (np.isfinite(total) and total > 0 and np.isfinite(coeffs).all()):
+        raise ValueError("snapshot weights must be finite with a positive finite sum")
+    cdf = np.cumsum(np.divide(p, total, out=p), out=p)
+    scale = cdf[-1]
+    cdf /= scale
+    u = rng.random(m)
+    if depth == n:
+        return cdf.searchsorted(u, side="right")
+    order = np.argsort(u)
+    keys = np.empty(m, dtype=np.int64)
+    step = max(1, 2**18 // len(t))  # each chunk's rows hold about 2^18 coefficients
+    for idx in np.split(order, range(step, m, step)):
+        uc = u[idx]
+        key = cdf.searchsorted(uc, side="right")
+        new = np.diff(key, prepend=-1) != 0  # sorted: one row per drawn prefix
+        run, rows, lower = np.cumsum(new) - 1, t[:, key[new]].T, np.r_[0.0, cdf][key]
+        for q in range(depth, n):  # rows: 4^(n-q) coefficients per drawn prefix
+            rows = rows.reshape(len(rows), 4, 4 ** (n - q - 1))
+            w = np.clip(rows[:, :, 0] @ _PROJ1_PAULI.T, 0.0, None) / 3 ** (q + 1) / total
+            bounds = lower[:, None] + (np.cumsum(w, axis=1) / scale)[run]
+            last = 5 - np.argmax(w[:, ::-1] > 0, axis=1)  # past it: a rounding gap
+            child = np.minimum((bounds <= uc[:, None]).sum(axis=1), last[run])
+            lower = np.where(child > 0, bounds[np.arange(len(uc)), child - 1], lower)
+            key = 6 * key + child
+            rows = np.einsum("rs,rsx->rx", _PROJ1_PAULI[child], rows[run])
+            run = np.arange(len(uc))
+        keys[idx] = key
+    return keys
 
 
 def _simulate(n: int, m: int, ensemble: str, rng: np.random.Generator,
@@ -384,9 +396,9 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
                    rng: np.random.Generator) -> ShadowEstimate:
     """Acquire m i.i.d. snapshots of a state.
 
-    The Pauli ensemble is sampled from the exact 6^n-entry distribution
-    of (frame, outcome), n <= MAX_QUBITS; the Clifford ensemble runs the
-    batched simulation on the eigen-decomposition of rho.
+    The Pauli ensemble draws its (frame, outcome) keys from rho's Pauli
+    coefficients with ``_draw_pauli_keys``; the Clifford ensemble runs
+    the batched simulation on the eigen-decomposition of rho.
     """
     n = n_qubits_of(rho)
     check_register(n)
@@ -394,8 +406,8 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     if _count(m, "m") < 0:
         raise ValueError(f"record count must be non-negative, got {m}")
     if ensemble == PAULI_ENSEMBLE:
-        table = exact_pauli_snapshot_distribution(rho)
-        return ShadowEstimate(sample_table(table, m, rng), n)
+        coeffs = np.real(_pauli_vector(np.asarray(rho)[None], n))[0]
+        return ShadowEstimate(_draw_pauli_keys(coeffs, n, m, rng), n)
     lam, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
     keep = lam > 0
     amps = (vecs[:, keep] * np.sqrt(lam[keep])).T

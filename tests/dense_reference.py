@@ -7,8 +7,9 @@ aggregation code with the Pauli-coefficient estimators they check.
 import numpy as np
 
 from procshadow.ensembles import AXES, PauliFrame, frame_unitaries
-from procshadow.qcore import ChoiMatrix
-from procshadow.state_shadows import TAU1, ShadowEstimate, StateSnapshot, materialize_snapshot
+from procshadow.qcore import Channel, ChoiMatrix, choi_of_channel, n_qubits_of
+from procshadow.state_shadows import (TAU1, _PROJ1_PAULI, ShadowEstimate, StateSnapshot,
+                                      _pauli_vector, materialize_snapshot)
 
 
 def frame_unitary(frame):
@@ -22,6 +23,59 @@ def frame_unitary(frame):
 def born_probabilities(u, rho):
     """<b|U rho U^dag|b> for every outcome b: rho measured in the frame U."""
     return np.real(np.einsum("bi,ij,bj->b", u, np.asarray(rho, dtype=complex), u.conj()))
+
+
+def exact_pauli_snapshot_distribution(rho: np.ndarray) -> np.ndarray:
+    """Exact probability of each snapshot key under random-Pauli acquisition.
+
+    Contracts one qubit at a time: to the 4^n real Pauli coefficients
+    Tr[sigma_s rho], then through ``_PROJ1_PAULI``, one slice per key of
+    the last qubit so that no temporary comes near the table's size.
+    """
+    n = n_qubits_of(rho)
+    coeffs = np.real(_pauli_vector(np.asarray(rho)[None], n)).reshape(-1, 4)
+    probs = np.empty((6 ** (n - 1), 6))
+    for k in range(6):
+        t = coeffs @ _PROJ1_PAULI[k]
+        for _ in range(n - 1):
+            t = t.reshape(4, -1).T @ _PROJ1_PAULI.T
+        probs[:, k] = t.reshape(-1)
+    np.clip(probs, 0.0, None, out=probs)
+    return np.divide(probs, 3**n, out=probs).reshape(-1)
+
+
+def check_table_draws(draws, p, u):
+    """Assert that ``draws`` are the inverse-CDF draws of the uniforms ``u``
+    over the table ``p`` as ``rng.choice(p.size, p=p / p.sum())`` makes
+    them (the running sum of p / p.sum() over its last entry, searched
+    from the right), up to the rounding of that CDF.
+
+    The running sum of p.size terms may place a step up to p.size ulps
+    away from the exact one, so a draw whose uniform lies that close to a
+    step may differ: then it must be a label of positive probability
+    whose own interval holds the uniform, to that rounding.
+    """
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    moved = np.flatnonzero(draws != cdf.searchsorted(u, side="right"))
+    k, tol = draws[moved], p.size * np.finfo(float).eps
+    assert np.all(p[k] > 0), "a label of probability zero was drawn"
+    assert np.all((np.r_[0.0, cdf][k] - tol <= u[moved]) & (u[moved] < cdf[k] + tol)), \
+        "a draw differs from rng.choice beyond the rounding of the CDF"
+
+
+def exact_pauli_record_distribution(ch: Channel) -> np.ndarray:
+    """Joint probability of raw (input, output) keys for Pauli/Pauli rounds.
+
+    Entry [kin, kout] is Tr[P_kout E(P_kin)] / 18^n: preparation weight
+    1/6^n, output-frame weight 1/3^n, Born probability.  As Tr[Q E(P)] =
+    Tr[(P^T (x) Q) J] for the Choi matrix J, this is the Pauli snapshot
+    table of the state J / 2^n with its input register transposed.
+    """
+    n, d = ch.n_qubits, ch.dim
+    j = choi_of_channel(ch).matrix.reshape(d, d, d, d).transpose(2, 1, 0, 3)
+    table = exact_pauli_snapshot_distribution(j.reshape(d * d, d * d) / d)
+    return table.reshape(6**n, 6**n)
 
 
 def materialize_choi_shadow(r):

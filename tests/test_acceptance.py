@@ -24,7 +24,7 @@ from procshadow.complexity import (
     sample_budget,
     verify_moment_bound,
 )
-from dense_reference import born_probabilities, channel_of_choi
+from dense_reference import born_probabilities, channel_of_choi, exact_pauli_snapshot_distribution
 from procshadow.ensembles import enumerate_clifford_group, frame_unitaries
 from procshadow.experiments import ExperimentConfig, fit_power_law, run_experiment, write_result_files
 from procshadow.process_shadows import (
@@ -41,12 +41,7 @@ from procshadow.qcore import (
 )
 from procshadow.records_io import save_records
 from procshadow.shadow_algebra import pair_weight, weight_sign_statistics
-from procshadow.state_shadows import (
-    exact_pauli_snapshot_distribution,
-    TAU1,
-    inverse_map_clifford,
-    qubit_key,
-)
+from procshadow.state_shadows import TAU1, inverse_map_clifford, qubit_key
 
 
 def _verdict(num, desc, ok, detail=""):

@@ -1,5 +1,8 @@
 """Sample-budget planning and variance bounds."""
 
+import math
+import time
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -89,6 +92,33 @@ def test_sample_budget_state_mode():
     assert a.n_per_group == 13600  # 34/eps^2 * f with f = 4
     # Z is already traceless so the shifted budget is unchanged
     assert a.state_budget_shifted == 13600
+
+
+@pytest.mark.parametrize("letters", ["I", "Z", "II", "XY", "III", "IZI", "XYZ"])
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_pauli_string_budget_matches_its_dense_matrix(letters, ensemble):
+    """A PauliString's closed forms (its Clifford f, its traceless shift in
+    state mode) give the budget of the same operator as a dense matrix."""
+    p = PauliString(letters)
+    closed, dense = (sample_budget(ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=p.n_qubits,
+                                                   observables=(obs,), ensemble_out=ensemble))
+                     for obs in (p, (p.matrix, p.support)))
+    assert closed.f_out == pytest.approx(dense.f_out, rel=1e-12)
+    assert (closed.n_per_group, closed.state_budget_shifted) == (
+        dense.n_per_group, dense.state_budget_shifted)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_state_budget_of_a_pauli_string_builds_no_matrix(ensemble):
+    """At n=16 a dense observable would have 2^32 entries."""
+    start = time.perf_counter()
+    a = sample_budget(ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=16,
+                                      observables=(PauliString("Z" + "I" * 15),),
+                                      ensemble_out=ensemble))
+    assert time.perf_counter() - start < 1.0
+    f = 4.0 if ensemble == "pauli" else 2.0 * (2**16 + 2)
+    assert a.f_out == (f,)
+    assert a.n_per_group == a.state_budget_shifted == math.ceil(34 / 0.1**2 * f)
 
 
 def test_sample_budget_traceless_shift_helps():

@@ -6,7 +6,9 @@ import pytest
 
 from dense_reference import (
     born_probabilities,
+    check_table_draws,
     choi_mean_from_histogram,
+    exact_pauli_record_distribution,
     frame_unitary,
     materialize_choi_shadow,
 )
@@ -18,7 +20,6 @@ from procshadow.process_shadows import (
     acquire_process_shadow,
     estimate_channel_functional,
     estimate_output_state,
-    exact_pauli_record_distribution,
     reconstruct_choi,
     single_shot_functional_values,
     verify_bin_independence,
@@ -126,6 +127,34 @@ def test_exhaustive_average_is_normalized_choi(channel, n):
     avg = choi_mean_from_histogram(dist, n)
     target = choi_of_channel(ch).matrix / 2**n
     assert la.norm(avg - target) < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["random-unitary:3", "amplitude-damping:0.3",
+                                  "depolarizing:0.2", "identity"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_records_match_rng_choice_over_exact_table(spec, n):
+    """Pauli/Pauli acquisition draws the (input, output) keys that rng.choice
+    draws over the exact 36^n table, up to the rounding of its CDF, and
+    leaves the generator in the same state: over the whole table, and at
+    n=4 below 36^n records, where the draws descend one qubit at a time
+    from a partial prefix table."""
+    ch = channel_from_spec(spec, n)
+    p = exact_pauli_record_distribution(ch).reshape(-1)
+    for m in (0, 1, 7, 36**n - 1, 36**n, 2000):
+        rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+        ps = acquire_process_shadow(ch, m, "pauli", "pauli", rng)
+        check_table_draws(ps.side_in.labels * 6**n + ps.side_out.labels, p, ref_rng.random(m))
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("name", ["identity", "hadamard"])
+def test_pauli_records_never_draw_zero_probability_labels(name):
+    """Below the full table, no draw lands on an (input, output) pair of
+    probability zero: the zero-width CDF steps that these channels have
+    in most rows are skipped."""
+    ch = named_channel(name, 4)
+    ps = acquire_process_shadow(ch, 5000, "pauli", "pauli", np.random.default_rng(9))
+    assert np.all(exact_pauli_record_distribution(ch)[ps.side_in.labels, ps.side_out.labels] > 0)
 
 
 def test_histogram_mean_matches_snapshot_mean(rng):

@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from dense_reference import (
     channel_of_choi,
     choi_mean_from_histogram,
+    exact_pauli_record_distribution,
+    exact_pauli_snapshot_distribution,
     key_matrices,
     materialize_choi_shadow,
     side_matrices,
 )
 from procshadow.channels import named_channel, random_unitary_channel
-from procshadow.process_shadows import (
-    acquire_process_shadow,
-    exact_pauli_record_distribution,
-    reconstruct_choi,
-)
+from procshadow.process_shadows import acquire_process_shadow, reconstruct_choi
 from procshadow.qcore import (
     Channel,
     apply_channel,
@@ -41,7 +39,6 @@ from procshadow.state_shadows import (
     acquire_shadow,
     TAU1,
     _pauli_vector,
-    exact_pauli_snapshot_distribution,
     materialize_snapshot,
     qubit_key,
     reconstruct,

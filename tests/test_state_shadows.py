@@ -1,12 +1,16 @@
 """Single-state shadow estimation: snapshots, inverse maps, reconstruction."""
 
+import functools
+import math
+
 import numpy as np
 import numpy.linalg as la
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_reference import born_probabilities, frame_unitary, inverse_map_pauli
+from dense_reference import (born_probabilities, check_table_draws,
+                             exact_pauli_snapshot_distribution, frame_unitary, inverse_map_pauli)
 from procshadow import state_shadows as shad
 from procshadow.ensembles import PauliFrame, enumerate_clifford_group, frame_unitaries
 from procshadow.qcore import InfeasibleError, PauliString, basis_projector, random_density_matrix
@@ -17,7 +21,6 @@ from procshadow.state_shadows import (
     StateSnapshot,
     acquire_shadow,
     estimate_observable,
-    exact_pauli_snapshot_distribution,
     inverse_map_clifford,
     inverse_map_pauli_factorwise,
     materialize_snapshot,
@@ -317,22 +320,64 @@ def test_snapshot_rejects_outcomes_that_are_not_str(outcome):
 
 @pytest.mark.parametrize("size,m", [(1, 5), (6, 1000), (36, 0), (1296, 777)])
 def test_sample_table_matches_rng_choice(size, m):
-    """Same draws, and the same generator state after, as rng.choice."""
-    p = np.random.default_rng(size).random(size) * 3.0
-    p[::5] = 0.0
-    if not p.any():
-        p[0] = 1.0
+    """The label sampler on the table of a random state on log6(size)
+    qubits (size 1 is the empty register, one label): the same draws, and
+    the same generator state after, as rng.choice over the exact table."""
+    n = round(math.log(size, 6))
+    rho = random_density_matrix(n, np.random.default_rng(size))
+    p = exact_pauli_snapshot_distribution(rho) if n else np.ones(1)
     ref_rng, rng = np.random.default_rng(40 + m), np.random.default_rng(40 + m)
     expected = ref_rng.choice(size, size=m, p=p / p.sum())
-    draws = shad.sample_table(p.copy(), m, rng)
+    draws = shad._draw_pauli_keys(np.real(shad._pauli_vector(rho[None], n))[0], n, m, rng)
     assert np.array_equal(draws, expected)
     assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_snapshots_match_rng_choice_over_exact_table(n):
+    """Pauli acquisition draws the keys that rng.choice draws over the exact
+    6^n table, up to the rounding of its CDF, and leaves the generator in
+    the same state."""
+    rho = random_density_matrix(n, np.random.default_rng(n))
+    p = exact_pauli_snapshot_distribution(rho)
+    for m in (0, 1, 7, 6**n - 1, 6**n, 2000):
+        rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+        check_table_draws(acquire_shadow(rho, m, "pauli", rng).labels, p, ref_rng.random(m))
+        assert rng.random() == ref_rng.random()
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose ``random(m)`` gives the m uniforms ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, m):
+        assert m == self.u.size
+        return self.u
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_draws_near_one_skip_trailing_zero_probability_labels(n):
+    """On |0...0> the key digit Z1 has probability zero on every qubit, so
+    every prefix ends in a zero-width child.  Uniforms within 200 ulps of 1
+    lie in the last interval, all digits Z0, also where the rounded sum of
+    a prefix's children falls short of the prefix."""
+    coeffs = functools.reduce(np.kron, [np.array([1.0, 0.0, 0.0, 1.0])] * n)
+    u = 1 - np.arange(1, 200) * 2.0**-53
+    keys = shad._draw_pauli_keys(coeffs, n, u.size, _FixedUniforms(u))
+    assert np.all(shad._digits(keys, n) == qubit_key("Z", 0))
+
+
+@pytest.mark.parametrize("bad", [[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                                 [np.inf, 0.0, 0.0, 0.0], np.r_[1.0, np.zeros(4**8 - 2), np.nan]])
 def test_sample_table_rejects_invalid_weights(rng, bad):
-    with pytest.raises(ValueError, match="table weights"):
-        shad.sample_table(np.array(bad), 3, rng)
+    """Pauli coefficients whose table has no positive finite mass (a negative
+    or zero trace, an infinite one), or a NaN on a qubit that the first
+    draw does not reach, are refused."""
+    coeffs = np.array(bad)
+    with pytest.raises(ValueError, match="positive finite sum"):
+        shad._draw_pauli_keys(coeffs, round(math.log(coeffs.size, 4)), 3, rng)
 
 
 def test_clifford_snapshots_match_exact_born_distribution(chi_square):
