@@ -26,11 +26,11 @@ import numpy as np
 
 from .applications import transition_probability, unitarity_verdict
 from .channels import channel_from_spec, compose_channels
-from .complexity import ComplexityQuery, sample_budget
+from .complexity import ComplexityQuery, PureInput, sample_budget
 from .experiments import (MAX_RECORDS, ConfigError, ExperimentConfig,
                           InfeasibleError, run_experiment, write_result_files)
 from .process_shadows import acquire_process_shadow, reconstruct_choi
-from .qcore import PauliString, basis_projector, choi_of_channel, operator_norm
+from .qcore import PauliString, choi_of_channel, operator_norm
 from .records_io import load_header, load_records, save_records
 from .shadow_algebra import compose_process_shadows
 
@@ -45,6 +45,11 @@ def _add_common(p: argparse.ArgumentParser, func, *, seed: bool, records: bool) 
     p.add_argument("--config", default=None,
                    help="JSON object of flag values; flags typed here win")
     p.set_defaults(parser=p, func=func)
+
+
+def _add_ensembles(p: argparse.ArgumentParser, default) -> None:
+    for side in ("in", "out"):
+        p.add_argument(f"--ensemble-{side}", default=default, choices=["pauli", "clifford"])
 
 
 def _config_argv(parser: argparse.ArgumentParser, path) -> list[str]:
@@ -164,13 +169,9 @@ def _cmd_budget(args) -> int:
     q = ComplexityQuery(epsilon=args.epsilon, delta=args.delta,
                         n_qubits=args.qubits, observables=observables,
                         ensemble_in=args.ensemble_in, ensemble_out=args.ensemble_out)
-    if args.state_supports:
-        # each entry is the support count of a pure input state; the
-        # budget only sees the support count and the (unit) norm, so a
-        # basis projector on the checked register stands in for the state
-        placeholder = basis_projector("0" * q.n_qubits)
+    if args.state_supports:  # each entry is the support count of a pure input state
         q = dataclasses.replace(q, input_states=tuple(
-            (placeholder, int(s)) for s in args.state_supports.split(",")))
+            PureInput(q.n_qubits, int(s)) for s in args.state_supports.split(",")))
     ans = sample_budget(q)
     print(f"k_groups = {ans.k_groups}")
     print(f"n_per_group = {ans.n_per_group}")
@@ -215,10 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel spec, e.g. depolarizing:0.3")
     p.add_argument("--qubits", type=int, default=None)
     p.add_argument("--m", type=int, default=None, help="number of records")
-    p.add_argument("--ensemble-in", default="pauli",
-                   choices=["pauli", "clifford"])
-    p.add_argument("--ensemble-out", default="pauli",
-                   choices=["pauli", "clifford"])
+    _add_ensembles(p, "pauli")
     _add_common(p, _cmd_acquire, seed=True, records=True)
 
     p = sub.add_parser("reconstruct", help="average records into a Choi matrix")
@@ -255,10 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated Pauli strings, e.g. 'ZI,XX'")
     p.add_argument("--state-supports", default=None,
                    help="comma-separated support counts of unit-norm inputs")
-    p.add_argument("--ensemble-in", default="pauli",
-                   choices=["pauli", "clifford"])
-    p.add_argument("--ensemble-out", default="pauli",
-                   choices=["pauli", "clifford"])
+    _add_ensembles(p, "pauli")
     _add_common(p, _cmd_budget, seed=False, records=False)
 
     p = sub.add_parser("experiment", help="run a convergence experiment")
@@ -266,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment name (required, here or in --config)")
     p.add_argument("--qubits", dest="n_qubits", type=int, default=None)
     p.add_argument("--channel", default=None)
-    p.add_argument("--ensemble-in", default=None, choices=["pauli", "clifford"])
-    p.add_argument("--ensemble-out", default=None, choices=["pauli", "clifford"])
+    _add_ensembles(p, None)  # the config or ExperimentConfig's defaults fill them
     p.add_argument("--grid", default=None,
                    help="comma-separated sample counts")
     p.add_argument("--trials", type=int, default=None)

@@ -32,17 +32,29 @@ def s_operator(o: np.ndarray) -> np.ndarray:
     return 2.0 * ((2.0 * tr**2 + tr2) * np.eye(d) + 2.0 * tr * o + 2.0 * (o @ o))
 
 
+@dataclass(frozen=True)
+class PureInput:
+    """A unit-norm pure input state, of which f needs only the support count."""
+
+    n_qubits: int
+    support: int
+
+    def __post_init__(self):
+        if not 0 <= self.support <= self.n_qubits:
+            raise ValueError(f"support {self.support} outside [0, {self.n_qubits}]")
+
+
 def f_value(op, ensemble: str, support: int | None = None) -> float:
     """Variance proxy of one operator under one measurement ensemble.
 
     Pauli ensembles weigh an operator by 4^support * norm^2, so the
-    support (number of nontrivial sites) must be known: it is read off
-    a PauliString, while a dense operator needs an explicit ``support``
-    count.  Clifford ensembles use the spectral norm of s_operator.
+    support (number of nontrivial sites) must be known: it is read off a
+    PauliString or PureInput, while a dense operator needs an explicit
+    ``support`` count.  Clifford ensembles use the spectral norm of s_operator.
     """
     if ensemble == PAULI_ENSEMBLE:
-        if isinstance(op, PauliString):
-            return float(4**op.support)  # Pauli strings have unit norm
+        if isinstance(op, (PauliString, PureInput)):
+            return float(4**op.support)  # both have unit norm
         if support is None:
             raise ValueError(
                 "dense operator under a Pauli ensemble needs a declared "
@@ -53,6 +65,8 @@ def f_value(op, ensemble: str, support: int | None = None) -> float:
             raise ValueError(f"support {support} outside [0, {n}]")
         return float(4**support) * operator_norm(mat) ** 2
     if ensemble == CLIFFORD_ENSEMBLE:
+        if isinstance(op, PureInput):  # s_operator of a rank-1 projector is 2(3I + 4 rho)
+            return 14.0
         if isinstance(op, PauliString):  # s_operator is 2(d+2) I, or 2(2d^2+3d+2) I for I
             d = 2**op.n_qubits
             return float(2 * (d + 2) if op.support else 2 * (2 * d**2 + 3 * d + 2))
@@ -65,8 +79,8 @@ class ComplexityQuery:
     """Inputs of a budget request.
 
     ``observables`` entries are PauliStrings or (matrix, support) pairs;
-    ``input_states`` entries are (matrix, support) pairs or bare
-    matrices when the ensemble does not need a support count.  An empty
+    ``input_states`` entries are PureInputs, (matrix, support) pairs or
+    bare matrices when the ensemble does not need a support count.  An empty
     ``input_states`` list requests the state-tomography budget instead
     of the process budget.  Every operator must act on ``n_qubits``
     qubits, and ``n_qubits`` must be at least 1.
@@ -89,7 +103,7 @@ class ComplexityQuery:
             raise ValueError(f"need at least one qubit, got n_qubits={self.n_qubits}")
         for entry in (*self.observables, *self.input_states):
             op, _ = _normalize_op(entry)
-            size = op.n_qubits if isinstance(op, PauliString) else n_qubits_of(op)
+            size = op.n_qubits if isinstance(op, (PauliString, PureInput)) else n_qubits_of(op)
             if size != self.n_qubits:
                 raise ValueError(f"operator on {size} qubits does not match "
                                  f"n_qubits={self.n_qubits}")
@@ -114,7 +128,7 @@ def _ceil(x: float) -> int:
 
 
 def _normalize_op(entry):
-    if isinstance(entry, PauliString):
+    if isinstance(entry, (PauliString, PureInput)):
         return entry, None
     if isinstance(entry, tuple) and len(entry) == 2:
         return np.asarray(entry[0], dtype=complex), int(entry[1])

@@ -177,8 +177,7 @@ def _acquire(ch: Channel, cfg: ExperimentConfig, rng) -> ProcessShadow:
 
 def _correlator_fixture(n: int):
     """The two-time fixture: |+><+| on qubit 0, maximally mixed elsewhere."""
-    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    rho = plus
+    rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     for _ in range(n - 1):
         rho = np.kron(rho, np.eye(2) / 2)
     op = PauliString("X" + "I" * (n - 1))

@@ -17,16 +17,16 @@ every line's constant bytes and maps its digits through byte tables to
 base-6 Pauli keys and outcome bits; a Pauli/Pauli file takes no Python
 object per record.  A Clifford side's texts are deduplicated in
 first-appearance order, matched once each against the canonical form,
-parsed together and validated as one stack, the side's ``frames``; the
-labels and stack equal those of ``ShadowEstimate.encode``.  Lines may
+parsed together and validated as one stack.  The label codec is
+``ShadowEstimate``'s: loading encodes each side with ``of_stack``, and
+saving renders it from ``distinct()``; this module knows only the JSON
+layout and the integer form of a tableau row.  Lines may
 end in CRLF.  Any other line (other spacing or key order, escapes,
 extra fields) is decoded as JSON, its known fields are rendered
 canonically, and the result goes through the same reader; blank lines
 are skipped.  When a line still fails, the file is checked again record
 by record, which names the first offending line from the JSON fields
-alone.  Saving renders each side's distinct labels once, from the base-6
-digits or the tableau stack (its rows become integers in one matrix
-product).  No frame object is built from labels to bytes or back: frame
+alone.  No frame object is built from labels to bytes or back: frame
 objects exist only in the ``records`` and ``snapshots`` views.
 """
 
@@ -40,7 +40,7 @@ import numpy as np
 from .ensembles import AXES, CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, is_symplectic
 from .process_shadows import ProcessShadow
 from .qcore import MAX_QUBITS
-from .state_shadows import ShadowEstimate, _pauli_strings, pauli_keys
+from .state_shadows import ShadowEstimate
 
 FORMAT_TAG = "process-shadow-records"
 FORMAT_VERSION = 1
@@ -98,22 +98,16 @@ def _frame_fields(obj, n: int) -> tuple[str, int]:
 
 
 def _rendered(side: ShadowEstimate) -> list:
-    """(bits JSON, frame JSON) of every snapshot; each distinct label is
-    rendered once, and each distinct tableau once."""
-    uniq, index = np.unique(side.labels, return_inverse=True)
-    n = side.n_qubits
+    """(bits JSON, frame JSON) of every snapshot, from ``side.distinct()``:
+    each distinct label is rendered once, and each used frame once."""
+    index, frames, frame_of, bits = side.distinct()
     if side.frames is None:
-        axes, bits = _pauli_strings(uniq, n)
-        table = [(_dump(bits[i:i + n]), _dump({"kind": PAULI_ENSEMBLE, "axes": axes[i:i + n]}))
-                 for i in range(0, len(axes), n)]
-    else:
-        used, frame_of = np.unique(uniq >> n, return_inverse=True)
-        tableaus = side.frames[used]
-        rows = tableaus[:, :, :-1] @ (1 << np.arange(2 * n))
+        frames = [_dump({"kind": PAULI_ENSEMBLE, "axes": axes}) for axes in frames]
+    else:  # each tableau row becomes one integer, in one matrix product
+        rows = frames[:, :, :-1] @ (1 << np.arange(frames.shape[1]))
         frames = [_dump({"kind": CLIFFORD_ENSEMBLE, "s": r, "p": p})
-                  for r, p in zip(rows.tolist(), tableaus[:, :, -1].tolist())]
-        table = [(_dump(format(k & (2**n - 1), f"0{n}b")), frames[i])
-                 for k, i in zip(uniq.tolist(), frame_of.tolist())]
+                  for r, p in zip(rows.tolist(), frames[:, :, -1].tolist())]
+    table = [(_dump(b), frames[f]) for b, f in zip(bits, frame_of.tolist())]
     return [table[i] for i in index.tolist()]
 
 
@@ -273,20 +267,18 @@ def _scan(body: bytes, n: int, tags):
 
 
 def _encode(tag, frames, outcomes: np.ndarray, n: int) -> ShadowEstimate:
-    """Labels of one side of a scanned body, equal to ``ShadowEstimate.encode``."""
-    if tag == PAULI_ENSEMBLE:
-        return ShadowEstimate(pauli_keys(frames, outcomes), n)
-    idx, texts = frames
-    values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
-                           dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
-    if values.max() >= np.uint64(4**n):  # the sign bits are 0 or 1
-        raise ValueError(f"tableau rows must be integers in [0, {4**n})")
-    values = values.astype(np.int64)
-    stack = np.empty((len(texts), 2 * n, 2 * n + 1), dtype=np.uint8)
-    stack[:, :, :-1] = _symplectic(values[:, 2 * n:], n)
-    stack[:, :, -1] = values[:, :2 * n]
-    return ShadowEstimate((idx << n) | (outcomes @ (1 << np.arange(n - 1, -1, -1))),
-                          n, stack)
+    """Labels of one side of a scanned body, through ``ShadowEstimate.of_stack``:
+    a Clifford side's distinct texts become one tableau stack."""
+    if tag == CLIFFORD_ENSEMBLE:
+        idx, texts = frames
+        values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
+                               dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
+        if values.max() >= np.uint64(4**n):  # the sign bits are 0 or 1
+            raise ValueError(f"tableau rows must be integers in [0, {4**n})")
+        values = values.astype(np.int64)
+        # the bits of each tableau row, then the sign bits as a last column
+        frames = np.dstack((_symplectic(values[:, 2 * n:], n), values[:, :2 * n]))[idx]
+    return ShadowEstimate.of_stack(tag, frames, outcomes @ 2 ** np.arange(n - 1, -1, -1))
 
 
 def _rerendered(line: bytes) -> bytes:
@@ -324,8 +316,7 @@ def _read_body(body: bytes, header: dict) -> tuple[ShadowEstimate, ShadowEstimat
         if not ok.all():
             raise ValueError("a record line is not canonical")
     if not newlines.size:
-        empty = ShadowEstimate(np.empty(0, dtype=np.int64), n)
-        return empty, empty
+        return ShadowEstimate([], n), ShadowEstimate([], n)
     return tuple(_encode(tag, frames, outcomes, n) for tag, frames, outcomes in sides)
 
 

@@ -63,10 +63,11 @@ def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
 class WeightedSnapshotSum:
     """Signed-weighted mean of the per-pair snapshot products of two shadows.
 
-    Holds the Pauli coefficients of the two sample means: ``left`` is the
-    (4^n, 4^n) A of a Choi mean, ``right`` the 4^n v of a state mean
-    (``apply``) or a second A (``compose``).  ``materialize`` multiplies
-    them as transfer matrices (see the module docstring) into the output
+    Built from the Pauli coefficients of the two sample means: ``left`` is
+    the (4^n, 4^n) A of a Choi mean, ``right`` the 4^n v of a state mean
+    (``apply``) or a second A (``compose``).  Their transfer-matrix
+    product (see the module docstring) is taken at once, and only its
+    coefficients are kept; ``materialize`` makes them the dense output
     state or the normalized Choi matrix of the composition.
     """
 
@@ -75,15 +76,13 @@ class WeightedSnapshotSum:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.n_qubits = n_qubits  # register size of the contracted objects
-        self._left, self._right = left, right
+        sign = 4**n_qubits * _y_sign(np.arange(4**n_qubits), n_qubits)  # d^2 s, exact
+        self._coef = ((right * sign) @ left if mode == "apply"
+                      else ((left * sign) @ right).reshape(-1))
 
     def materialize(self) -> np.ndarray:
         """Weighted mean of all terms, as a dense matrix."""
-        n = self.n_qubits
-        sign = 4**n * _y_sign(np.arange(4**n), n)  # d^2 s; the power of 2 scales exactly
-        if self.mode == "apply":
-            return _pauli_matrix((self._right * sign) @ self._left, n)
-        return _pauli_matrix(((self._left * sign) @ self._right).reshape(-1), 2 * n)
+        return _pauli_matrix(self._coef, self.n_qubits * (1 if self.mode == "apply" else 2))
 
 
 def _mean(shadow) -> np.ndarray:

@@ -8,12 +8,12 @@ ensemble: a side that mixes Pauli and Clifford frames is refused.  A
 random-Pauli snapshot factorizes into one 2x2 ``tau`` matrix per qubit
 and is labelled by a compact key: per qubit ``2*axis + bit`` in {0..5}
 with axis order X, Y, Z, and per register the base-6 digits with qubit
-0 most significant.  A
-Clifford snapshot is labelled ``frame_index * 2^n + outcome``, indexing
-the side's stack of distinct tableaus.  Frame objects (``PauliFrame``,
-``CliffordFrame``) exist only in the ``StateSnapshot`` and record views
-that ``ShadowEstimate._decode`` builds; acquisition, estimators and
-record files work on the label arrays and tableau stacks.
+0 most significant.  A Clifford snapshot is labelled ``frame_index *
+2^n + outcome``, indexing the side's stack of distinct tableaus.  The
+label codec is ``ShadowEstimate.of_stack`` and ``.distinct``: every
+label is encoded and decoded there.  Frame objects (``PauliFrame``,
+``CliffordFrame``) exist only in the views that ``._decode`` builds;
+acquisition, estimators and record files work on labels and tableaus.
 
 Estimators work on Pauli coefficients: a snapshot has 2^n nonzero ones
 (``ShadowEstimate.pauli_terms``), so a trace Tr[snapshot O] is a gather
@@ -76,22 +76,9 @@ def register_key(axes: str, bits: str) -> int:
     return k
 
 
-def pauli_keys(axes: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Base-6 keys of (m, n) axis indices and (m, n) outcome bits."""
-    n = axes.shape[1]
-    return (2 * axes + bits) @ 6 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
 def _digits(keys: np.ndarray, n: int) -> np.ndarray:
     """(k, n) base-6 digits of Pauli keys, qubit 0 first."""
     return (keys[:, None] // 6 ** np.arange(n - 1, -1, -1, dtype=np.int64)) % 6
-
-
-def _pauli_strings(keys: np.ndarray, n: int) -> tuple[str, str]:
-    """(axes, bits): the characters of Pauli keys, n per key, through byte tables."""
-    digits = _digits(keys, n)
-    return (np.frombuffer(b"XXYYZZ", dtype=np.uint8)[digits].tobytes().decode(),
-            np.frombuffer(b"010101", dtype=np.uint8)[digits].tobytes().decode())
 
 
 def _pauli_vector(ops: np.ndarray, n: int) -> np.ndarray:
@@ -176,9 +163,12 @@ class ShadowEstimate:
         """Labels of a frame stack (see ``ensembles.sample_frames``) and
         its outcome indices; distinct tableaus are indexed in order of
         first appearance."""
-        if ensemble == PAULI_ENSEMBLE:  # outcome bits with qubit 0 most significant
+        if ensemble == PAULI_ENSEMBLE:  # per qubit 2*axis + bit, qubit 0 most significant
             n = frames.shape[1]
-            return cls(pauli_keys(frames, (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1), n)
+            place = 6 ** np.arange(n - 1, -1, -1)
+            # each outcome index's bits as base-6 digits: one table gather, not m shifts
+            bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) @ place
+            return cls(2 * (frames @ place) + bits[outcomes], n)
         n = frames.shape[1] // 2
         # one byte string per tableau, which sorts faster than rows of bits
         packed = np.packbits(frames.reshape(len(frames), 2 * n * (2 * n + 1)), axis=1)
@@ -220,26 +210,41 @@ class ShadowEstimate:
         """The side's ensemble tag."""
         return PAULI_ENSEMBLE if self.frames is None else CLIFFORD_ENSEMBLE
 
-    def _decode(self, labels) -> list:
+    def distinct(self) -> tuple:
+        """The decoder of ``of_stack``: ``(index, frames, frame_of, bits)``.
+        Snapshot i has the distinct label u = index[i], with outcome bits
+        ``bits[u]`` and frame ``frames[frame_of[u]]``; ``frames`` holds each
+        used frame once: axes strings on a Pauli side, a read-only copy of
+        the used tableaus on a Clifford side."""
+        uniq, index = np.unique(self.labels, return_inverse=True)
         n = self.n_qubits
-        if self.frames is None:
-            axes, bits = _pauli_strings(labels, n)
-            frames = _unchecked(PauliFrame, [(axes[i:i + n],) for i in range(0, len(axes), n)])
-            return list(zip(frames, [bits[i:i + n] for i in range(0, len(bits), n)]))
-        # frames view a read-only copy of the used tableaus
-        used, index = np.unique(labels >> n, return_inverse=True)
+        if self.frames is None:  # characters through byte tables, n per label
+            digits = _digits(uniq, n)
+            _, first, frame_of = np.unique((digits // 2) @ 3 ** np.arange(n), return_index=True,
+                                           return_inverse=True)
+            axes = np.frombuffer(b"XYZ", dtype=np.uint8)[digits[first] // 2].tobytes().decode()
+            bits = np.frombuffer(b"01", dtype=np.uint8)[digits % 2].tobytes().decode()
+            return (index, [axes[i:i + n] for i in range(0, len(axes), n)], frame_of,
+                    [bits[i:i + n] for i in range(0, len(bits), n)])
+        used, frame_of = np.unique(uniq >> n, return_inverse=True)
         tableaus = self.frames[used]
         tableaus.setflags(write=False)
-        frames = _unchecked(CliffordFrame, [(t[:, :-1], t[:, -1]) for t in tableaus])
-        return [(frames[i], format(k & (2**n - 1), f"0{n}b"))
-                for i, k in zip(index.tolist(), labels.tolist())]
+        return index, tableaus, frame_of, [format(k, f"0{n}b")
+                                           for k in (uniq & (2**n - 1)).tolist()]
+
+    def _decode(self, used) -> list:
+        """Frame objects of ``distinct()``'s used frames, built unchecked."""
+        if self.frames is None:
+            return _unchecked(PauliFrame, [(axes,) for axes in used])
+        return _unchecked(CliffordFrame, [(t[:, :-1], t[:, -1]) for t in used])
 
     def views(self) -> list:
         """(frame, outcome bits) of every snapshot, in order; each distinct
-        label is decoded once."""
-        uniq, index = np.unique(self.labels, return_inverse=True)
-        decoded = self._decode(uniq)
-        return [decoded[i] for i in index]
+        label is decoded once, and each used frame built once."""
+        index, used, frame_of, bits = self.distinct()
+        decoded = self._decode(used)
+        pairs = [(decoded[f], b) for f, b in zip(frame_of.tolist(), bits)]
+        return [pairs[i] for i in index.tolist()]
 
     @property
     def snapshots(self) -> tuple:
@@ -291,21 +296,18 @@ def inverse_map_pauli_factorwise(a: np.ndarray) -> np.ndarray:
 
 
 def inverse_map_clifford(a: np.ndarray) -> np.ndarray:
-    """Global inverse measurement map (2^n + 1) A - Tr(A) I."""
+    """Global inverse measurement map (2^n + 1) A - Tr(A) I, of A or of a stack."""
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    return (d + 1.0) * a - np.trace(a) * np.eye(d)
+    d = a.shape[-1]
+    return (d + 1.0) * a - np.trace(a, axis1=-2, axis2=-1)[..., None, None] * np.eye(d)
 
 
 def frame_snapshots(tableaus: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """Materialized snapshots of Clifford (tableau, outcome index) pairs, for
     a stack of tableaus: the global inverse map of U^dag|b><b|U."""
-    d = 2 ** (tableaus.shape[1] // 2)
     u = frame_unitaries(CLIFFORD_ENSEMBLE, tableaus)
     rows = u[np.arange(len(u)), np.asarray(outcomes, dtype=np.int64)]
-    snaps = (d + 1.0) * (rows.conj()[:, :, None] * rows[:, None, :])
-    snaps[:, np.arange(d), np.arange(d)] -= (rows.conj() * rows).sum(axis=1)[:, None]
-    return snaps
+    return inverse_map_clifford(rows.conj()[:, :, None] * rows[:, None, :])
 
 
 def materialize_snapshot(s: StateSnapshot) -> np.ndarray:

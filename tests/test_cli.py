@@ -102,6 +102,28 @@ def test_budget_worked_example(capsys):
     assert fields["total"] == str(6 * 217600)
 
 
+@pytest.mark.parametrize("ensemble, f_in", [("pauli", "[4.0, 64.0]"),
+                                              ("clifford", "[14.0, 14.0]")])
+def test_budget_state_supports_at_twelve_qubits(capsys, ensemble, f_in):
+    """Pure inputs are known by their support counts alone, so no
+    2^12 x 2^12 placeholder state is built or decomposed."""
+    code = main(["budget", "--epsilon", "0.1", "--delta", "0.1", "--qubits", "12",
+                 "--observables", "Z" + "I" * 11, "--state-supports", "1,3",
+                 "--ensemble-in", ensemble])
+    assert code == 0
+    fields = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert fields["f_in"] == f_in
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_budget_rejects_a_support_beyond_the_register(capsys, ensemble):
+    code = main(["budget", "--epsilon", "0.1", "--delta", "0.1", "--qubits", "2",
+                 "--observables", "ZI", "--state-supports", "1,3", "--ensemble-in", ensemble])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "support 3 outside [0, 2]" in captured.err and captured.out == ""
+
+
 def test_budget_state_mode(capsys):
     assert main(["budget", "--qubits", "1", "--epsilon", "0.1", "--delta", "0.1",
                  "--observables", "Z"]) == 0

@@ -1,5 +1,6 @@
 """Sample-budget planning and variance bounds."""
 
+import dataclasses
 import math
 import time
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from dense_reference import random_hermitian
 from procshadow.complexity import (
     ComplexityQuery,
+    PureInput,
     f_value,
     s_operator,
     sample_budget,
@@ -67,6 +69,46 @@ def test_f_value_dense_needs_support():
 
 def test_f_value_clifford_state():
     assert f_value(basis_projector("0"), "clifford") == pytest.approx(14.0)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pure_input_f_matches_its_dense_state(ensemble, n):
+    """The closed form of a unit-norm pure input, 4^support under Pauli
+    frames and 14 under Clifford frames (s_operator of a rank-1 projector
+    is 2(3I + 4 rho)), at every support, for a basis and a random state."""
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    v /= la.norm(v)
+    for state in (basis_projector("0" * n), np.outer(v, v.conj())):
+        for support in range(n + 1):
+            closed = f_value(PureInput(n, support), ensemble)
+            assert closed == pytest.approx(f_value(state, ensemble, support), rel=1e-12)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_budget_of_pure_inputs_matches_dense_inputs(ensemble):
+    dense = ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=2,
+                            observables=(PauliString("ZI"), PauliString("XX")),
+                            input_states=((basis_projector("00"), 1), (basis_projector("01"), 2)),
+                            ensemble_in=ensemble)
+    pure = dataclasses.replace(dense, input_states=(PureInput(2, 1), PureInput(2, 2)))
+    a, b = sample_budget(dense), sample_budget(pure)
+    assert b.f_in == pytest.approx(a.f_in, rel=1e-12)
+    assert b.k_groups == a.k_groups
+    assert b.per_pair_f == pytest.approx(a.per_pair_f, rel=1e-12)
+
+
+@pytest.mark.parametrize("support", [-1, 3])
+def test_pure_input_rejects_a_support_outside_its_register(support):
+    with pytest.raises(ValueError, match="outside"):
+        PureInput(2, support)
+
+
+def test_budget_rejects_a_pure_input_on_another_register():
+    with pytest.raises(ValueError, match="does not match"):
+        ComplexityQuery(epsilon=0.1, delta=0.1, n_qubits=2, observables=(PauliString("ZI"),),
+                        input_states=(PureInput(3, 1),))
 
 
 def test_sample_budget_worked_example():

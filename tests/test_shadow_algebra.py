@@ -1,6 +1,7 @@
 """Pairing process shadows with state shadows: weights, apply, compose, sign statistics."""
 
 import math
+import weakref
 
 import numpy as np
 import numpy.linalg as la
@@ -201,6 +202,26 @@ def test_exact_compose_sum_recovers_composition(seed):
     )
     target = choi_of_channel(composed).matrix / 2
     assert la.norm(wss.materialize() - target) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["apply", "compose"])
+def test_weighted_sum_keeps_only_the_product(mode):
+    """The two operands can be freed before the dense expansion: the
+    transfer-matrix product is taken when the sum is built, and
+    ``materialize`` gives the same matrix after the operands are gone."""
+    rng = np.random.default_rng(3)
+    n = 2
+    ch = random_unitary_channel(n, rng)
+    left = _choi_operand(choi_of_channel(ch).matrix / 2**n, n)
+    right = (_coefficients(random_density_matrix(n, rng), n) if mode == "apply"
+             else _choi_operand(choi_of_channel(random_unitary_channel(n, rng)).matrix / 2**n, n))
+    expected = WeightedSnapshotSum(mode, n, left.copy(), right.copy()).materialize()
+    wss = WeightedSnapshotSum(mode, n, left, right)
+    assert wss.mode == mode
+    refs = [weakref.ref(left), weakref.ref(right)]
+    del left, right
+    assert all(ref() is None for ref in refs)
+    assert np.array_equal(wss.materialize(), expected)
 
 
 def test_apply_sampled_identity_channel():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from dense_reference import (born_probabilities, check_table_draws,
                              exact_pauli_snapshot_distribution, frame_unitary, inverse_map_pauli)
 from procshadow import state_shadows as shad
-from procshadow.ensembles import PauliFrame, enumerate_clifford_group, frame_unitaries
+from procshadow.ensembles import (PauliFrame, enumerate_clifford_group, frame_unitaries,
+                                  sample_frames)
 from procshadow.qcore import InfeasibleError, PauliString, basis_projector, random_density_matrix
 from procshadow.state_shadows import (
     PROJ1,
@@ -47,6 +48,9 @@ def test_inverse_map_clifford_formula():
         a = random_density_matrix(n, rng)
         expected = (d + 1) * a - np.trace(a) * np.eye(d)
         assert la.norm(inverse_map_clifford(a) - expected) < 1e-13
+        stack = np.array([a, random_density_matrix(n, rng), np.eye(d)])
+        assert np.array_equal(inverse_map_clifford(stack),
+                              [inverse_map_clifford(x) for x in stack])
 
 
 def test_inverse_map_pauli_factorwise_matches_tensor():
@@ -93,6 +97,78 @@ def test_key_encoding():
     assert (decoded[5][0].axes, decoded[5][1]) == ("XZ", "01")
     for key, (frame, bits) in enumerate(decoded):
         assert register_key(frame.axes, bits) == key
+
+
+def _rebuilt(side, ensemble):
+    """The side encoded again by ``of_stack`` from what ``distinct()`` decodes."""
+    index, frames, frame_of, bits = side.distinct()
+    if ensemble == "pauli":
+        frames = np.array([["XYZ".index(a) for a in axes] for axes in frames],
+                          dtype=np.int64).reshape(-1, side.n_qubits)
+    outcomes = np.array([int(b, 2) for b in bits], dtype=np.int64)
+    return ShadowEstimate.of_stack(ensemble, frames[frame_of][index], outcomes[index])
+
+
+def _assert_same_side(got, want):
+    assert got.n_qubits == want.n_qubits and got.ensemble == want.ensemble
+    assert np.array_equal(got.labels, want.labels)
+    assert (got.frames is None and want.frames is None) or np.array_equal(got.frames, want.frames)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_distinct_inverts_of_stack(ensemble, n):
+    """``distinct`` and ``of_stack`` are an inverse pair: the decoded
+    frames and bits encode to the same labels and tableau stack."""
+    rng = np.random.default_rng(n)
+    m = 300
+    side = ShadowEstimate.of_stack(ensemble, sample_frames(n, ensemble, m, rng),
+                                   rng.integers(0, 2**n, m))
+    index, frames, frame_of, bits = side.distinct()
+    assert len(index) == m and len(frame_of) == len(bits) == index.max() + 1
+    assert len(frames) == len(set(frame_of.tolist())) == frame_of.max() + 1
+    keys = frames if ensemble == "pauli" else [f.tobytes() for f in frames]
+    assert len(set(keys)) == len(frames)  # each used frame once
+    assert all(len(b) == n and not b.strip("01") for b in bits)
+    _assert_same_side(_rebuilt(side, ensemble), side)
+
+
+def test_distinct_inverts_of_stack_over_the_one_qubit_clifford_group():
+    """Every one of the 24 one-qubit tableaus with both outcomes, repeated."""
+    group = enumerate_clifford_group()
+    frames = np.concatenate([group, group[::-1], group])
+    outcomes = np.arange(len(frames)) % 2
+    side = ShadowEstimate.of_stack("clifford", frames, outcomes)
+    assert np.array_equal(side.frames, group)
+    _, used, frame_of, bits = side.distinct()
+    assert np.array_equal(used, group) and not used.flags.writeable
+    assert not np.shares_memory(used, side.frames)
+    assert sorted(zip(frame_of.tolist(), bits)) == [(f, b) for f in range(24) for b in "01"]
+    _assert_same_side(_rebuilt(side, "clifford"), side)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_distinct_inverts_of_stack_with_repeated_frames(ensemble):
+    """Few frames, many snapshots: each used frame is decoded once."""
+    rng = np.random.default_rng(7)
+    few = sample_frames(2, ensemble, 3, rng)
+    side = ShadowEstimate.of_stack(ensemble, few[rng.integers(0, 3, 200)],
+                                   rng.integers(0, 4, 200))
+    _, frames, _, _ = side.distinct()
+    assert len(frames) <= 3
+    _assert_same_side(_rebuilt(side, ensemble), side)
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_distinct_of_an_empty_side(ensemble):
+    n = 2
+    shape = (0, n) if ensemble == "pauli" else (0, 2 * n, 2 * n + 1)
+    side = ShadowEstimate.of_stack(ensemble, np.empty(shape, dtype=np.uint8),
+                                   np.empty(0, dtype=np.int64))
+    index, frames, frame_of, bits = side.distinct()
+    assert len(index) == len(frames) == len(frame_of) == len(bits) == 0
+    assert side.views() == []
+    _assert_same_side(_rebuilt(side, ensemble), side)
 
 
 def test_materialize_snapshot_matches_inverse_map(rng):
