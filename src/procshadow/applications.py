@@ -7,7 +7,8 @@ use distinct-pair U-statistics so the single-copy variance does not
 bias the estimate.  Every estimator takes any frame ensemble and works
 on Pauli coefficients; the U-statistic is the squared norm of the
 weighted Choi sum ``_choi_sum``, so no bootstrap replicate builds a
-dense matrix.
+dense matrix.  The shadow-input correlator evaluates each record once,
+and a group's mean state replaces the input state for its records only.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 
 from .process_shadows import (ProcessShadow, _choi_sum, estimate_channel_functional,
                               single_shot_functional_values)
-from .qcore import PauliString, basis_projector, n_qubits_of
-from .state_shadows import (ShadowEstimate, _count, _pauli_matrix, _snapshot_sum,
-                            median_of_means)
+from .qcore import InfeasibleError, PauliString, basis_projector, n_qubits_of
+from .state_shadows import (ShadowEstimate, _count, _groups, _pauli_matrix, _side_values,
+                            _snapshot_sum, median_of_means)
 
 
 # ---------------------------------------------------------------------------
@@ -97,25 +98,24 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
     mean over a group's pairs is the mean over its records of the
     functional values with the group's state estimate (the mean of its
     snapshots) in place of the input state.  Median-of-means pairs the
-    j-th chunk of records with the j-th chunk of snapshots so the group
-    means stay independent.  This is the paper's estimator for a channel
+    j-th group of records with the j-th group of snapshots so the group
+    means stay independent; each record is evaluated once, with its own
+    group's state mean.  This is the paper's estimator for a channel
     applied to a state shadow; `correlator-convergence` reports its error.
     """
     n = ps.n_qubits
     if ss.n_qubits != n or op_early.n_qubits != n or op_late.n_qubits != n:
         raise ValueError("operand register sizes disagree")
-    m, k = len(ps), len(ss)
-    if _count(n_groups, "n_groups") < 1 or m // n_groups < 1 or k // n_groups < 1:
-        raise ValueError("group count does not fit the sample sizes")
-    terms = ss.pauli_terms()
-    gm, gk = m // n_groups, k // n_groups
-    means = []
-    for g in range(n_groups):
-        in_group = (np.arange(k) // gk == g) / gk
-        early = _pauli_matrix(_snapshot_sum(terms, in_group, n), n) @ op_early.matrix
-        values = single_shot_functional_values(ps, early, op_late.matrix)
-        means.append(values[g * gm:(g + 1) * gm].mean())
-    return float(np.median(means))
+    records, snapshots = _groups(len(ps), n_groups), _groups(len(ss), n_groups)
+    index, pauli, coef = ps.side_in.pauli_terms()  # each side expanded once
+    state_index, state_pauli, state_coef = ss.pauli_terms()
+    late, values = _side_values(ps.side_out, op_late.matrix), np.empty(records[-1].stop)
+    weight = np.full(snapshots[0].stop, 1 / snapshots[0].stop)  # a group's mean
+    for r, s in zip(records, snapshots):
+        mean = _pauli_matrix(_snapshot_sum((state_index[s], state_pauli, state_coef), weight, n), n)
+        early = _side_values(ps.side_in, mean @ op_early.matrix, (index[r], pauli, coef))
+        values[r] = 2**n * np.real(early * late[r])
+    return median_of_means(values, n_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +167,11 @@ def purity_estimate(ps: ProcessShadow, n_groups: int = 1, *,
     """
     n = ps.n_qubits
     if n > MAX_PURITY_QUBITS:
-        raise ValueError(f"purity on {n} qubits is refused above the cap of "
-                         f"{MAX_PURITY_QUBITS} (cost grows as 4^n)")
-    m = len(ps)
-    if _count(n_groups, "n_groups") < 1 or m // n_groups < 2:
-        raise ValueError("each group needs at least two records")
-    u_statistic = _purity_kernel(ps)
-    group = np.arange(m) // (m // n_groups)  # records past the last group are dropped
-    means = [u_statistic((group == g).astype(np.int64)) for g in range(n_groups)]
+        raise InfeasibleError(f"purity on {n} qubits is refused above the cap of "
+                              f"{MAX_PURITY_QUBITS} (cost grows as 4^n)")
+    u_statistic, m = _purity_kernel(ps), len(ps)
+    means = [u_statistic(np.bincount(np.arange(m)[g], minlength=m))
+             for g in _groups(m, n_groups, least=2)]
     return 4**n * float(np.median(means))
 
 
@@ -208,8 +205,8 @@ def unitarity_verdict(ps: ProcessShadow, *, threshold_fraction: float = 0.95,
         raise ValueError(f"threshold fraction must lie in (0, 1], got {threshold_fraction}")
     n = ps.n_qubits
     if n > MAX_PURITY_QUBITS:
-        raise ValueError(f"unitarity on {n} qubits is refused above the cap of "
-                         f"{MAX_PURITY_QUBITS} (cost grows as 4^n)")
+        raise InfeasibleError(f"unitarity on {n} qubits is refused above the cap of "
+                              f"{MAX_PURITY_QUBITS} (cost grows as 4^n)")
     m = len(ps)
     if m < MIN_BOOTSTRAP_RECORDS:
         raise ValueError(f"bootstrap replicates of {m} records can draw a single distinct "

@@ -417,14 +417,14 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     return ShadowEstimate.of_stack(ensemble, frames, outcomes)
 
 
-def _side_values(side: ShadowEstimate, op: np.ndarray) -> np.ndarray:
-    """Tr[snapshot op] for every label of one side (complex): a gather of
-    the Pauli vector of ``op``, one term of every distinct label at a time."""
+def _side_values(side: ShadowEstimate, op: np.ndarray, terms: tuple | None = None) -> np.ndarray:
+    """Tr[snapshot op] for each label of one side (complex), a gather of the Pauli vector
+    of ``op``; pass the side's ``pauli_terms`` (any index) as ``terms`` to skip expanding it."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (2**side.n_qubits,) * 2:
         raise ValueError(f"operator of shape {op.shape} does not match the "
                          f"shadow's n_qubits={side.n_qubits}")
-    index, pauli, coef = side.pauli_terms()
+    index, pauli, coef = side.pauli_terms() if terms is None else terms
     o = _pauli_vector(op[None], side.n_qubits)[0]
     return sum(c * o[p] for p, c in zip(pauli, coef))[index]
 
@@ -445,20 +445,23 @@ def reconstruct(est: ShadowEstimate) -> np.ndarray:
                          est.n_qubits) / len(est)
 
 
-def median_of_means(values: np.ndarray, n_groups: int) -> float:
-    """Median of the means of n_groups equal consecutive chunks.
-
-    Trailing values that do not fill a complete chunk are dropped; an
-    even group count takes the average of the two central means.
-    """
-    values = np.asarray(values, dtype=float)
+def _groups(size: int, n_groups, least: int = 1) -> list:
+    """The median-of-means split of ``size`` records: ``n_groups`` equal
+    slices of consecutive records, each at least ``least`` long; trailing
+    records that fill no group are dropped."""
     if _count(n_groups, "n_groups") < 1:
         raise ValueError("need at least one group")
-    size = values.size // n_groups
-    if size < 1:
-        raise ValueError(f"{values.size} values cannot fill {n_groups} groups")
-    chunks = values[:size * n_groups].reshape(n_groups, size)
-    return float(np.median(chunks.mean(axis=1)))
+    step = size // n_groups
+    if step < least:
+        raise ValueError(f"{size} records cannot fill {n_groups} groups of at least {least}")
+    return [slice(g * step, (g + 1) * step) for g in range(n_groups)]
+
+
+def median_of_means(values: np.ndarray, n_groups: int) -> float:
+    """Median of the means of the ``_groups`` of ``values``; an even group
+    count takes the average of the two central means."""
+    values = np.asarray(values, dtype=float)
+    return float(np.median([values[g].mean() for g in _groups(values.size, n_groups)]))
 
 
 def single_shot_expectations(est: ShadowEstimate, obs: np.ndarray) -> np.ndarray:

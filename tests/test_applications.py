@@ -18,7 +18,7 @@ from procshadow.process_shadows import (
     single_shot_functional_values,
 )
 from procshadow.qcore import PauliString
-from procshadow.state_shadows import acquire_shadow, median_of_means
+from procshadow.state_shadows import ShadowEstimate, acquire_shadow, median_of_means
 
 PLUS = 0.5 * np.ones((2, 2))
 
@@ -126,6 +126,20 @@ def test_correlator_shadow_input_validates_sizes():
     ss = acquire_shadow(np.eye(4) / 4, 10, "pauli", rng)
     with pytest.raises(ValueError):
         multitime_correlator_shadow_input(ps, ss, PauliString("X"), PauliString("X"))
+
+
+def test_correlator_shadow_input_expands_each_side_once(monkeypatch):
+    """Ten groups cost one Pauli-term expansion per side and one of the state shadow."""
+    rng = np.random.default_rng(12)
+    ps = acquire_process_shadow(named_channel("amplitude-damping", 2, 0.3), 205,
+                                "clifford", "pauli", rng)
+    ss = acquire_shadow(np.eye(4) / 4, 203, "pauli", rng)
+    calls = []
+    expand = ShadowEstimate.pauli_terms
+    monkeypatch.setattr(ShadowEstimate, "pauli_terms",
+                        lambda self: calls.append(self) or expand(self))
+    multitime_correlator_shadow_input(ps, ss, PauliString("XZ"), PauliString("ZY"), n_groups=10)
+    assert sorted(map(id, calls)) == sorted(map(id, (ps.side_in, ps.side_out, ss)))
 
 
 def test_purity_identity_channel():

@@ -235,6 +235,13 @@ def test_exit_code_infeasible(tmp_path, capsys):
                  "--m", "5", "--records", str(tmp_path / "x.jsonl")])
     assert code == 3
     assert "infeasible" in capsys.readouterr().err
+    # a readable record file on a register above the purity cap
+    path = str(tmp_path / "d4.jsonl")
+    assert main(["acquire", "--channel", "identity", "--qubits", "4", "--m", "20",
+                 "--records", path]) == 0
+    capsys.readouterr()
+    assert main(["verify-unitarity", "--records", path]) == 3
+    assert "infeasible: unitarity on 4 qubits" in capsys.readouterr().err
 
 
 def test_exit_code_infeasible_experiment(capsys):

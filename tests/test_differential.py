@@ -152,7 +152,7 @@ def test_shadow_algebra_matches_dense_reference(n, m, k, ens, seed):
 
 
 @given(n=st.integers(1, 3), m=st.integers(1, 30), k=st.integers(1, 30),
-       groups=st.integers(1, 3), ens=st.tuples(*[st.sampled_from(ENSEMBLES)] * 3),
+       groups=st.integers(1, 10), ens=st.tuples(*[st.sampled_from(ENSEMBLES)] * 3),
        seed=st.integers(0, 2**32 - 1))
 def test_shadow_input_correlator_matches_dense_reference(n, m, k, groups, ens, seed):
     rng = np.random.default_rng(seed)
@@ -179,7 +179,7 @@ def _ref_u_statistic(t, c):
     return (c @ t @ c - np.sum(c**2 * np.diag(t))) / pairs if pairs else np.nan
 
 
-@given(n=st.integers(1, 3), m=st.integers(2, 30), groups=st.integers(1, 3),
+@given(n=st.integers(1, 3), m=st.integers(2, 30), groups=st.integers(1, 10),
        ens_in=st.sampled_from(ENSEMBLES), ens_out=st.sampled_from(ENSEMBLES),
        seed=st.integers(0, 2**32 - 1))
 def test_purity_u_statistic_matches_dense_reference(n, m, groups, ens_in, ens_out, seed):
