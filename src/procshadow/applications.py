@@ -7,8 +7,8 @@ use distinct-pair U-statistics so the single-copy variance does not
 bias the estimate.  Every estimator takes any frame ensemble and works
 on Pauli coefficients; the U-statistic is the squared norm of the
 weighted Choi sum ``_choi_sum``, so no bootstrap replicate builds a
-dense matrix.  The shadow-input correlator evaluates each record once,
-and a group's mean state replaces the input state for its records only.
+dense matrix.  The shadow-input correlator weights one group of snapshots
+at a time (zero elsewhere); that group's mean state is its records' input.
 """
 
 from __future__ import annotations
@@ -107,13 +107,12 @@ def multitime_correlator_shadow_input(ps: ProcessShadow, ss: ShadowEstimate,
     if ss.n_qubits != n or op_early.n_qubits != n or op_late.n_qubits != n:
         raise ValueError("operand register sizes disagree")
     records, snapshots = _groups(len(ps), n_groups), _groups(len(ss), n_groups)
-    index, pauli, coef = ps.side_in.pauli_terms()  # each side expanded once
-    state_index, state_pauli, state_coef = ss.pauli_terms()
     late, values = _side_values(ps.side_out, op_late.matrix), np.empty(records[-1].stop)
-    weight = np.full(snapshots[0].stop, 1 / snapshots[0].stop)  # a group's mean
     for r, s in zip(records, snapshots):
-        mean = _pauli_matrix(_snapshot_sum((state_index[s], state_pauli, state_coef), weight, n), n)
-        early = _side_values(ps.side_in, mean @ op_early.matrix, (index[r], pauli, coef))
+        weight = np.zeros(len(ss))  # a group's mean: zero outside the group
+        weight[s] = 1 / snapshots[0].stop
+        mean = _pauli_matrix(_snapshot_sum(ss, weight), n)
+        early = _side_values(ps.side_in, mean @ op_early.matrix)[r]
         values[r] = 2**n * np.real(early * late[r])
     return median_of_means(values, n_groups)
 

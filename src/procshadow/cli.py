@@ -31,7 +31,7 @@ from .experiments import (MAX_RECORDS, ConfigError, ExperimentConfig,
                           InfeasibleError, run_experiment, write_result_files)
 from .process_shadows import acquire_process_shadow, reconstruct_choi
 from .qcore import PauliString, choi_of_channel, operator_norm
-from .records_io import load_header, load_records, save_records
+from .records_io import load_records, save_records
 from .shadow_algebra import compose_process_shadows
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .ensembles import (CLIFFORD_ENSEMBLE, PAULI_ENSEMBLE, enumerate_clifford_group,
                         frame_unitaries)
 from .qcore import PauliString, n_qubits_of, operator_norm
-from .state_shadows import inverse_map_clifford, inverse_map_pauli_factorwise
+from .state_shadows import _count, inverse_map_clifford, inverse_map_pauli_factorwise
 
 
 def s_operator(o: np.ndarray) -> np.ndarray:
@@ -250,6 +250,8 @@ def verify_moment_bound(trials: int, rng: np.random.Generator) -> MomentBoundRep
     exactly, which is the design property the bound's proof rests on.
     A diagnostic: ACCEPTANCE 09 runs it, and no estimator calls it.
     """
+    if _count(trials, "trials") < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     worst_viol = 0.0
     worst_res = 0.0
     group = _clifford_unitaries()

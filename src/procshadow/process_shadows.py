@@ -15,11 +15,11 @@ channel; functionals of the unnormalized Choi matrix carry an explicit
 A ``ProcessShadow`` is two aligned state shadows, ``side_in`` and
 ``side_out`` (see ``state_shadows.ShadowEstimate``); ``records`` are
 views built on demand.  Each estimator has one code path for every
-frame ensemble, on the sides' Pauli terms (``ShadowEstimate.pauli_terms``):
-a functional is a gather per side, and ``_choi_sum`` maps per-record
-weights to the 16^n Pauli coefficients of the weighted Choi sum, behind
-both the sample mean and the purity U-statistic.  Two-shadow estimators
-contract sample means, not label pairs.
+frame ensemble, on the Pauli terms that each side expands once and keeps:
+a functional is a gather per side, and ``_choi_sum``, the one reader of the
+terms' layout outside ``state_shadows``, maps per-record weights to the 16^n
+Pauli coefficients of the weighted Choi sum, behind both the sample mean
+and the purity U-statistic.  Two-shadow estimators contract sample means.
 
 Acquisition has two paths.  Pauli/Pauli rounds up to ``_MAX_TABLE_QUBITS``
 qubits draw their keys from the Pauli coefficients of the input-transposed
@@ -168,18 +168,16 @@ def _choi_sum(ps: ProcessShadow):
     n = ps.n_qubits
     ia, pauli_a, coef_a = ps.side_in.pauli_terms()
     ib, pauli_b, coef_b = ps.side_out.pauli_terms()
-    # one row per distinct label, so that a pair's terms are gathered as rows
-    pauli_a, coef_a = pauli_a.T.copy(), (coef_a * _y_sign(pauli_a, n)).T.copy()
-    pauli_b, coef_b = pauli_b.T.copy(), coef_b.T.copy()
-    pairs, inverse = np.unique(ia * len(pauli_b) + ib, return_inverse=True)
-    pa, pb = np.divmod(pairs, len(pauli_b))
+    pairs, inverse = np.unique(ia * pauli_b.shape[1] + ib, return_inverse=True)
+    pa, pb = np.divmod(pairs, pauli_b.shape[1])
     # pairs per chunk: about 2^18 terms, or 16^n where the bincount output is larger
     step = max(2**18, 16**n) // 4**n
 
     def chunk(lo):  # the terms of pairs lo:lo+step, before the pair weights
         a, b = pa[lo:lo + step], pb[lo:lo + step]
-        index = (pauli_a[a] << 2 * n)[:, :, None] | pauli_b[b][:, None, :]
-        coef = coef_a[a][:, :, None] * coef_b[b][:, None, :]
+        p_in, p_out = pauli_a[:, a].T, pauli_b[:, b].T  # one row per pair
+        index = (p_in << 2 * n)[:, :, None] | p_out[:, None, :]
+        coef = (coef_a[:, a].T * _y_sign(p_in, n))[:, :, None] * coef_b[:, b].T[:, None, :]
         return index.reshape(-1), coef.reshape(len(a), -1)
 
     kept = chunk(0) if pairs.size <= step else None  # one chunk serves every call
@@ -211,12 +209,10 @@ def estimate_output_state(ps: ProcessShadow, rho: np.ndarray) -> np.ndarray:
     averages the weighted output factors:
     mean of 2^n Tr[snapshot_in rho] snapshot_out.
     """
-    n = ps.n_qubits
-    weights = np.real(_side_values(ps.side_in, rho))
     if not len(ps):
         raise ValueError("cannot estimate from an empty shadow")
-    total = _snapshot_sum(ps.side_out.pauli_terms(), weights, n)
-    return 2**n * _pauli_matrix(total, n) / len(ps)
+    total = _snapshot_sum(ps.side_out, np.real(_side_values(ps.side_in, rho)))
+    return 2**ps.n_qubits * _pauli_matrix(total, ps.n_qubits) / len(ps)
 
 
 def single_shot_functional_values(ps: ProcessShadow, rho: np.ndarray,
@@ -264,6 +260,8 @@ def verify_bin_independence(ch: Channel, samples: int,
     preservation, which ``Channel`` checks when it is built, so this is
     a diagnostic that ACCEPTANCE 08 runs; no estimator calls it.
     """
+    if _count(samples, "samples") < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     n, d = ch.n_qubits, ch.dim
     eta_a = np.einsum("iaja->ij", choi_of_channel(ch).matrix.reshape(d, d, d, d))
     bits = rng.integers(0, d, size=samples)

@@ -36,11 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process_shadows import ProcessShadow, _choi_sum
-from .state_shadows import ShadowEstimate, _pauli_matrix, _snapshot_sum, _y_sign
+from .state_shadows import (TAU1, ShadowEstimate, _count, _pauli_matrix, _snapshot_sum, _y_sign,
+                            qubit_key)
 
+_PAIR_WEIGHT = np.real(np.einsum("kij,lij->kl", TAU1, TAU1)) / 2  # Tr[TAU1[k]^T TAU1[l]] / 2
 #: the five weight values, with multiplicity, seen by a uniformly random
-#: pair of single-qubit snapshot labels
-WEIGHT_SUPPORT = (5.0 / 2.0, 1.0 / 4.0, 1.0 / 4.0, 1.0 / 4.0, 1.0 / 4.0, -2.0)
+#: pair of single-qubit snapshot labels: any row of the table, descending
+WEIGHT_SUPPORT = tuple(sorted(_PAIR_WEIGHT[0].tolist(), reverse=True))
 
 
 def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
@@ -51,13 +53,7 @@ def pair_weight(mu: str, b: int, mu_p: str, b_p: int) -> float:
     """
     if mu not in "XYZ" or mu_p not in "XYZ":
         raise ValueError(f"invalid axes {mu!r}, {mu_p!r}")
-    b, b_p = int(b) & 1, int(b_p) & 1
-    if mu != mu_p:
-        return 0.25
-    same_bit = b == b_p
-    if mu == "Y":
-        return -2.0 if same_bit else 2.5
-    return 2.5 if same_bit else -2.0
+    return float(_PAIR_WEIGHT[qubit_key(mu, int(b)), qubit_key(mu_p, int(b_p))])
 
 
 class WeightedSnapshotSum:
@@ -91,7 +87,7 @@ def _mean(shadow) -> np.ndarray:
     if not len(shadow):
         raise ValueError("cannot reconstruct from an empty shadow")
     if isinstance(shadow, ShadowEstimate):
-        return _snapshot_sum(shadow.pauli_terms(), None, shadow.n_qubits) / len(shadow)
+        return _snapshot_sum(shadow, None) / len(shadow)
     return (_choi_sum(shadow)(np.ones(len(shadow))) / len(shadow)).reshape(4**shadow.n_qubits, -1)
 
 
@@ -152,6 +148,8 @@ def weight_sign_statistics(n: int, samples: int,
     """Sample products of n i.i.d. pair weights and summarize sign/magnitude."""
     if n < 1:
         raise ValueError("need at least one site")
+    if _count(samples, "samples") < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     support = np.array(WEIGHT_SUPPORT)
     draws = support[rng.integers(0, support.size, size=(samples, n))]
     products = draws.prod(axis=1)

@@ -15,11 +15,11 @@ label is encoded and decoded there.  Frame objects (``PauliFrame``,
 ``CliffordFrame``) exist only in the views that ``._decode`` builds;
 acquisition, estimators and record files work on labels and tableaus.
 
-Estimators work on Pauli coefficients: a snapshot has 2^n nonzero ones
-(``ShadowEstimate.pauli_terms``), so a trace Tr[snapshot O] is a gather
-of O's Pauli vector (``_pauli_vector``) and a weighted sum is one
-``bincount`` into 4^n coefficients, made dense one qubit at a time
-(``_pauli_matrix``).
+Estimators work on Pauli coefficients: a snapshot has 2^n nonzero ones,
+which ``ShadowEstimate.pauli_terms`` expands once per side and keeps on it.
+Estimators pass sides: a trace Tr[snapshot O] (``_side_values``) is a gather
+of O's Pauli vector, and a weighted sum (``_snapshot_sum``) one ``bincount``
+into 4^n coefficients, made dense one qubit at a time (``_pauli_matrix``).
 
 Acquisition has two paths.  Pauli snapshots (and Pauli/Pauli records) are
 drawn from the Pauli coefficients one qubit at a time, by
@@ -156,6 +156,7 @@ class ShadowEstimate:
             frames = np.asarray(frames, dtype=np.uint8)
             frames.setflags(write=False)
         self.frames = frames
+        self._terms = None
 
     @classmethod
     def of_stack(cls, ensemble: str, frames: np.ndarray,
@@ -254,15 +255,23 @@ class ShadowEstimate:
         """``(index, pauli, coef)``: label i is the snapshot sum_t coef[t, u]
         sigma_{pauli[t, u]} with u = index[i], so column u holds the 2^n
         base-4 Pauli indices (qubit 0 most significant) and real
-        coefficients of one distinct label."""
+        coefficients of one distinct label.  Expanded on the first call
+        and kept on the side as read-only arrays."""
+        if self._terms is None:
+            self._terms = self._expand()
+            for a in self._terms:
+                a.setflags(write=False)
+        return self._terms
+
+    def _expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         uniq, inv = np.unique(self.labels, return_inverse=True)
         n, d = self.n_qubits, 2**self.n_qubits
         if self.frames is None:  # per qubit 1/2 on I and +-3/2 on the axis
             pauli = np.zeros((1, uniq.size), dtype=np.int64)
             coef = np.ones((1, uniq.size))
-            for digit in _digits(uniq, n).T:
-                pauli = (4 * pauli + _TAU_INDEX[:, None, digit]).reshape(-1, uniq.size)
-                coef = (coef * _TAU_COEF[:, None, digit]).reshape(-1, uniq.size)
+            for q, digit in enumerate(_digits(uniq, n).T):
+                pauli = (4 * pauli + _TAU_INDEX[:, None, digit]).reshape(2 << q, uniq.size)
+                coef = (coef * _TAU_COEF[:, None, digit]).reshape(2 << q, uniq.size)
             return inv, pauli, coef
         # the stabilizer group of U^dag|b>: 1/d on I, +-(d+1)/d on the other
         # d-1 elements, 0 elsewhere; labels in chunks of about 2^18 entries
@@ -417,32 +426,31 @@ def acquire_shadow(rho: np.ndarray, m: int, ensemble: str,
     return ShadowEstimate.of_stack(ensemble, frames, outcomes)
 
 
-def _side_values(side: ShadowEstimate, op: np.ndarray, terms: tuple | None = None) -> np.ndarray:
-    """Tr[snapshot op] for each label of one side (complex), a gather of the Pauli vector
-    of ``op``; pass the side's ``pauli_terms`` (any index) as ``terms`` to skip expanding it."""
+def _side_values(side: ShadowEstimate, op: np.ndarray) -> np.ndarray:
+    """Tr[snapshot op] for each label of one side (complex), a gather of the
+    Pauli vector of ``op`` through the side's ``pauli_terms``."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (2**side.n_qubits,) * 2:
         raise ValueError(f"operator of shape {op.shape} does not match the "
                          f"shadow's n_qubits={side.n_qubits}")
-    index, pauli, coef = side.pauli_terms() if terms is None else terms
+    index, pauli, coef = side.pauli_terms()
     o = _pauli_vector(op[None], side.n_qubits)[0]
     return sum(c * o[p] for p, c in zip(pauli, coef))[index]
 
 
-def _snapshot_sum(terms: tuple, weights: np.ndarray, n: int) -> np.ndarray:
+def _snapshot_sum(side: ShadowEstimate, weights: np.ndarray | None) -> np.ndarray:
     """The 4^n Pauli coefficients of sum_i weights[i] snapshot_i over one
-    side's labels, given its ``pauli_terms``: one bincount."""
-    index, pauli, coef = terms
+    side's labels (all weights 1 for None): one bincount of its ``pauli_terms``."""
+    index, pauli, coef = side.pauli_terms()
     w = np.bincount(index, weights, pauli.shape[1])
-    return np.bincount(pauli.reshape(-1), (coef * w).reshape(-1), 4**n)
+    return np.bincount(pauli.reshape(-1), (coef * w).reshape(-1), 4**side.n_qubits)
 
 
 def reconstruct(est: ShadowEstimate) -> np.ndarray:
     """Mean of the materialized snapshots (Hermitian, unit trace)."""
     if not len(est):
         raise ValueError("cannot reconstruct from an empty shadow")
-    return _pauli_matrix(_snapshot_sum(est.pauli_terms(), None, est.n_qubits),
-                         est.n_qubits) / len(est)
+    return _pauli_matrix(_snapshot_sum(est, None), est.n_qubits) / len(est)
 
 
 def _groups(size: int, n_groups, least: int = 1) -> list:

@@ -15,6 +15,8 @@ from procshadow.applications import (
 from procshadow.channels import named_channel
 from procshadow.process_shadows import (
     acquire_process_shadow,
+    estimate_output_state,
+    reconstruct_choi,
     single_shot_functional_values,
 )
 from procshadow.qcore import PauliString
@@ -128,18 +130,37 @@ def test_correlator_shadow_input_validates_sizes():
         multitime_correlator_shadow_input(ps, ss, PauliString("X"), PauliString("X"))
 
 
+def _expansions(monkeypatch) -> list:
+    """The ids of the sides whose Pauli terms are expanded from now on, once per expansion."""
+    expanded, expand = [], ShadowEstimate._expand
+    monkeypatch.setattr(ShadowEstimate, "_expand",
+                        lambda self: expanded.append(id(self)) or expand(self))
+    return expanded
+
+
 def test_correlator_shadow_input_expands_each_side_once(monkeypatch):
     """Ten groups cost one Pauli-term expansion per side and one of the state shadow."""
     rng = np.random.default_rng(12)
     ps = acquire_process_shadow(named_channel("amplitude-damping", 2, 0.3), 205,
                                 "clifford", "pauli", rng)
     ss = acquire_shadow(np.eye(4) / 4, 203, "pauli", rng)
-    calls = []
-    expand = ShadowEstimate.pauli_terms
-    monkeypatch.setattr(ShadowEstimate, "pauli_terms",
-                        lambda self: calls.append(self) or expand(self))
+    expanded = _expansions(monkeypatch)
     multitime_correlator_shadow_input(ps, ss, PauliString("XZ"), PauliString("ZY"), n_groups=10)
-    assert sorted(map(id, calls)) == sorted(map(id, (ps.side_in, ps.side_out, ss)))
+    assert sorted(expanded) == sorted(map(id, (ps.side_in, ps.side_out, ss)))
+
+
+@pytest.mark.parametrize("ens", ["pauli", "clifford"])
+def test_estimators_on_one_shadow_expand_each_side_once(monkeypatch, ens):
+    """The Choi mean, the output state, the functional values and the purity
+    all read the Pauli terms that each side expanded on first use."""
+    ps = _shadow("amplitude-damping", 300, 21, n=2, value=0.3, ens=ens)
+    rho, obs = np.diag([0.5, 0.25, 0.25, 0.0]), PauliString("XZ").matrix
+    expanded = _expansions(monkeypatch)
+    reconstruct_choi(ps)
+    estimate_output_state(ps, rho)
+    single_shot_functional_values(ps, rho, obs)
+    purity_estimate(ps, n_groups=3)
+    assert sorted(expanded) == sorted(map(id, (ps.side_in, ps.side_out)))
 
 
 def test_purity_identity_channel():

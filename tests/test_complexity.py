@@ -258,6 +258,12 @@ def test_verify_moment_bound():
     assert report.worst_design_residual < 1e-10
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2.5])
+def test_verify_moment_bound_refuses_a_count_below_one(trials):
+    with pytest.raises(ValueError, match="trial"):
+        verify_moment_bound(trials, np.random.default_rng(0))
+
+
 def test_single_shot_variance_within_budget_bound():
     """Empirical second moment of the functional estimator stays below
     4^n * f_in * f_out."""

@@ -38,7 +38,8 @@ from procshadow.qcore import (
     choi_of_channel,
     random_density_matrix,
 )
-from procshadow.state_shadows import ShadowEstimate, register_key
+from procshadow.state_shadows import (ShadowEstimate, acquire_shadow, estimate_observable,
+                                      register_key, single_shot_expectations)
 
 
 def test_record_validation():
@@ -348,6 +349,29 @@ def test_bin_independence_random_channels(seed):
     assert report.max_normalization_dev < report.tolerance
     assert report.max_pauli_dev < report.tolerance
     assert report.passed
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5])
+def test_bin_independence_refuses_a_count_below_one(samples):
+    with pytest.raises(ValueError, match="sample"):
+        verify_bin_independence(named_channel("identity", 1), samples, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_estimators_on_an_empty_side(ensemble):
+    """Empty sides of either ensemble give empty per-record values or a clear error."""
+    rng = np.random.default_rng(3)
+    ps = acquire_process_shadow(named_channel("identity", 2), 0, ensemble, ensemble, rng)
+    ss = acquire_shadow(np.eye(4) / 4, 0, ensemble, rng)
+    rho, obs = np.eye(4) / 4, PauliString("ZX").matrix
+    with pytest.raises(ValueError, match="cannot estimate from an empty shadow"):
+        estimate_output_state(ps, rho)
+    assert single_shot_functional_values(ps, rho, obs).shape == (0,)
+    assert single_shot_expectations(ss, obs).shape == (0,)
+    with pytest.raises(ValueError, match="0 records cannot fill 1 groups"):
+        estimate_channel_functional(ps, rho, obs)
+    with pytest.raises(ValueError, match="0 records cannot fill 1 groups"):
+        estimate_observable(ss, obs)
 
 
 def test_process_shadow_rejects_mixed_sizes(rng):

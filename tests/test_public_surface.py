@@ -19,6 +19,7 @@ ALLOWED = {
     "verify_moment_bound": "the second-moment diagnostic that ACCEPTANCE 09 runs",
     "shadow_norm_bruteforce": "the exact shadow norm that the f bounds are tested against",
     "pair_weight": "ACCEPTANCE 06 checks the paper's five-case weight table through it",
+    "load_header": "reads a record file's header alone; only the tests and the CI smoke step do",
 }
 
 ALLOWED_OPTIONS = {
@@ -106,6 +107,21 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not extra, f"no caller outside the tests: {sorted(extra)}"
     stale = set(ALLOWED) - unused
     assert not stale, f"allowlisted but called, or gone: {sorted(stale)}"
+
+
+def _unused_imports(tree: ast.Module) -> set:
+    """Names a module imports (``__future__`` aside) and never mentions as a name."""
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An unused import would count its name as called by the module."""
+    unused = {f"{f.stem}.{name}" for f in SOURCES
+              for name in _unused_imports(ast.parse(f.read_text()))}
+    assert not unused, f"imported but never used: {sorted(unused)}"
 
 
 def test_every_option_has_a_caller_outside_the_tests():

@@ -128,6 +128,14 @@ def test_weight_rows_have_uniform_multiset():
             )
             assert row == pytest.approx(expected)
     assert sorted(WEIGHT_SUPPORT) == pytest.approx(expected)
+    # the sign-statistics draws index this order
+    assert WEIGHT_SUPPORT == (2.5, 0.25, 0.25, 0.25, 0.25, -2.0)
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5])
+def test_weight_sign_statistics_refuses_a_count_below_one(samples):
+    with pytest.raises(ValueError, match="sample"):
+        weight_sign_statistics(2, samples, np.random.default_rng(0))
 
 
 def test_negative_weight_probability_binomial_oracle():

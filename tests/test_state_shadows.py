@@ -277,6 +277,16 @@ def test_empty_clifford_prefix_materializes_no_snapshots(rng):
     assert single_shot_expectations(est, Z).shape == (0,)
 
 
+@pytest.mark.parametrize("ensemble", ["pauli", "clifford"])
+def test_pauli_terms_are_kept_read_only(rng, ensemble):
+    est = acquire_shadow(np.diag([0.75, 0.25]), 40, ensemble, rng)
+    terms = est.pauli_terms()
+    assert all(kept is first for kept, first in zip(est.pauli_terms(), terms))
+    for array in terms:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_clifford_labels_expand_to_stabilizer_terms(n):
     """Each distinct Clifford label has 2^n Pauli terms: 1/d on I and
