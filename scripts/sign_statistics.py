@@ -21,6 +21,9 @@ def main():
     ap.add_argument("--samples", type=int, default=100000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    for flag, value in (("--max-sites", args.max_sites), ("--samples", args.samples)):
+        if value < 1:
+            ap.error(f"{flag} must be at least 1, got {value}")
 
     rng = np.random.default_rng(args.seed)
     print(f"{'N':>3} {'p_neg':>8} {'p_neg exact':>12} {'mean log|w|':>12} "

@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from procshadow.applications import unitarity_verdict
+from procshadow.applications import MIN_BOOTSTRAP_RECORDS, unitarity_verdict
 from procshadow.channels import channel_from_spec
 from procshadow.process_shadows import acquire_process_shadow
 
@@ -30,6 +30,8 @@ def main():
     ap.add_argument("--records", type=int, default=100000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.records < MIN_BOOTSTRAP_RECORDS:
+        ap.error(f"--records must be at least {MIN_BOOTSTRAP_RECORDS}, got {args.records}")
 
     print(f"{'channel':<24} {'purity':>7} {'interval':>18} {'verdict':>12}")
     for spec in args.channels:

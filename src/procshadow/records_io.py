@@ -8,26 +8,23 @@ files.  Each side of a file holds one frame ensemble: the header's
 ``ensemble_in`` and ``ensemble_out`` tags name it, and loading rejects
 any record whose frame kind differs from its tag.
 
-Canonical lines are read as bytes, without a JSON decoder.  The header
-fixes a line template: constant text, and bit and Pauli-axis digits at
-fixed offsets from the line's start or end.  On a Clifford side the
-frame's sign bits and tableau rows, between ``"p":[`` and ``]}``, are
-the one text of variable width.  One numpy pass over the file checks
-every line's constant bytes and maps its digits through byte tables to
-base-6 Pauli keys and outcome bits; a Pauli/Pauli file takes no Python
-object per record.  A Clifford side's texts are deduplicated in
-first-appearance order, matched once each against the canonical form,
-parsed together and validated as one stack.  The label codec is
-``ShadowEstimate``'s: loading encodes each side with ``of_stack``, and
-saving renders it from ``distinct()``; this module knows only the JSON
-layout and the integer form of a tableau row.  Lines may
-end in CRLF.  Any other line (other spacing or key order, escapes,
-extra fields) is decoded as JSON, its known fields are rendered
-canonically, and the result goes through the same reader; blank lines
-are skipped.  When a line still fails, the file is checked again record
-by record, which names the first offending line from the JSON fields
-alone.  No frame object is built from labels to bytes or back: frame
-objects exist only in the ``records`` and ``snapshots`` views.
+Files are written in blocks of records and read in blocks of 256 KB cut
+at the last newline, so I/O holds one block besides the label arrays
+(and, on saving, the JSON of each distinct label of a side whose labels
+are small integers).  A block formats each distinct (input, output)
+label pair once.  Canonical lines are read as bytes: the header fixes a
+line template of constant text, bit and Pauli-axis digits at fixed
+offsets, and on a Clifford side one text of variable width, the frame's
+sign bits and tableau rows.  Numpy passes check each line's constant
+bytes and map its digits to base-6 Pauli keys and outcome bits.  A
+Clifford side's texts are numbered in order of first appearance in the
+file; each new one is matched against the canonical form and parsed, and
+``ShadowEstimate.of_tableaus`` gets the tableau stack and each record's
+index.  Lines may end in CRLF.  Any other line (other spacing or key
+order, escapes, extra fields) is decoded as JSON, rendered canonically
+and read again; blank lines are skipped.  When a line still fails, the
+whole body is checked record by record, which names the first offending
+line.  No frame object is built from labels to bytes or back.
 """
 
 from __future__ import annotations
@@ -58,6 +55,10 @@ _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _ROWS_SEP = b'],"s":['
 
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+_WRITE_BLOCK = 1 << 12  # records rendered and written at a time
+_LABEL_SPACE = 1 << 16  # below this, a side's labels are rendered once per file
+_READ_BLOCK = 1 << 18  # body bytes read at a time; a block ends at its last newline
 
 
 def _symplectic(rows: np.ndarray, n: int) -> np.ndarray:
@@ -97,29 +98,55 @@ def _frame_fields(obj, n: int) -> tuple[str, int]:
     return CLIFFORD_ENSEMBLE, n
 
 
-def _rendered(side: ShadowEstimate) -> list:
-    """(bits JSON, frame JSON) of every snapshot, from ``side.distinct()``:
-    each distinct label is rendered once, and each used frame once."""
+def _rendered(side: ShadowEstimate) -> np.ndarray:
+    """(2, len(side)) object array: the bits JSON and frame JSON of every
+    snapshot, from ``side.distinct()``; each distinct label and used frame
+    is rendered once."""
     index, frames, frame_of, bits = side.distinct()
     if side.frames is None:
         frames = [_dump({"kind": PAULI_ENSEMBLE, "axes": axes}) for axes in frames]
-    else:  # each tableau row becomes one integer, in one matrix product
+    else:  # rows as integers by one matrix product; _dump's JSON from list reprs
         rows = frames[:, :, :-1] @ (1 << np.arange(frames.shape[1]))
-        frames = [_dump({"kind": CLIFFORD_ENSEMBLE, "s": r, "p": p})
+        frames = [f'{{"kind":"{CLIFFORD_ENSEMBLE}","p":{p},"s":{r}}}'.replace(" ", "")
                   for r, p in zip(rows.tolist(), frames[:, :, -1].tolist())]
-    table = [(_dump(b), frames[f]) for b, f in zip(bits, frame_of.tolist())]
-    return [table[i] for i in index.tolist()]
+    table = np.empty((2, len(bits)), dtype=object)  # a bit string's JSON is itself in quotes
+    table[0], table[1] = [f'"{b}"' for b in bits], np.array(frames, dtype=object)[frame_of]
+    return table[:, index]
+
+
+def _file_table(side: ShadowEstimate) -> np.ndarray | None:
+    """``_rendered`` of a side's labels by label value, for the file; None past _LABEL_SPACE."""
+    if side.labels.max() < _LABEL_SPACE:
+        used = np.zeros(side.labels.max() + 1, dtype=bool)
+        used[side.labels] = True  # np.bincount would copy the read-only labels
+        table = np.empty((2, used.size), dtype=object)
+        table[:, used] = _rendered(ShadowEstimate(np.flatnonzero(used), side.n_qubits, side.frames))
+        return table
+
+
+def _block_text(ps: ProcessShadow, block: slice, tables: list) -> str:
+    """The lines of a block of records, each distinct (input, output) label
+    pair formatted once; a side without a file table is rendered here."""
+    (k_in, t_in), (k_out, t_out) = [
+        (labels, table) if table is not None else
+        (np.arange(labels.size), _rendered(ShadowEstimate(labels, side.n_qubits, side.frames)))
+        for side, table in zip((ps.side_in, ps.side_out), tables)
+        for labels in [side.labels[block]]]
+    pairs, inverse = np.unique(k_in * t_out.shape[1] + k_out, return_inverse=True)
+    p_in, p_out = np.divmod(pairs, t_out.shape[1])
+    # each line is _dump of its record (keys in sorted order, no
+    # whitespace), spelled out because an f-string is faster per line
+    columns = [t[row, p].tolist() for row in (0, 1) for t, p in ((t_in, p_in), (t_out, p_out))]
+    lines = np.array([f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'
+                      for b_in, b_out, u_in, u_out in zip(*columns)], dtype=object)
+    return "".join(lines[inverse].tolist())
 
 
 def save_records(path, ps: ProcessShadow, *, seed=None,
                  channel: str | None = None) -> None:
     """Write a shadow to one JSONL file, with provenance in the header."""
-    header = {
-        "format": FORMAT_TAG,
-        "version": FORMAT_VERSION,
-        "n_qubits": ps.n_qubits,
-        "count": len(ps),
-    }
+    header = {"format": FORMAT_TAG, "version": FORMAT_VERSION, "n_qubits": ps.n_qubits,
+              "count": len(ps)}
     if seed is not None:
         header["seed"] = seed
     if channel is not None:
@@ -127,14 +154,11 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
     if len(ps):
         header["ensemble_in"] = ps.side_in.ensemble
         header["ensemble_out"] = ps.side_out.ensemble
-    # each line is _dump of its record (keys in sorted order, no
-    # whitespace), spelled out because an f-string is faster per line
-    body = "".join([f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'
-                    for (b_in, u_in), (b_out, u_out)
-                    in zip(_rendered(ps.side_in), _rendered(ps.side_out))])
-    with open(path, "w") as fh:  # the header, then the body: no joined copy of both
+    tables = [_file_table(side) for side in (ps.side_in, ps.side_out)] if len(ps) else []
+    with open(path, "w") as fh:
         fh.write(_dump(header) + "\n")
-        fh.write(body)
+        for lo in range(0, len(ps), _WRITE_BLOCK):
+            fh.write(_block_text(ps, slice(lo, lo + _WRITE_BLOCK), tables))
 
 
 def _parse_header(first: bytes) -> dict:
@@ -147,14 +171,12 @@ def _parse_header(first: bytes) -> dict:
     if header.get("format") != FORMAT_TAG:
         raise ValueError("line 1: not a record file (format tag mismatch)")
     if header.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"line 1: unsupported version {header.get('version')!r} "
-            f"(expected {FORMAT_VERSION})")
+        raise ValueError(f"line 1: unsupported version {header.get('version')!r} "
+                         f"(expected {FORMAT_VERSION})")
     for key, least in (("n_qubits", 1), ("count", 0)):
         value = header.get(key)
         if type(value) is not int or value < least:
-            raise ValueError(f"line 1: {key} must be an integer >= {least}, "
-                             f"got {value!r}")
+            raise ValueError(f"line 1: {key} must be an integer >= {least}, got {value!r}")
     if header["n_qubits"] > MAX_QUBITS:
         raise ValueError(f"line 1: {header['n_qubits']} qubits exceed the cap ({MAX_QUBITS})")
     return header
@@ -169,23 +191,13 @@ def load_header(path) -> dict:
 def _template(tags, n: int) -> list | None:
     """The constant chunks of a canonical record line, split where a
     Clifford frame's signs-and-rows text goes; None for an unknown tag.
-
-    Bits are rendered as "0" and axes as "X", which no constant text holds.
-    """
+    Bits are rendered as "0" and axes as "X", which no constant text holds."""
     if not all(tag in (PAULI_ENSEMBLE, CLIFFORD_ENSEMBLE) for tag in tags):
         return None  # tags are header values of any JSON type
     u_in, u_out = ({"kind": tag, "axes": "X" * n} if tag == PAULI_ENSEMBLE
                    else {"kind": tag, "p": [], "s": []} for tag in tags)
     line = _dump({"b_in": "0" * n, "b_out": "0" * n, "u_in": u_in, "u_out": u_out})
     return [np.frombuffer(chunk, dtype=np.uint8) for chunk in line.encode().split(_ROWS_SEP)]
-
-
-def _tableau_pattern(n: int):
-    """A canonical signs-and-rows text: 2n sign bits, then 2n rows of at
-    most 19 digits, which uint64 holds."""
-    row = rb"(?:0|[1-9][0-9]{0,18})"
-    return re.compile(rb"[01](?:,[01]){%d}%s%s(?:,%s){%d}" % (
-        2 * n - 1, re.escape(_ROWS_SEP), row, row, 2 * n - 1))
 
 
 def _rows_at(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -198,28 +210,18 @@ def _rows_at(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return windows[starts]
 
 
-def _positions(buf: np.ndarray, byte: str) -> np.ndarray:
-    """Offsets of one byte in buf, found in blocks, which bounds the temporary."""
-    step = 1 << 16
-    return np.concatenate([np.flatnonzero(buf[i:i + step] == ord(byte)) + i
-                           for i in range(0, buf.size or 1, step)])
-
-
-def _scan(body: bytes, n: int, tags):
-    """Check every line of a record body against the canonical template.
-
-    Returns ``(starts, newlines, ok, sides)``: where each line starts and
-    where its newline is (or the body ends), whether it is canonical, and
-    per side the (tag, frame digits or tableau texts, outcome bits) to
-    encode.  A line may end in CRLF.
-    """
+def _scan(body: bytes, layout: tuple):
+    """Check every line of a block against the canonical template: returns
+    ``(starts, newlines, ok, sides)``, where each line starts and where its
+    newline is (or the block ends), whether it is canonical, and per side the
+    (tag, frame digits or tableau texts, outcome bits).  CRLF ends a line."""
+    n, tags, chunks, canonical, seen = layout
     buf = np.frombuffer(body, dtype=np.uint8)
-    newlines = _positions(buf, "\n")
+    newlines = np.flatnonzero(buf == ord("\n"))
     if body and body[-1:] != b"\n":
         newlines = np.append(newlines, len(body))
     starts = np.concatenate(([0], newlines[:-1] + 1))[:newlines.size]
     ends = newlines - ((newlines > starts) & (buf[newlines - 1] == ord("\r")))
-    chunks = _template(tags, n)
     if not ends.size or chunks is None or buf.size < max(map(len, chunks)):
         return starts, newlines, np.zeros(ends.size, dtype=bool), None
     # the first chunk starts at the line's start and the last ends at its
@@ -227,7 +229,7 @@ def _scan(body: bytes, n: int, tags):
     # the input frame, the line's first "}"
     anchors = [starts]
     if len(chunks) == 3:
-        braces = _positions(buf, "}")
+        braces = np.flatnonzero(buf == ord("}"))
         anchors.append(np.append(braces, buf.size)[np.searchsorted(braces, starts)] - 1)
     if len(chunks) > 1:
         anchors.append(ends - len(chunks[-1]))
@@ -239,16 +241,13 @@ def _scan(body: bytes, n: int, tags):
     anchors = [np.where(ok, at, 0) for at in anchors]
     mats = [_rows_at(buf, at, len(chunk)) for chunk, at in zip(chunks, anchors)]
     for mat, chunk in zip(mats, chunks):
-        digit = (chunk == ord("0")) | (chunk == ord("X"))
-        # in blocks of rows, as _positions does
-        ok &= np.concatenate([((mat[i:i + 4096] == chunk) | digit).all(axis=1)
-                              for i in range(0, len(mat), 4096)])
+        ok &= ((mat == chunk) | ((chunk == ord("0")) | (chunk == ord("X")))).all(axis=1)
     bits = _BIT_DIGIT[mats[0][:, np.flatnonzero(chunks[0] == ord("0"))]]
     ok &= (bits >= 0).all(axis=1)
     sides, gaps = [], iter(gaps)
-    for tag, mat, chunk, pick, outcomes in (
-            (tags[0], mats[0], chunks[0], slice(None, n), bits[:, :n]),
-            (tags[1], mats[-1], chunks[-1], slice(-n, None), bits[:, n:])):
+    for tag, mat, chunk, pick, outcomes, known in (
+            (tags[0], mats[0], chunks[0], slice(None, n), bits[:, :n], seen[0]),
+            (tags[1], mats[-1], chunks[-1], slice(-n, None), bits[:, n:], seen[1])):
         if tag == PAULI_ENSEMBLE:
             axes = _AXIS_DIGIT[mat[:, np.flatnonzero(chunk == ord("X"))[pick]]]
             ok &= (axes >= 0).all(axis=1)
@@ -260,25 +259,20 @@ def _scan(body: bytes, n: int, tags):
         idx = np.fromiter((index.setdefault(body[a:b], len(index)) if good else -1
                            for a, b, good in zip(start.tolist(), end.tolist(), ok.tolist())),
                           dtype=np.int64, count=ends.size)
-        canonical = _tableau_pattern(n).fullmatch
-        ok &= np.array([canonical(text) is not None for text in index] + [False])[idx]
+        ok &= np.array([t in known or canonical(t) is not None for t in index] + [False])[idx]
         sides.append((tag, (idx, list(index)), outcomes))
     return starts, newlines, ok, sides
 
 
-def _encode(tag, frames, outcomes: np.ndarray, n: int) -> ShadowEstimate:
-    """Labels of one side of a scanned body, through ``ShadowEstimate.of_stack``:
-    a Clifford side's distinct texts become one tableau stack."""
-    if tag == CLIFFORD_ENSEMBLE:
-        idx, texts = frames
-        values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
-                               dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
-        if values.max() >= np.uint64(4**n):  # the sign bits are 0 or 1
-            raise ValueError(f"tableau rows must be integers in [0, {4**n})")
-        values = values.astype(np.int64)
-        # the bits of each tableau row, then the sign bits as a last column
-        frames = np.dstack((_symplectic(values[:, 2 * n:], n), values[:, :2 * n]))[idx]
-    return ShadowEstimate.of_stack(tag, frames, outcomes @ 2 ** np.arange(n - 1, -1, -1))
+def _tableaus(texts: list, n: int) -> np.ndarray:
+    """The (k, 2n, 2n+1) uint8 tableau stack of k canonical signs-and-rows
+    texts: the bits of each row, then the sign bits as a last column."""
+    values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
+                           dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
+    if values.max(initial=0) >= np.uint64(4**n):  # the sign bits are 0 or 1
+        raise ValueError(f"tableau rows must be integers in [0, {4**n})")
+    values = values.astype(np.int64)
+    return np.dstack((_symplectic(values[:, 2 * n:], n), values[:, :2 * n])).astype(np.uint8)
 
 
 def _rerendered(line: bytes) -> bytes:
@@ -305,19 +299,29 @@ def _normalized(body: bytes, starts, newlines, odd: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def _read_body(body: bytes, header: dict) -> tuple[ShadowEstimate, ShadowEstimate]:
-    """Both sides' labels; raises without a line number on any bad record."""
-    n = header["n_qubits"]
-    tags = header.get("ensemble_in"), header.get("ensemble_out")
-    starts, newlines, ok, sides = _scan(body, n, tags)
+def _read_body(body: bytes, layout: tuple) -> list:
+    """``[]`` or ``[(in, out)]``: per side a block's labels, or the stack of
+    tableaus new to the file, each record's tableau index and outcomes.
+    Raises without a line number on any bad record."""
+    starts, newlines, ok, scanned = _scan(body, layout)
     if not ok.all():
         body = _normalized(body, starts, newlines, ~ok)
-        _, newlines, ok, sides = _scan(body, n, tags)
+        _, newlines, ok, scanned = _scan(body, layout)
         if not ok.all():
             raise ValueError("a record line is not canonical")
     if not newlines.size:
-        return ShadowEstimate([], n), ShadowEstimate([], n)
-    return tuple(_encode(tag, frames, outcomes, n) for tag, frames, outcomes in sides)
+        return []
+    n, parts = layout[0], []
+    for (tag, frames, outcomes), seen in zip(scanned, layout[-1]):
+        outcomes = outcomes @ 2 ** np.arange(n - 1, -1, -1)
+        if tag == PAULI_ENSEMBLE:
+            parts.append(ShadowEstimate.of_stack(tag, frames, outcomes).labels)
+            continue
+        idx, texts = frames
+        fresh = [text for text in texts if text not in seen]
+        index = np.array([seen.setdefault(text, len(seen)) for text in texts], dtype=np.int64)
+        parts.append((_tableaus(fresh, n), index[idx], outcomes))
+    return [tuple(parts)]
 
 
 def _raise_first_bad_record(body: bytes, header: dict) -> None:
@@ -352,17 +356,32 @@ def _raise_first_bad_record(body: bytes, header: dict) -> None:
 
 
 def load_records(path) -> ProcessShadow:
-    """Read a shadow back; errors carry the offending line number."""
+    """Read a shadow back in blocks of lines; errors carry the offending line number."""
     with open(path, "rb") as fh:
         header = _parse_header(fh.readline())
-        body = fh.read()
-    try:
-        side_in, side_out = _read_body(body, header)
-    except _RECORD_ERRORS:
-        _raise_first_bad_record(body, header)
-        raise  # not reached: the per-record check rejects whatever the reader does
+        n, body_start = header["n_qubits"], fh.tell()
+        tags = header.get("ensemble_in"), header.get("ensemble_out")
+        # a canonical signs-and-rows text: 2n sign bits, then 2n rows of at most 19 digits
+        row = rb"(?:0|[1-9][0-9]{0,18})"
+        canonical = re.compile(rb"[01](?:,[01]){%d}%s%s(?:,%s){%d}" % (
+            2 * n - 1, re.escape(_ROWS_SEP), row, row, 2 * n - 1)).fullmatch
+        layout = n, tags, _template(tags, n), canonical, ({}, {})
+        blocks, tail = [], b""
+        try:
+            for chunk in iter(lambda: fh.read(_READ_BLOCK), b""):
+                cut = chunk.rfind(b"\n") + 1
+                blocks += _read_body(tail + memoryview(chunk)[:cut], layout)
+                tail = chunk[cut:] if cut else tail + chunk
+            blocks += _read_body(tail, layout)
+        except _RECORD_ERRORS:
+            fh.seek(body_start)
+            _raise_first_bad_record(fh.read(), header)
+            raise  # not reached: the per-record check rejects whatever the reader does
+    side_in, side_out = (
+        ShadowEstimate(np.concatenate(parts), n) if tag == PAULI_ENSEMBLE
+        else ShadowEstimate.of_tableaus(*map(np.concatenate, zip(*parts)))
+        for tag, parts in zip(tags, zip(*blocks))) if blocks else [ShadowEstimate([], n)] * 2
     if len(side_in) != header["count"]:
-        raise ValueError(
-            f"line {len(side_in) + 1}: expected {header['count']} records, "
-            f"found {len(side_in)}")
+        raise ValueError(f"line {len(side_in) + 1}: expected {header['count']} records, "
+                         f"found {len(side_in)}")
     return ProcessShadow._of(side_in, side_out)

@@ -10,10 +10,11 @@ and is labelled by a compact key: per qubit ``2*axis + bit`` in {0..5}
 with axis order X, Y, Z, and per register the base-6 digits with qubit
 0 most significant.  A Clifford snapshot is labelled ``frame_index *
 2^n + outcome``, indexing the side's stack of distinct tableaus.  The
-label codec is ``ShadowEstimate.of_stack`` and ``.distinct``: every
-label is encoded and decoded there.  Frame objects (``PauliFrame``,
-``CliffordFrame``) exist only in the views that ``._decode`` builds;
-acquisition, estimators and record files work on labels and tableaus.
+label codec is ``ShadowEstimate.of_stack`` (``.of_tableaus`` for a
+deduplicated stack) and ``.distinct``: every label is encoded and
+decoded there.  Frame objects (``PauliFrame``, ``CliffordFrame``) exist
+only in the views that ``._decode`` builds; acquisition, estimators and
+record files work on labels and tableaus.
 
 Estimators work on Pauli coefficients: a snapshot has 2^n nonzero ones,
 which ``ShadowEstimate.pauli_terms`` expands once per side and keeps on it.
@@ -170,15 +171,19 @@ class ShadowEstimate:
             # each outcome index's bits as base-6 digits: one table gather, not m shifts
             bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) @ place
             return cls(2 * (frames @ place) + bits[outcomes], n)
-        n = frames.shape[1] // 2
         # one byte string per tableau, which sorts faster than rows of bits
-        packed = np.packbits(frames.reshape(len(frames), 2 * n * (2 * n + 1)), axis=1)
+        packed = np.packbits(frames.reshape(len(frames), np.prod(frames.shape[1:])), axis=1)
         _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
                                       return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return cls((rank[inverse.reshape(-1)] << n) | outcomes, n, frames[first[order]])
+        order = np.argsort(first)  # its inverse permutation ranks each tableau
+        return cls.of_tableaus(frames[first[order]], np.argsort(order)[inverse.ravel()], outcomes)
+
+    @classmethod
+    def of_tableaus(cls, tableaus: np.ndarray, index, outcomes) -> "ShadowEstimate":
+        """Labels of a Clifford side whose snapshot i has the frame
+        ``tableaus[index[i]]``, distinct tableaus in order of first appearance."""
+        n = tableaus.shape[1] // 2
+        return cls((index << n) | outcomes, n, tableaus)
 
     @classmethod
     def encode(cls, frames, outcomes, n: int) -> "ShadowEstimate":

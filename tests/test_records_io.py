@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from procshadow.process_shadows import (
     reconstruct_choi,
 )
 from procshadow.qcore import basis_projector
-from procshadow.records_io import load_header, load_records, save_records
+from procshadow.records_io import (_READ_BLOCK, _WRITE_BLOCK, load_header, load_records,
+                                   save_records)
 from procshadow.state_shadows import ShadowEstimate
 
 
@@ -199,6 +201,15 @@ def test_load_reports_bad_line_number(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 3"):
         load_records(path)
+    # in the third read block, the line number counts every earlier block
+    save_records(path, _drawn_shadow("pauli", "pauli", 1, _SPANNING, seed=2))
+    lines = path.read_bytes().split(b"\n")
+    body_offsets = np.cumsum([len(line) + 1 for line in lines[1:]])
+    lineno = 2 + int(np.searchsorted(body_offsets, 2 * _READ_BLOCK)) + 3
+    lines[lineno - 1] = b'{"broken": true'
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=f"^line {lineno}: bad record"):
+        load_records(path)
 
 
 def test_load_detects_truncation(tmp_path):
@@ -207,6 +218,27 @@ def test_load_detects_truncation(tmp_path):
     path.write_text("\n".join(lines[:6]) + "\n")
     with pytest.raises(ValueError, match="expected 10 records, found 5"):
         load_records(path)
+
+
+def test_record_io_holds_about_one_block(tmp_path):
+    """Saving and loading 2e5 Pauli/Pauli records, a 19 MB file, holds one
+    block besides the label arrays, not the file: whole-file saving and
+    loading peaked near 48 MB and 37 MB."""
+    ps = _drawn_shadow("pauli", "pauli", 1, 200_000, seed=1)
+    path = tmp_path / "r.jsonl"
+    tracemalloc.start()
+    try:
+        save_records(path, ps)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_records(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 18 * 2**20
+    assert save_peak < 4 * 2**20
+    assert load_peak < 12 * 2**20
+    _same_labels(loaded, ps)
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -337,6 +369,24 @@ def _fixed_shadow(ens_in, ens_out, n, m, seed):
                           for _ in range(m)], n)
 
 
+# records enough for three write blocks, and for three read blocks of any pair's lines
+_SPANNING = 20_000
+
+
+def _drawn_shadow(ens_in, ens_out, n, m, seed):
+    """Records drawn as frame stacks, without simulating a channel: many
+    records, faster than _fixed_shadow builds them."""
+    rng = np.random.default_rng(seed)
+    return ProcessShadow._of(*(ShadowEstimate.of_stack(ens, sample_frames(n, ens, m, rng),
+                                                       rng.integers(0, 2**n, m))
+                               for ens in (ens_in, ens_out)))
+
+
+def _assert_spans_blocks(path, m):
+    assert m >= 3 * _WRITE_BLOCK
+    assert len(path.read_bytes().split(b"\n", 1)[1]) >= 3 * _READ_BLOCK
+
+
 # sha256 of the files that save_records wrote for _fixed_shadow before
 # loading and saving went by columns
 GOLDEN = [
@@ -383,12 +433,19 @@ PAIRS = [("pauli", "pauli"), ("clifford", "clifford"), ("pauli", "clifford"),
          ("clifford", "pauli")]
 
 
-@pytest.mark.parametrize("ens_in,ens_out,n", [
-    *[(a, b, n) for a, b in PAIRS for n in (1, 2, 3)], ("pauli", "pauli", 5)])
-def test_round_trip_labels_and_frames(tmp_path, ens_in, ens_out, n):
-    ps = _fixed_shadow(ens_in, ens_out, n, 40, seed=10 + n)
+@pytest.mark.parametrize("ens_in,ens_out,n,m", [
+    *[pytest.param(a, b, n, 40, id=f"{a}-{b}-{n}") for a, b in PAIRS for n in (1, 2, 3)],
+    pytest.param("pauli", "pauli", 5, 40, id="pauli-pauli-5"),
+    *[pytest.param(a, b, n, _SPANNING, id=f"{a}-{b}-{n}-blocks") for a, b in PAIRS
+      for n in (1, 3)]])
+def test_round_trip_labels_and_frames(tmp_path, ens_in, ens_out, n, m):
+    """Few records, and records over several write and read blocks: a
+    Clifford tableau seen in one block keeps its index in the next."""
+    ps = (_fixed_shadow if m < _SPANNING else _drawn_shadow)(ens_in, ens_out, n, m, seed=10 + n)
     path = tmp_path / "r.jsonl"
     save_records(path, ps)
+    if m == _SPANNING:
+        _assert_spans_blocks(path, m)
     _same_labels(load_records(path), ps)
 
 
@@ -417,12 +474,31 @@ def _shuffled_json(line, rng):
     return re.sub(r'"([01]+)"', lambda m: '"' + m[1].replace("0", "\\u0030") + '"', text)
 
 
-@pytest.mark.parametrize("ens_in,ens_out", PAIRS)
+def _across_read_cuts(text: bytes) -> bytes:
+    """A CRLF file with a blank line in front that moves a record's CR to
+    the last byte of the first read block, and a blank line across the
+    second cut."""
+    head, body = text.split(b"\n", 1)
+    cr = body.rfind(b"\r", 0, _READ_BLOCK - 2)
+    body = b" " * (_READ_BLOCK - 3 - cr) + b"\r\n" + body
+    start = body.rfind(b"\n", 0, 2 * _READ_BLOCK - 1) + 1
+    body = body[:start] + b" " * (2 * _READ_BLOCK + 1 - start) + b"\r\n" + body[start:]
+    record = body[body.rfind(b"\n", 0, _READ_BLOCK - 1) + 1:_READ_BLOCK + 1]
+    assert record.startswith(b'{"b_in":') and record.endswith(b"}\r\n")
+    assert body[2 * _READ_BLOCK - 1:2 * _READ_BLOCK + 1] == b"  "
+    return head + b"\n" + body
+
+
+@pytest.mark.parametrize("ens_in,ens_out,m", [
+    *[pytest.param(a, b, 30, id=f"{a}-{b}") for a, b in PAIRS],
+    *[pytest.param(a, b, _SPANNING, id=f"{a}-{b}-blocks") for a, b in PAIRS]])
 @pytest.mark.parametrize("layout", ["no-final-newline", "blank-lines", "crlf", "non-canonical"])
-def test_other_layouts_load_the_same_labels(tmp_path, ens_in, ens_out, layout):
-    ps = _fixed_shadow(ens_in, ens_out, 2, 30, seed=3)
+def test_other_layouts_load_the_same_labels(tmp_path, ens_in, ens_out, m, layout):
+    ps = (_fixed_shadow if m < _SPANNING else _drawn_shadow)(ens_in, ens_out, 2, m, seed=3)
     path = tmp_path / "r.jsonl"
     save_records(path, ps)
+    if m == _SPANNING:
+        _assert_spans_blocks(path, m)
     text = path.read_text()
     if layout == "no-final-newline":
         text = text.rstrip("\n")
@@ -436,6 +512,8 @@ def test_other_layouts_load_the_same_labels(tmp_path, ens_in, ens_out, layout):
         lines[3] = json.dumps(json.loads(lines[3]))
         lines[6:6] = [""]
         text = "\r\n".join(lines) + "\r\n"
+        if m == _SPANNING:
+            text = _across_read_cuts(text.encode()).decode()
     else:
         rng = np.random.default_rng(0)
         lines = text.splitlines()
