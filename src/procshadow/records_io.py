@@ -8,17 +8,17 @@ files.  Each side of a file holds one frame ensemble: the header's
 ``ensemble_in`` and ``ensemble_out`` tags name it, and loading rejects
 any record whose frame kind differs from its tag.
 
-Files are written in blocks of records and read in blocks of 256 KB cut
+Files are written in blocks of records, each distinct (input, output)
+label pair of a block formatted once, and read in blocks of 256 KB cut
 at the last newline, so I/O holds one block besides the label arrays
-(and, on saving, the JSON of each distinct label of a side whose labels
-are small integers).  A block formats each distinct (input, output)
-label pair once.  Canonical lines are read as bytes: the header fixes a
-line template of constant text, bit and Pauli-axis digits at fixed
-offsets, and on a Clifford side one text of variable width, the frame's
-sign bits and tableau rows.  Numpy passes check each line's constant
-bytes and map its digits to base-6 Pauli keys and outcome bits.  A
-Clifford side's texts are numbered in order of first appearance in the
-file; each new one is matched against the canonical form and parsed, and
+(and, on saving, one JSON text per label of a side with few labels).
+Canonical lines are read as bytes: the header fixes a line template of
+constant text, bit and Pauli-axis digits at fixed offsets, and on a
+Clifford side one text of variable width, the frame's sign bits and
+tableau rows.  Numpy passes check each line's constant bytes and map its
+digits to base-6 Pauli keys and outcome bits.  A Clifford side's texts
+are numbered in order of first appearance in the file; each new one is
+matched against the canonical form and parsed, and
 ``ShadowEstimate.of_tableaus`` gets the tableau stack and each record's
 index.  Lines may end in CRLF.  Any other line (other spacing or key
 order, escapes, extra fields) is decoded as JSON, rendered canonically
@@ -29,6 +29,7 @@ line.  No frame object is built from labels to bytes or back.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -57,7 +58,7 @@ _ROWS_SEP = b'],"s":['
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
 _WRITE_BLOCK = 1 << 12  # records rendered and written at a time
-_LABEL_SPACE = 1 << 16  # below this, a side's labels are rendered once per file
+_LABEL_SPACE = 6**MAX_QUBITS  # every Pauli label, and every Clifford label up to 2 qubits
 _READ_BLOCK = 1 << 18  # body bytes read at a time; a block ends at its last newline
 
 
@@ -114,39 +115,44 @@ def _rendered(side: ShadowEstimate) -> np.ndarray:
     return table[:, index]
 
 
-def _file_table(side: ShadowEstimate) -> np.ndarray | None:
-    """``_rendered`` of a side's labels by label value, for the file; None past _LABEL_SPACE."""
-    if side.labels.max() < _LABEL_SPACE:
-        used = np.zeros(side.labels.max() + 1, dtype=bool)
-        used[side.labels] = True  # np.bincount would copy the read-only labels
-        table = np.empty((2, used.size), dtype=object)
+def _label_table(side: ShadowEstimate) -> np.ndarray | None:
+    """``_rendered`` of each used label in its column, once per file; None
+    past ``_LABEL_SPACE``, where the table could hold a text per record."""
+    top = side.labels.max()
+    if top < _LABEL_SPACE:
+        used = np.zeros(top + 1, dtype=bool)
+        used[side.labels] = True
+        table = np.empty((2, top + 1), dtype=object)
         table[:, used] = _rendered(ShadowEstimate(np.flatnonzero(used), side.n_qubits, side.frames))
         return table
 
 
 def _block_text(ps: ProcessShadow, block: slice, tables: list) -> str:
-    """The lines of a block of records, each distinct (input, output) label
-    pair formatted once; a side without a file table is rendered here."""
-    (k_in, t_in), (k_out, t_out) = [
-        (labels, table) if table is not None else
-        (np.arange(labels.size), _rendered(ShadowEstimate(labels, side.n_qubits, side.frames)))
-        for side, table in zip((ps.side_in, ps.side_out), tables)
-        for labels in [side.labels[block]]]
-    pairs, inverse = np.unique(k_in * t_out.shape[1] + k_out, return_inverse=True)
-    p_in, p_out = np.divmod(pairs, t_out.shape[1])
+    """The lines of a block of records; each distinct (input, output) label
+    pair is formatted once, and rendered here if its side has no table."""
+    l_in, l_out = ps.side_in.labels[block], ps.side_out.labels[block]
+    size = l_out.max() + 1
+    pairs, inverse = np.unique(l_in * size + l_out, return_inverse=True)
+    (b_in, u_in), (b_out, u_out) = (
+        (_rendered(ShadowEstimate(labels, side.n_qubits, side.frames)) if table is None
+         else table[:, labels]).tolist()
+        for side, labels, table in zip((ps.side_in, ps.side_out), np.divmod(pairs, size), tables))
     # each line is _dump of its record (keys in sorted order, no
     # whitespace), spelled out because an f-string is faster per line
-    columns = [t[row, p].tolist() for row in (0, 1) for t, p in ((t_in, p_in), (t_out, p_out))]
-    lines = np.array([f'{{"b_in":{b_in},"b_out":{b_out},"u_in":{u_in},"u_out":{u_out}}}\n'
-                      for b_in, b_out, u_in, u_out in zip(*columns)], dtype=object)
+    lines = np.array([f'{{"b_in":{bi},"b_out":{bo},"u_in":{ui},"u_out":{uo}}}\n'
+                      for bi, bo, ui, uo in zip(b_in, b_out, u_in, u_out)], dtype=object)
     return "".join(lines[inverse].tolist())
 
 
 def save_records(path, ps: ProcessShadow, *, seed=None,
                  channel: str | None = None) -> None:
     """Write a shadow to one JSONL file, with provenance in the header."""
-    header = {"format": FORMAT_TAG, "version": FORMAT_VERSION, "n_qubits": ps.n_qubits,
-              "count": len(ps)}
+    header = {
+        "format": FORMAT_TAG,
+        "version": FORMAT_VERSION,
+        "n_qubits": ps.n_qubits,
+        "count": len(ps),
+    }
     if seed is not None:
         header["seed"] = seed
     if channel is not None:
@@ -154,7 +160,7 @@ def save_records(path, ps: ProcessShadow, *, seed=None,
     if len(ps):
         header["ensemble_in"] = ps.side_in.ensemble
         header["ensemble_out"] = ps.side_out.ensemble
-    tables = [_file_table(side) for side in (ps.side_in, ps.side_out)] if len(ps) else []
+    tables = [_label_table(side) for side in (ps.side_in, ps.side_out)] if len(ps) else []
     with open(path, "w") as fh:
         fh.write(_dump(header) + "\n")
         for lo in range(0, len(ps), _WRITE_BLOCK):
@@ -171,12 +177,14 @@ def _parse_header(first: bytes) -> dict:
     if header.get("format") != FORMAT_TAG:
         raise ValueError("line 1: not a record file (format tag mismatch)")
     if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"line 1: unsupported version {header.get('version')!r} "
-                         f"(expected {FORMAT_VERSION})")
+        raise ValueError(
+            f"line 1: unsupported version {header.get('version')!r} "
+            f"(expected {FORMAT_VERSION})")
     for key, least in (("n_qubits", 1), ("count", 0)):
         value = header.get(key)
         if type(value) is not int or value < least:
-            raise ValueError(f"line 1: {key} must be an integer >= {least}, got {value!r}")
+            raise ValueError(f"line 1: {key} must be an integer >= {least}, "
+                             f"got {value!r}")
     if header["n_qubits"] > MAX_QUBITS:
         raise ValueError(f"line 1: {header['n_qubits']} qubits exceed the cap ({MAX_QUBITS})")
     return header
@@ -191,13 +199,24 @@ def load_header(path) -> dict:
 def _template(tags, n: int) -> list | None:
     """The constant chunks of a canonical record line, split where a
     Clifford frame's signs-and-rows text goes; None for an unknown tag.
-    Bits are rendered as "0" and axes as "X", which no constant text holds."""
+
+    Bits are rendered as "0" and axes as "X", which no constant text holds.
+    """
     if not all(tag in (PAULI_ENSEMBLE, CLIFFORD_ENSEMBLE) for tag in tags):
         return None  # tags are header values of any JSON type
     u_in, u_out = ({"kind": tag, "axes": "X" * n} if tag == PAULI_ENSEMBLE
                    else {"kind": tag, "p": [], "s": []} for tag in tags)
     line = _dump({"b_in": "0" * n, "b_out": "0" * n, "u_in": u_in, "u_out": u_out})
     return [np.frombuffer(chunk, dtype=np.uint8) for chunk in line.encode().split(_ROWS_SEP)]
+
+
+@functools.lru_cache
+def _tableau_pattern(n: int):
+    """A canonical signs-and-rows text: 2n sign bits, then 2n rows of at
+    most 19 digits, which uint64 holds."""
+    row = rb"(?:0|[1-9][0-9]{0,18})"
+    return re.compile(rb"[01](?:,[01]){%d}%s%s(?:,%s){%d}" % (
+        2 * n - 1, re.escape(_ROWS_SEP), row, row, 2 * n - 1))
 
 
 def _rows_at(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -210,12 +229,12 @@ def _rows_at(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return windows[starts]
 
 
-def _scan(body: bytes, layout: tuple):
-    """Check every line of a block against the canonical template: returns
-    ``(starts, newlines, ok, sides)``, where each line starts and where its
-    newline is (or the block ends), whether it is canonical, and per side the
-    (tag, frame digits or tableau texts, outcome bits).  CRLF ends a line."""
-    n, tags, chunks, canonical, seen = layout
+def _scan(body: bytes, n: int, tags, chunks: list | None, seen: tuple):
+    """Check every line of a block against the canonical template ``chunks``:
+    returns ``(starts, newlines, ok, sides)``, where each line starts and
+    where its newline is (or the block ends), whether it is canonical, and
+    per side the (tag, frame digits or tableau texts, outcome bits).  A
+    tableau text in ``seen`` is known to be canonical.  CRLF ends a line."""
     buf = np.frombuffer(body, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     if body and body[-1:] != b"\n":
@@ -259,20 +278,21 @@ def _scan(body: bytes, layout: tuple):
         idx = np.fromiter((index.setdefault(body[a:b], len(index)) if good else -1
                            for a, b, good in zip(start.tolist(), end.tolist(), ok.tolist())),
                           dtype=np.int64, count=ends.size)
+        canonical = _tableau_pattern(n).fullmatch
         ok &= np.array([t in known or canonical(t) is not None for t in index] + [False])[idx]
         sides.append((tag, (idx, list(index)), outcomes))
     return starts, newlines, ok, sides
 
 
 def _tableaus(texts: list, n: int) -> np.ndarray:
-    """The (k, 2n, 2n+1) uint8 tableau stack of k canonical signs-and-rows
+    """The (k, 2n, 2n+1) tableau stack of k canonical signs-and-rows
     texts: the bits of each row, then the sign bits as a last column."""
     values = np.fromstring(b",".join(texts).replace(_ROWS_SEP, b","),
                            dtype=np.uint64, sep=",").reshape(len(texts), 4 * n)
     if values.max(initial=0) >= np.uint64(4**n):  # the sign bits are 0 or 1
         raise ValueError(f"tableau rows must be integers in [0, {4**n})")
     values = values.astype(np.int64)
-    return np.dstack((_symplectic(values[:, 2 * n:], n), values[:, :2 * n])).astype(np.uint8)
+    return np.dstack((_symplectic(values[:, 2 * n:], n), values[:, :2 * n]))
 
 
 def _rerendered(line: bytes) -> bytes:
@@ -299,29 +319,44 @@ def _normalized(body: bytes, starts, newlines, odd: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def _read_body(body: bytes, layout: tuple) -> list:
-    """``[]`` or ``[(in, out)]``: per side a block's labels, or the stack of
-    tableaus new to the file, each record's tableau index and outcomes.
-    Raises without a line number on any bad record."""
-    starts, newlines, ok, scanned = _scan(body, layout)
+def _read_body(body: bytes, n: int, tags, chunks: list | None, seen: tuple):
+    """``(in, out)``, or None for a block without records: per side the
+    block's labels, or the stack of tableaus new to the file, each record's
+    tableau index and outcomes.  ``seen`` maps each side's tableau texts to
+    their index in the file.  Raises without a line number on any bad record."""
+    starts, newlines, ok, scanned = _scan(body, n, tags, chunks, seen)
     if not ok.all():
         body = _normalized(body, starts, newlines, ~ok)
-        _, newlines, ok, scanned = _scan(body, layout)
+        _, newlines, ok, scanned = _scan(body, n, tags, chunks, seen)
         if not ok.all():
             raise ValueError("a record line is not canonical")
     if not newlines.size:
-        return []
-    n, parts = layout[0], []
-    for (tag, frames, outcomes), seen in zip(scanned, layout[-1]):
+        return None
+    parts = []
+    for (tag, frames, outcomes), known in zip(scanned, seen):
         outcomes = outcomes @ 2 ** np.arange(n - 1, -1, -1)
         if tag == PAULI_ENSEMBLE:
             parts.append(ShadowEstimate.of_stack(tag, frames, outcomes).labels)
             continue
         idx, texts = frames
-        fresh = [text for text in texts if text not in seen]
-        index = np.array([seen.setdefault(text, len(seen)) for text in texts], dtype=np.int64)
+        fresh = [text for text in texts if text not in known]
+        index = np.array([known.setdefault(text, len(known)) for text in texts], dtype=np.int64)
         parts.append((_tableaus(fresh, n), index[idx], outcomes))
-    return [tuple(parts)]
+    return tuple(parts)
+
+
+def _line_blocks(fh):
+    """The rest of a file in blocks of about ``_READ_BLOCK`` bytes, each
+    ending at a newline or at the end of the file."""
+    tail = b""
+    for chunk in iter(lambda: fh.read(_READ_BLOCK), b""):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield tail + memoryview(chunk)[:cut]
+            tail = chunk[cut:]
+        else:  # the chunk is inside one line
+            tail += chunk
+    yield tail
 
 
 def _raise_first_bad_record(body: bytes, header: dict) -> None:
@@ -361,27 +396,21 @@ def load_records(path) -> ProcessShadow:
         header = _parse_header(fh.readline())
         n, body_start = header["n_qubits"], fh.tell()
         tags = header.get("ensemble_in"), header.get("ensemble_out")
-        # a canonical signs-and-rows text: 2n sign bits, then 2n rows of at most 19 digits
-        row = rb"(?:0|[1-9][0-9]{0,18})"
-        canonical = re.compile(rb"[01](?:,[01]){%d}%s%s(?:,%s){%d}" % (
-            2 * n - 1, re.escape(_ROWS_SEP), row, row, 2 * n - 1)).fullmatch
-        layout = n, tags, _template(tags, n), canonical, ({}, {})
-        blocks, tail = [], b""
+        read = functools.partial(_read_body, n=n, tags=tags, chunks=_template(tags, n),
+                                 seen=({}, {}))
         try:
-            for chunk in iter(lambda: fh.read(_READ_BLOCK), b""):
-                cut = chunk.rfind(b"\n") + 1
-                blocks += _read_body(tail + memoryview(chunk)[:cut], layout)
-                tail = chunk[cut:] if cut else tail + chunk
-            blocks += _read_body(tail, layout)
+            blocks = [read(body) for body in _line_blocks(fh)]
         except _RECORD_ERRORS:
             fh.seek(body_start)
             _raise_first_bad_record(fh.read(), header)
             raise  # not reached: the per-record check rejects whatever the reader does
+    blocks = [block for block in blocks if block is not None]
     side_in, side_out = (
         ShadowEstimate(np.concatenate(parts), n) if tag == PAULI_ENSEMBLE
         else ShadowEstimate.of_tableaus(*map(np.concatenate, zip(*parts)))
         for tag, parts in zip(tags, zip(*blocks))) if blocks else [ShadowEstimate([], n)] * 2
     if len(side_in) != header["count"]:
-        raise ValueError(f"line {len(side_in) + 1}: expected {header['count']} records, "
-                         f"found {len(side_in)}")
+        raise ValueError(
+            f"line {len(side_in) + 1}: expected {header['count']} records, "
+            f"found {len(side_in)}")
     return ProcessShadow._of(side_in, side_out)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dense_reference import frame_unitary
 from procshadow.applications import purity_estimate
 from procshadow.channels import named_channel
+from procshadow import records_io
 from procshadow.cli import main
 from procshadow.ensembles import CliffordFrame, PauliFrame, sample_frames
 from procshadow.process_shadows import (
@@ -449,6 +450,20 @@ def test_round_trip_labels_and_frames(tmp_path, ens_in, ens_out, n, m):
     _same_labels(load_records(path), ps)
 
 
+@pytest.mark.parametrize("ens_in,ens_out", PAIRS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_label_tables_write_the_bytes_of_per_block_rendering(tmp_path, monkeypatch,
+                                                             ens_in, ens_out, n):
+    """A side below the label space is rendered once per file into a table;
+    rendering it in every block instead writes the same bytes."""
+    ps = _drawn_shadow(ens_in, ens_out, n, 2 * _WRITE_BLOCK + 7, seed=n)
+    assert max(ps.side_in.labels.max(), ps.side_out.labels.max()) < records_io._LABEL_SPACE
+    save_records(tmp_path / "table.jsonl", ps)
+    monkeypatch.setattr(records_io, "_LABEL_SPACE", 0)
+    save_records(tmp_path / "blocks.jsonl", ps)
+    assert (tmp_path / "table.jsonl").read_bytes() == (tmp_path / "blocks.jsonl").read_bytes()
+
+
 def test_round_trip_of_an_empty_shadow(tmp_path):
     ps = ProcessShadow([], 2)
     path = tmp_path / "empty.jsonl"
@@ -492,7 +507,8 @@ def _across_read_cuts(text: bytes) -> bytes:
 @pytest.mark.parametrize("ens_in,ens_out,m", [
     *[pytest.param(a, b, 30, id=f"{a}-{b}") for a, b in PAIRS],
     *[pytest.param(a, b, _SPANNING, id=f"{a}-{b}-blocks") for a, b in PAIRS]])
-@pytest.mark.parametrize("layout", ["no-final-newline", "blank-lines", "crlf", "non-canonical"])
+@pytest.mark.parametrize("layout", ["no-final-newline", "blank-lines", "crlf", "non-canonical",
+                                    "long-line"])
 def test_other_layouts_load_the_same_labels(tmp_path, ens_in, ens_out, m, layout):
     ps = (_fixed_shadow if m < _SPANNING else _drawn_shadow)(ens_in, ens_out, 2, m, seed=3)
     path = tmp_path / "r.jsonl"
@@ -514,6 +530,11 @@ def test_other_layouts_load_the_same_labels(tmp_path, ens_in, ens_out, m, layout
         text = "\r\n".join(lines) + "\r\n"
         if m == _SPANNING:
             text = _across_read_cuts(text.encode()).decode()
+    elif layout == "long-line":  # a record past the first cut covers a whole read block
+        lines = text.splitlines()
+        at = len(lines) // 2
+        lines[at] = json.dumps({**json.loads(lines[at]), "note": "x" * 2 * _READ_BLOCK})
+        text = "\n".join(lines) + "\n"
     else:
         rng = np.random.default_rng(0)
         lines = text.splitlines()
